@@ -11,8 +11,8 @@
  * fast-vs-reference speedup against the committed baseline, which is
  * machine-independent in a way absolute wall-clock is not.
  *
- * The two schedulers must agree on results, cycles, and switches — this
- * bench asserts it (cheaply re-checking test_engine_equiv's contract at
+ * The two schedulers must agree on results, cycles, switches, and sync
+ * points — this bench asserts it (cheaply re-checking test_engine_equiv's contract at
  * bench scale) so the recorded speedup is never a speedup into wrongness.
  *
  * A second series ("throughput") measures batch simulation throughput
@@ -118,7 +118,6 @@ struct Sample
     uint64_t switches = 0;
     uint64_t syncPoints = 0;
     Cycles simCycles = 0;
-    std::string winJson; ///< window telemetry (windowed runs only)
 };
 
 /** One fleet batch at @p workers threads: sims/sec + all-verified. */
@@ -170,14 +169,10 @@ measureFleet(uint32_t workers)
 }
 
 Sample
-measureOnce(const HostWorkload &workload, uint32_t cores, bool reference,
-            uint32_t shards, bool windowed)
+measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
 {
     Machine machine(machineFor(cores));
     machine.engine().setReferenceScheduler(reference);
-    if (windowed)
-        machine.engine().setScheduler(SchedMode::Windowed);
-    machine.engine().setShards(shards);
     Sample sample;
     uint64_t switches0 = machine.engine().switchCount();
     uint64_t syncs0 = machine.engine().syncPointCount();
@@ -190,8 +185,6 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference,
     sample.simCycles = machine.engine().maxTime();
     sample.switches = machine.engine().switchCount() - switches0;
     sample.syncPoints = machine.engine().syncPointCount() - syncs0;
-    if (windowed)
-        sample.winJson = machine.engine().windowStats().json();
     return sample;
 }
 
@@ -202,13 +195,12 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference,
 // count, and switch/syncPoint counts — a rep that diverges is a
 // determinism bug, not noise, and fataling here beats gating on it.
 Sample
-measure(const HostWorkload &workload, uint32_t cores, bool reference,
-        uint32_t shards = 1, bool windowed = false)
+measure(const HostWorkload &workload, uint32_t cores, bool reference)
 {
     constexpr int kReps = 3;
-    Sample best = measureOnce(workload, cores, reference, shards, windowed);
+    Sample best = measureOnce(workload, cores, reference);
     for (int rep = 1; rep < kReps; ++rep) {
-        Sample s = measureOnce(workload, cores, reference, shards, windowed);
+        Sample s = measureOnce(workload, cores, reference);
         if (s.digest != best.digest || s.simCycles != best.simCycles ||
             s.switches != best.switches || s.syncPoints != best.syncPoints)
             SPMRT_FATAL("host_perf: %s/%u rep %d diverged from rep 0 "
@@ -222,6 +214,24 @@ measure(const HostWorkload &workload, uint32_t cores, bool reference,
     return best;
 }
 
+/**
+ * The first quantity on which @p fast and @p ref disagree, or nullptr
+ * when they ran the identical simulation.
+ */
+const char *
+divergence(const Sample &fast, const Sample &ref)
+{
+    if (fast.digest != ref.digest)
+        return "digest";
+    if (fast.simCycles != ref.simCycles)
+        return "sim_cycles";
+    if (fast.switches != ref.switches)
+        return "switches";
+    if (fast.syncPoints != ref.syncPoints)
+        return "syncpoints";
+    return nullptr;
+}
+
 } // namespace
 } // namespace spmrt
 
@@ -232,10 +242,9 @@ main(int argc, char **argv)
     bench::Report report("host_perf", argc, argv);
     auto workloads = makeWorkloads();
     const uint32_t core_counts[] = {16, 128};
-    // Recorded in every row: a wall-clock ratio only means anything
-    // relative to how many host cores the measuring machine had —
-    // check_host_perf.py requires parallel speedup only when
-    // host_cores > shards (a shard thread per free core).
+    // Recorded in every row: a wall-clock number only means anything
+    // relative to the machine that measured it, and the fleet series
+    // scales with host cores.
     const uint32_t host_cores = std::thread::hardware_concurrency();
 
     // The trajectory file keeps its own schema (spmrt-host-perf-v1):
@@ -253,13 +262,12 @@ main(int argc, char **argv)
             Sample ref = measure(workload, cores, true);
             // The speedup is only meaningful if it is a speedup into the
             // identical simulation.
-            bool ok = fast.digest == ref.digest &&
-                      fast.simCycles == ref.simCycles &&
-                      fast.switches == ref.switches;
+            const char *diverged = divergence(fast, ref);
+            bool ok = diverged == nullptr;
             if (!ok)
                 report.fail("%s at %u cores: fast and reference "
-                            "schedulers disagree",
-                            workload.name, cores);
+                            "schedulers disagree on %s",
+                            workload.name, cores, diverged);
             double speedup = fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0;
             report.row()
                 .cell("workload", workload.name)
@@ -287,88 +295,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(fast.syncPoints),
                 static_cast<unsigned long long>(fast.simCycles),
                 ok ? "true" : "false");
-        }
-    }
-    // ---- Host-parallel engine series ------------------------------------
-    // The windowed concurrent engine at 1/2/4/8 host threads on the
-    // 128-core paper machine, against the sequential fast engine.
-    // Equivalence is the hard part of the contract — digests, simulated
-    // cycles, switch and syncPoint counts must byte-match — and is
-    // recorded per leg; the wall-clock ratio is reported honestly: shard
-    // threads free-run below the dynamic horizon, so the ratio clears
-    // 1.0 only when real host cores back the shard threads (host_cores >
-    // shards), which is exactly the condition check_host_perf.py gates
-    // on.
-    std::string win_telemetry;
-    if (report.wants("parallel")) {
-        const uint32_t shard_counts[] = {1, 2, 4, 8};
-        // The syncPoint-dense leg: a fib small enough that nearly every
-        // simulated cycle sits next to a gate, so windows are short and
-        // the run is dominated by admission checks and barriers — the
-        // worst case for the windowed engine and the leg that batched
-        // admission and the cheaper barrier exist for.
-        std::vector<HostWorkload> par_workloads = workloads;
-        const int fib_tiny_n = bench::scaled(12, 9);
-        par_workloads.push_back(
-            {"fib-tiny",
-             [fib_tiny_n](Machine &machine, WorkStealingRuntime &rt) {
-                 Addr out = machine.dramAlloc(8, 8);
-                 rt.run([&](TaskContext &tc) {
-                     fibKernel(tc, fib_tiny_n, out);
-                 });
-                 return static_cast<uint64_t>(
-                     machine.mem().peekAs<int64_t>(out));
-             }});
-        for (const auto &workload : par_workloads) {
-            Sample seq = measure(workload, 128, false);
-            for (uint32_t shards : shard_counts) {
-                Sample par = shards == 1
-                                 ? seq
-                                 : measure(workload, 128, false, shards,
-                                           true);
-                bool ok = par.digest == seq.digest &&
-                          par.simCycles == seq.simCycles &&
-                          par.switches == seq.switches &&
-                          par.syncPoints == seq.syncPoints;
-                if (!ok)
-                    report.fail("%s at %u shards: parallel engine "
-                                "diverged from sequential",
-                                workload.name, shards);
-                double speedup =
-                    par.wallMs > 0 ? seq.wallMs / par.wallMs : 0;
-                std::string name =
-                    log::format("%s-par%u", workload.name, shards);
-                report.row()
-                    .cell("workload", name)
-                    .cell("cores", 128)
-                    .cell("wall_ms", par.wallMs)
-                    .cell("speedup", speedup)
-                    .cell("switches", par.switches)
-                    .cell("syncpoints", par.syncPoints)
-                    .cell("ok", ok);
-                json += log::format(
-                    "%s\n    {\"workload\": \"%s\", \"cores\": 128, "
-                    "\"geometry\": \"%s\", "
-                    "\"series\": \"parallel\", \"shards\": %u, "
-                    "\"host_cores\": %u, "
-                    "\"wall_ms\": %.3f, \"speedup\": %.3f, "
-                    "\"switches\": %llu, \"syncpoints\": %llu, "
-                    "\"sim_cycles\": %llu, \"equivalent\": %s}",
-                    first ? "" : ",", name.c_str(),
-                    machineFor(128).geometry().c_str(), shards, host_cores,
-                    par.wallMs, speedup,
-                    static_cast<unsigned long long>(par.switches),
-                    static_cast<unsigned long long>(par.syncPoints),
-                    static_cast<unsigned long long>(par.simCycles),
-                    ok ? "true" : "false");
-                first = false;
-                if (shards > 1)
-                    win_telemetry += log::format(
-                        "%s\n    {\"workload\": \"%s\", \"shards\": %u, "
-                        "\"telemetry\": %s}",
-                        win_telemetry.empty() ? "" : ",",
-                        workload.name, shards, par.winJson.c_str());
-            }
         }
     }
 
@@ -431,25 +357,6 @@ main(int argc, char **argv)
             std::printf("wrote %s\n", path);
         } else {
             report.fail("cannot write %s", path);
-        }
-        if (!win_telemetry.empty()) {
-            // One window-telemetry object per multi-shard windowed leg;
-            // CI's bench-smoke job uploads this as an artifact so
-            // barrier/spin behaviour on real multi-core runners stays
-            // inspectable after the fact.
-            const char *win_path = "BENCH_window_telemetry.json";
-            if (FILE *f = std::fopen(win_path, "w")) {
-                std::fputs("{\n  \"schema\": "
-                           "\"spmrt-window-telemetry-file-v1\",\n"
-                           "  \"legs\": [",
-                           f);
-                std::fputs(win_telemetry.c_str(), f);
-                std::fputs("\n  ]\n}\n", f);
-                std::fclose(f);
-                std::printf("wrote %s\n", win_path);
-            } else {
-                report.fail("cannot write %s", win_path);
-            }
         }
     }
     return report.finish();

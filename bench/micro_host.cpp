@@ -247,89 +247,6 @@ BENCHMARK(BM_EngineSyncPointFastPath)
     ->Args({1, 128})
     ->Unit(benchmark::kMicrosecond);
 
-/**
- * The windowed engine's barrier machinery under a syncPoint-dense load:
- * every core takes ~1-cycle steps, so windows are short and the run is
- * dominated by window close/merge/drain/replay/reopen. Items processed
- * are gates, so time-per-item is the effective per-gate cost including
- * the amortized barrier — the quantity the k-way merge, the log
- * compaction threshold, and the adaptive spin policy push down.
- * Args: {shards, cores}.
- */
-void
-BM_WindowBarrier(benchmark::State &state)
-{
-    const uint32_t shards = static_cast<uint32_t>(state.range(0));
-    const uint32_t cores = static_cast<uint32_t>(state.range(1));
-    constexpr int kRounds = 200;
-    Engine engine(cores, 64 * 1024);
-    engine.setScheduler(SchedMode::Windowed);
-    engine.setShards(shards);
-    uint64_t items = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        for (CoreId i = 0; i < cores; ++i) {
-            engine.setBody(i, [&engine, i] {
-                for (int k = 0; k < kRounds; ++k) {
-                    engine.advance(i, 1 + (i + k) % 3);
-                    engine.syncPoint(i);
-                }
-            });
-        }
-        state.ResumeTiming();
-        engine.run();
-        items += static_cast<uint64_t>(cores) * kRounds;
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(items));
-    state.SetLabel(std::to_string(shards) + " shards");
-}
-BENCHMARK(BM_WindowBarrier)
-    ->Args({2, 16})
-    ->Args({4, 16})
-    ->Args({2, 128})
-    ->Args({4, 128})
-    ->Unit(benchmark::kMicrosecond);
-
-/**
- * Batched vs one-at-a-time admission on the same windowed load: the
- * only difference is whether the promise is published per batch (with
- * the cached-horizon fast path) or at every gate (always re-scanning).
- * The delta is the host cost batching removes from every admission.
- * Args: {batched?}.
- */
-void
-BM_BatchedAdmission(benchmark::State &state)
-{
-    const bool batched = state.range(0) != 0;
-    constexpr uint32_t kCores = 64;
-    constexpr int kRounds = 200;
-    Engine engine(kCores, 64 * 1024);
-    engine.setScheduler(SchedMode::Windowed);
-    engine.setShards(4);
-    engine.setWindowBatching(batched);
-    uint64_t items = 0;
-    for (auto _ : state) {
-        state.PauseTiming();
-        for (CoreId i = 0; i < kCores; ++i) {
-            engine.setBody(i, [&engine, i] {
-                for (int k = 0; k < kRounds; ++k) {
-                    engine.advance(i, 1 + (i + k) % 5);
-                    engine.syncPoint(i);
-                }
-            });
-        }
-        state.ResumeTiming();
-        engine.run();
-        items += static_cast<uint64_t>(kCores) * kRounds;
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(items));
-    state.SetLabel(batched ? "batched" : "one-at-a-time");
-}
-BENCHMARK(BM_BatchedAdmission)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMicrosecond);
-
 void
 BM_ContextSwitchPair(benchmark::State &state)
 {

@@ -20,7 +20,6 @@ MemorySystem::MemorySystem(const MachineConfig &cfg)
     spmData_.assign(static_cast<size_t>(cfg.numCores()) * cfg.spmBytes, 0);
     spmPorts_.assign(cfg.numCores(), FluidServer(1));
     storeDrain_.assign(cfg.numCores(), 0);
-    memCells_ = std::make_unique<CoreMemCell[]>(cfg.numCores());
     invalidateDecodeCache(); // snap the precomputed decode constants
 }
 
@@ -128,7 +127,7 @@ MemorySystem::loadBurst(CoreId core, Cycles issue, Addr addr, void *out,
             offset += chunk;
             ++result.chunks;
         }
-        memCells_[core].localSpmLoads += result.chunks;
+        stats_.localSpmLoads += result.chunks;
         result.lastIssue = issue;
         return result;
     }
@@ -183,7 +182,7 @@ MemorySystem::storeBurst(CoreId core, Cycles issue, Addr addr,
             ++result.chunks;
         }
         storeDrain_[core] = drain;
-        memCells_[core].localSpmStores += result.chunks;
+        stats_.localSpmStores += result.chunks;
         result.lastIssue = issue;
         return result;
     }
@@ -248,10 +247,7 @@ MemorySystem::amo(CoreId core, Cycles start, Addr addr, AmoOp op,
     SPMRT_ASSERT(addr % 4 == 0, "unaligned AMO at 0x%x", addr);
     DecodedAddr decoded;
     uint8_t *cell = resolve(addr, sizeof(uint32_t), decoded);
-    // Per-core cell: an own-scratchpad AMO runs inside the windowed
-    // engine's concurrent phase, where cores on other shard threads AMO
-    // at the same host time.
-    ++memCells_[core].amos;
+    ++stats_.amos;
 
     old_value = applyAmo(cell, op, operand);
 

@@ -23,7 +23,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/log.hpp"
@@ -105,11 +104,7 @@ class MemorySystem
         const uint8_t *src = resolve(addr, size, decoded);
         std::memcpy(out, src, size);
         if (decoded.region == MemRegion::Spm && decoded.owner == core) {
-            // Own-scratchpad counters live in per-core cells: this path
-            // runs inside the windowed engine's concurrent phase, where
-            // cores on different shard threads load at the same host
-            // time. foldShardCounters() merges them into stats_.
-            ++memCells_[core].localSpmLoads;
+            ++stats_.localSpmLoads;
             return spmService(core, start);
         }
         return loadRemote(core, start, decoded, size);
@@ -127,7 +122,7 @@ class MemorySystem
         DecodedAddr decoded;
         std::memcpy(resolve(addr, size, decoded), in, size);
         if (decoded.region == MemRegion::Spm && decoded.owner == core) {
-            ++memCells_[core].localSpmStores;
+            ++stats_.localSpmStores;
             // A local store still holds the core for the SPM latency;
             // there is no deeper queue to post into.
             Cycles arrival = spmService(core, start);
@@ -240,39 +235,8 @@ class MemorySystem
     LlcModel &llc() { return llc_; }
     DramModel &dram() { return dram_; }
 
-    /**
-     * Aggregate counters. The per-core-cell counters (local SPM traffic,
-     * AMOs) are folded in lazily, so the returned totals are current —
-     * callers must not hold the reference across further timed accesses
-     * without re-calling. Never call while shard threads run (the
-     * machine's run tails fold before anyone can observe stats).
-     */
-    const MemStats &
-    stats() const
-    {
-        const_cast<MemorySystem *>(this)->foldShardCounters();
-        return stats_;
-    }
-
-    /**
-     * Merge the per-core counter cells into the shared MemStats totals
-     * (whose field addresses are registered as live stat pointers).
-     * Idempotent — each fold moves the deltas and zeroes the cells. Only
-     * callable when no shard threads run.
-     */
-    void
-    foldShardCounters()
-    {
-        for (uint32_t c = 0; c < cfg_.numCores(); ++c) {
-            CoreMemCell &cell = memCells_[c];
-            stats_.localSpmLoads += cell.localSpmLoads;
-            stats_.localSpmStores += cell.localSpmStores;
-            stats_.amos += cell.amos;
-            cell.localSpmLoads = 0;
-            cell.localSpmStores = 0;
-            cell.amos = 0;
-        }
-    }
+    /** Aggregate counters (live: every timed access counts here). */
+    const MemStats &stats() const { return stats_; }
 
     /**
      * Invalidate cached decode state. resolve() decodes through
@@ -383,28 +347,15 @@ class MemorySystem
     DramModel dram_;
     LlcModel llc_;
 
-    /**
-     * Per-core counter cell, one cache line each: own-scratchpad traffic
-     * is counted here by the issuing core's shard thread during windowed
-     * runs' concurrent phases, then folded into stats_ serially.
-     */
-    struct alignas(64) CoreMemCell
-    {
-        uint64_t localSpmLoads = 0;
-        uint64_t localSpmStores = 0;
-        uint64_t amos = 0;
-    };
-
     std::vector<uint8_t> dramData_;
     std::vector<uint8_t> spmData_; ///< all cores' SPMs, contiguous
     std::vector<FluidServer> spmPorts_;
     std::vector<Cycles> storeDrain_;
-    std::unique_ptr<CoreMemCell[]> memCells_;
     MemStats stats_;
     ConcurrencyChecker *checker_ = nullptr;
 
-    /// Full decodes (slow path; testing). Atomic: the slow resolve can
-    /// run from concurrent shard threads in a windowed run.
+    /// Full decodes (slow path; testing). Atomic so the counter stays
+    /// race-free if timed accesses ever run on more than one host thread.
     std::atomic<uint64_t> decodeMisses_{0};
 
     // Precomputed decode constants (see invalidateDecodeCache()).

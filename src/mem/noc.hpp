@@ -96,8 +96,7 @@ class MeshNoc
     }
 
     /** Endpoint of LLC bank @p bank (placement per the machine config:
-     *  MachineConfig::llcBankX/llcBankY are the single source of truth,
-     *  shared with ShardPlan's lookahead). */
+     *  MachineConfig::llcBankX/llcBankY are the single source of truth). */
     NocEndpoint
     bankEndpoint(uint32_t bank) const
     {

@@ -5,18 +5,9 @@
 #include <set>
 
 #include "common/log.hpp"
-#include "obs/defer.hpp"
 
 namespace spmrt {
 namespace obs {
-
-thread_local WinLog *tlWinLog = nullptr;
-
-void
-deferTraceEvent(const TraceEvent &event)
-{
-    tlWinLog->pushTrace(event);
-}
 
 const char *
 traceCategoryName(uint32_t category)

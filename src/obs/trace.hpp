@@ -74,19 +74,6 @@ struct TraceEvent
     char phase;          ///< 'B', 'E', 'i' or 'X'
 };
 
-struct WinLog;
-
-/**
- * Windowed-run deferral sink for this host thread (see obs/defer.hpp):
- * while non-null, every tracer push and checker hook appends to the
- * current core's record log instead of applying immediately. Only the
- * engine writes this; it is null outside windowed shard phases.
- */
-extern thread_local WinLog *tlWinLog;
-
-/** Append @p event to tlWinLog (out of line; defined in trace.cpp). */
-void deferTraceEvent(const TraceEvent &event);
-
 /**
  * Bounded in-memory event buffer with a Chrome trace-event serializer.
  */
@@ -170,23 +157,12 @@ class Tracer
     /** Write chromeJson() to @p path; false (with a warning) on failure. */
     bool writeChromeJson(const std::string &path) const;
 
-    /**
-     * Append an event deferred by a windowed run's shard phase (it
-     * already passed the category gate when its hook fired). Called by
-     * the engine's barrier replay, in canonical sequential order.
-     */
-    void replay(const TraceEvent &event) { push(event); }
-
     static constexpr size_t kDefaultMaxEvents = 1u << 22; // ~4M events
 
   private:
     void
     push(const TraceEvent &event)
     {
-        if (tlWinLog != nullptr) {
-            deferTraceEvent(event);
-            return;
-        }
         if (events_.size() >= maxEvents_) {
             ++dropped_;
             return;

@@ -67,9 +67,7 @@ class SimBarrier
         core.engine().advanceTo(core.id(), release);
         // Wake every participant but ourselves. The participant set is
         // cores [0, participants) by construction (all users barrier over
-        // the whole machine), so no arrival list is needed — which also
-        // keeps windowed parallel runs free of a host-shared list that
-        // concurrent arrivals would have to synchronize on.
+        // the whole machine), so no arrival list is needed.
         for (CoreId id = 0; id < participants_; ++id) {
             if (id != core.id())
                 core.engine().unblock(id, release);

@@ -94,13 +94,10 @@ makeClosureTask(F fn, uint32_t frame_bytes = 64)
  * Host-side registry translating the 32-bit "task pointers" stored in
  * simulated task-queue slots into host Task objects. Ids are recycled.
  *
- * Thread-safe: under the windowed engine, cores on different shard
- * threads spawn and pop tasks concurrently, so the slot table is
- * mutex-protected. Which id value a task receives then depends on host
- * arrival order — harmless, because ids only round-trip through queue
- * slots back to this table and never influence timing or workload
- * output (the equivalence suite's digests cover outputs, not transient
- * queue words).
+ * The slot table is mutex-protected, so registration stays safe even if
+ * guests ever spawn from more than one host thread. Ids only round-trip
+ * through queue slots back to this table and never influence timing or
+ * workload output.
  */
 class TaskRegistry
 {

@@ -162,17 +162,6 @@ struct JobRequest
      */
     bool staticRuntime = false;
 
-    /**
-     * Engine shard count for this job's attempts (0 = the process
-     * default, i.e. SPMRT_ENGINE_SHARDS). Deliberately NOT part of the
-     * cache spec key: sharding is a host execution detail with a
-     * byte-identical simulation contract, so a cache entry written at
-     * one shard count revalidates a run at another — any divergence
-     * surfaces as DigestMismatch, making the cache itself a standing
-     * determinism audit of the parallel engine.
-     */
-    uint32_t engineShards = 0;
-
     JobLimits limits;
 
     /** Expected digest; a completed run that disagrees fails. */

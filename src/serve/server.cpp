@@ -101,12 +101,9 @@ FleetServer::specKeyFor(const JobRequest &req) const
 {
     if (req.cacheKey.empty())
         return "";
-    // engineShards is deliberately absent: sharding is a host execution
-    // detail with a byte-identical contract (see JobRequest::engineShards),
-    // so cache entries revalidate runs across shard counts. The machine
-    // is its full geometry string: two configs differing in any timed
-    // parameter (ruche factors, LLC placement, DRAM channels, window
-    // stride) must never share a digest cache entry.
+    // The machine is its full geometry string: two configs differing in
+    // any timed parameter (ruche factors, LLC placement, DRAM channels,
+    // window stride) must never share a digest cache entry.
     return log::format(
         "%s|m:%s|rt:%s/a%u/wd%llu:%llu/s%llu|"
         "sched:%llu/%llu|fault:%llu/%llu|ck:%d|st:%d",
@@ -436,9 +433,6 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
                                     req.faultHorizon);
             machine.setFaultPlan(&plan);
         }
-
-        if (req.engineShards != 0)
-            machine.engine().setShards(req.engineShards);
 
         Cycles cycles;
         if (prep.rawBody) {

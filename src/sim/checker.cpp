@@ -102,14 +102,6 @@ ConcurrencyChecker::protectRange(RegionKind kind, Addr base, uint32_t bytes,
 {
     if (bytes == 0)
         return;
-    // Guest code also calls this directly (RO_DUP registration), so the
-    // windowed deferral applies here as well as in the frame hooks.
-    if (obs::tlWinLog != nullptr) {
-        obs::tlWinLog->push(obs::WinRecord::kHookProtect, base, bytes,
-                            (static_cast<uint64_t>(owner) << 8) |
-                                static_cast<uint64_t>(kind));
-        return;
-    }
     protected_[base] = Region{kind, base, bytes, owner, kNullAddr};
 }
 

@@ -65,7 +65,6 @@
 
 #include "common/log.hpp"
 #include "common/types.hpp"
-#include "obs/defer.hpp"
 
 #ifndef SPMRT_CHECKER_ENABLED
 #define SPMRT_CHECKER_ENABLED 1
@@ -159,10 +158,6 @@ class ConcurrencyChecker
     void
     onLockAcquired(CoreId core, Addr lock)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookLockAcq, lock);
-            return;
-        }
         locksHeld_[core].push_back(lock);
     }
 
@@ -170,10 +165,6 @@ class ConcurrencyChecker
     void
     onLockReleased(CoreId core, Addr lock)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookLockRel, lock);
-            return;
-        }
         auto &held = locksHeld_[core];
         if (!held.empty() && held.back() == lock)
             held.pop_back();
@@ -183,11 +174,6 @@ class ConcurrencyChecker
     void
     onFramePush(CoreId core, Addr base, uint32_t protect_bytes)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookFramePush, base,
-                                protect_bytes);
-            return;
-        }
         if (protect_bytes > 0)
             protectRange(RegionKind::Stack, base, protect_bytes, core);
     }
@@ -197,10 +183,6 @@ class ConcurrencyChecker
     onFramePop(CoreId core, Addr base, uint32_t bytes)
     {
         (void)core;
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookFramePop, base, bytes);
-            return;
-        }
         unprotectWithin(base, bytes);
     }
 
@@ -208,10 +190,6 @@ class ConcurrencyChecker
     void
     onTaskBegin(CoreId core, uint32_t task_id)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookTaskBegin, task_id);
-            return;
-        }
         taskStacks_[core].push_back(task_id);
     }
 
@@ -219,10 +197,6 @@ class ConcurrencyChecker
     void
     onTaskEnd(CoreId core)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookTaskEnd);
-            return;
-        }
         auto &trace = taskStacks_[core];
         if (!trace.empty())
             trace.pop_back();
@@ -238,11 +212,6 @@ class ConcurrencyChecker
     void
     onLoad(CoreId core, Addr addr, uint32_t size, Cycles cycle)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookLoad, addr, size,
-                                cycle);
-            return;
-        }
         for (Addr w = wordOf(addr); w < addr + size; w += 4)
             checkRead(core, w, cycle);
     }
@@ -251,11 +220,6 @@ class ConcurrencyChecker
     void
     onStore(CoreId core, Addr addr, uint32_t size, Cycles cycle)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookStore, addr, size,
-                                cycle);
-            return;
-        }
         for (Addr w = wordOf(addr); w < addr + size; w += 4)
             checkWrite(core, w, cycle);
     }
@@ -264,10 +228,6 @@ class ConcurrencyChecker
     void
     onAmo(CoreId core, Addr addr, Cycles cycle)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookAmo, addr, 0, cycle);
-            return;
-        }
         (void)cycle;
         Addr w = wordOf(addr);
         auto &sync = sync_[w];
@@ -281,10 +241,6 @@ class ConcurrencyChecker
     void
     onLoadSync(CoreId core, Addr addr, uint32_t size)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookLoadSync, addr, size);
-            return;
-        }
         for (Addr w = wordOf(addr); w < addr + size; w += 4) {
             auto it = sync_.find(w);
             if (it != sync_.end())
@@ -296,10 +252,6 @@ class ConcurrencyChecker
     void
     onStoreRelease(CoreId core, Addr addr)
     {
-        if (obs::tlWinLog != nullptr) {
-            obs::tlWinLog->push(obs::WinRecord::kHookStoreRel, addr);
-            return;
-        }
         Addr w = wordOf(addr);
         Clock &vc = vc_[core];
         join(sync_[w], vc);
@@ -307,61 +259,6 @@ class ConcurrencyChecker
     }
 
     /** @} */
-
-    /**
-     * Apply one record deferred by a windowed run's shard phase on
-     * behalf of @p core. Called by the engine's barrier replay — with
-     * the deferral sink off — in canonical sequential order, so the
-     * happens-before graph evolves exactly as in a sequential run.
-     */
-    void
-    applyDeferred(CoreId core, const obs::WinRecord &r)
-    {
-        using obs::WinRecord;
-        switch (r.type) {
-          case WinRecord::kHookLoad:
-            onLoad(core, r.a, static_cast<uint32_t>(r.b), r.c);
-            break;
-          case WinRecord::kHookStore:
-            onStore(core, r.a, static_cast<uint32_t>(r.b), r.c);
-            break;
-          case WinRecord::kHookAmo:
-            onAmo(core, r.a, r.c);
-            break;
-          case WinRecord::kHookLoadSync:
-            onLoadSync(core, r.a, static_cast<uint32_t>(r.b));
-            break;
-          case WinRecord::kHookStoreRel:
-            onStoreRelease(core, r.a);
-            break;
-          case WinRecord::kHookLockAcq:
-            onLockAcquired(core, r.a);
-            break;
-          case WinRecord::kHookLockRel:
-            onLockReleased(core, r.a);
-            break;
-          case WinRecord::kHookFramePush:
-            onFramePush(core, r.a, static_cast<uint32_t>(r.b));
-            break;
-          case WinRecord::kHookFramePop:
-            onFramePop(core, r.a, static_cast<uint32_t>(r.b));
-            break;
-          case WinRecord::kHookTaskBegin:
-            onTaskBegin(core, static_cast<uint32_t>(r.a));
-            break;
-          case WinRecord::kHookTaskEnd:
-            onTaskEnd(core);
-            break;
-          case WinRecord::kHookProtect:
-            protectRange(static_cast<RegionKind>(r.c & 0xff), r.a,
-                         static_cast<uint32_t>(r.b),
-                         static_cast<CoreId>(r.c >> 8));
-            break;
-          default:
-            SPMRT_PANIC("applyDeferred: record type %u is not a checker "
-                        "hook", static_cast<unsigned>(r.type));
-        }
-    }
 
     /**
      * Host-level phase barrier: Machine::run()/syncClocks() aligns every

@@ -111,8 +111,7 @@ GuestContext::switchTo(GuestContext &from, GuestContext &to)
     // The suspending side remembers the fiber it ran on (lazily
     // capturing the thread's implicit fiber for root contexts) and
     // announces the target before the raw stack swap. Flag 0 makes the
-    // switch a synchronization point, so cross-thread coroutine
-    // handoffs in the parallel engine carry happens-before.
+    // switch a synchronization point.
     from.tsanFiber_ = __tsan_get_current_fiber();
     SPMRT_ASSERT(to.tsanFiber_ != nullptr,
                  "switch into a context TSan has never seen");

@@ -16,8 +16,9 @@
 
 // ThreadSanitizer cannot follow a hand-rolled stack switch; every
 // context carries a TSan fiber handle and switchTo() announces the
-// switch (see __tsan_switch_to_fiber). Without this, the parallel
-// engine's cross-thread coroutine handoffs would be torn shadow stacks.
+// switch (see __tsan_switch_to_fiber). Without this, every coroutine
+// switch would tear TSan's shadow stack — fleet workers run engines on
+// many host threads, so the TSan pass over the fleet needs it.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define SPMRT_TSAN 1
@@ -73,7 +74,7 @@ class GuestContext
      * TSan fiber handle: created by init() for coroutine contexts, or
      * captured lazily (the host thread's implicit fiber) the first time
      * a root context — one that merely names a thread's native stack,
-     * like the engine's scheduler and shard-loop contexts — switches
+     * like the engine's scheduler context — switches
      * away. Owned (and destroyed) only when init() created it.
      */
     void *tsanFiber_ = nullptr;

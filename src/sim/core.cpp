@@ -102,14 +102,7 @@ Core::enqueueOp(CapturedOp &&op)
 {
     const bool was_empty = capturedOps_.empty();
     const Cycles commit = op.issue + commitDelta_;
-    const bool blocking = op.kind == CapturedOp::Load ||
-                          op.kind == CapturedOp::LoadSync ||
-                          op.kind == CapturedOp::LoadBurst ||
-                          op.kind == CapturedOp::Amo;
     capturedOps_.push_back(std::move(op));
-    // The windowed scheduler records every capture for its barrier
-    // replay; sequential and token modes ignore this.
-    engine_.noteCapture(id_, commit, blocking);
     if (was_empty)
         engine_.scheduleRemoteOp(id_, commit);
 }

@@ -75,10 +75,8 @@ struct CoreStats
  * (max(1, linkLatency) cycles) after its issue gate, in (commit time,
  * core id) order. Because the delta is uniform, that commit order is
  * exactly the issue-gate order, so the memory system observes the same
- * call sequence with the same timestamps regardless of how guest
- * execution is interleaved across host threads; this is what makes the
- * windowed parallel scheduler byte-identical to the sequential one
- * (DESIGN.md Sec. 14). On the sequential fast path an op whose commit
+ * call sequence with the same timestamps under either scheduler
+ * (DESIGN.md Sec. 10). On the fast path an op whose commit
  * key is already globally next executes inline at the issue site
  * (Engine::remoteInlineOk) with no capture and no context switch, so a
  * run with spread-out core clocks behaves exactly like the historical

@@ -26,113 +26,11 @@ defaultReferenceMode()
     return env::boolValue("SPMRT_ENGINE_REFERENCE", compiled_default);
 }
 
-/**
- * Default shard count, mirroring the reference-scheduler knob: the
- * SPMRT_ENGINE_SHARDS CMake option sets the compiled default (1 =
- * sequential) and the same-named environment variable overrides it at
- * startup. The environment value is validated — a typo'd or oversized
- * count is a hard error, not a silent clamp (tests/test_errors.cpp).
- */
-uint32_t
-defaultShardCount()
-{
-#ifdef SPMRT_ENGINE_SHARDS_DEFAULT
-    uint32_t shards = SPMRT_ENGINE_SHARDS_DEFAULT;
-#else
-    uint32_t shards = 1;
-#endif
-    const std::string text = env::stringValue("SPMRT_ENGINE_SHARDS");
-    if (!text.empty()) {
-        std::string error;
-        if (!parseShardCount(text.c_str(),
-                             std::thread::hardware_concurrency(), shards,
-                             error))
-            SPMRT_FATAL("SPMRT_ENGINE_SHARDS: %s", error.c_str());
-    }
-    return shards;
-}
-
-/**
- * Default for window-aware shard rebalancing: SPMRT_ENGINE_REBALANCE
- * turns it on explicitly, and SPMRT_ENGINE_SHARDS=auto implies it —
- * "auto" asks for the host-derived plan, and the profile-weighted plan
- * is its between-runs refinement (equivalence holds under any
- * contiguous plan, so the implication is free).
- */
-bool
-defaultShardRebalance()
-{
-    if (env::boolValue("SPMRT_ENGINE_REBALANCE", false))
-        return true;
-    std::string text = env::stringValue("SPMRT_ENGINE_SHARDS");
-    const size_t first = text.find_first_not_of(" \t");
-    if (first == std::string::npos)
-        return false;
-    const size_t last = text.find_last_not_of(" \t");
-    return text.substr(first, last - first + 1) == "auto";
-}
-
-/** One idle iteration of a host spin-wait. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__)
-    asm volatile("yield");
-#endif
-}
-
-} // namespace
-
-bool
-parseSchedMode(const char *text, SchedMode &out, std::string &error)
-{
-    const std::string name(text);
-    if (name == "reference")
-        out = SchedMode::Reference;
-    else if (name == "fast")
-        out = SchedMode::Fast;
-    else if (name == "token")
-        out = SchedMode::Token;
-    else if (name == "windowed")
-        out = SchedMode::Windowed;
-    else {
-        error = "unknown scheduler \"" + name +
-                "\" (expected reference, fast, token, or windowed)";
-        return false;
-    }
-    return true;
-}
-
-namespace {
-
-/**
- * Default scheduling mode: SPMRT_ENGINE_REFERENCE (environment or CMake
- * option) selects the linear-scan oracle, and the SPMRT_ENGINE_SCHED
- * environment variable overrides either with an explicit mode name.
- */
-SchedMode
-defaultSchedMode()
-{
-    SchedMode mode = defaultReferenceMode() ? SchedMode::Reference
-                                            : SchedMode::Token;
-    const std::string text = env::stringValue("SPMRT_ENGINE_SCHED");
-    if (!text.empty()) {
-        std::string error;
-        if (!parseSchedMode(text.c_str(), mode, error))
-            SPMRT_FATAL("SPMRT_ENGINE_SCHED: %s", error.c_str());
-    }
-    return mode;
-}
-
 } // namespace
 
 Engine::Engine(uint32_t num_cores, size_t host_stack_bytes)
-    : stackBytes_(host_stack_bytes), referenceMode_(false),
-      shards_(defaultShardCount()), rebalance_(defaultShardRebalance())
+    : stackBytes_(host_stack_bytes), referenceMode_(defaultReferenceMode())
 {
-    setScheduler(defaultSchedMode());
     numCores_ = num_cores;
     slots_ = std::make_unique<Slot[]>(num_cores);
     for (uint32_t i = 0; i < num_cores; ++i)
@@ -160,12 +58,8 @@ Engine::entryThunk(void *opaque)
 {
     auto *engine = static_cast<Engine *>(opaque);
     // The first activation happens through a dispatch, so running_ names
-    // this coroutine's core — no per-slot back-pointer needed. During a
-    // window phase running_ is stale (shards dispatch concurrently); the
-    // dispatching shard's running field names the core instead.
-    Slot *slot = &engine->slots_[engine->windowedActive_
-                                     ? engine->windowedRunningCore()
-                                     : engine->running_];
+    // this coroutine's core — no per-slot back-pointer needed.
+    Slot *slot = &engine->slots_[engine->running_];
     // Each run() installs a fresh body; the coroutine parks between runs
     // so multi-phase benchmarks can reuse the machine (clocks persist).
     while (true) {
@@ -177,10 +71,6 @@ Engine::entryThunk(void *opaque)
 void
 Engine::finishCurrent(Slot &slot)
 {
-    if (windowedActive_) {
-        windowedFinish(slot);
-        return; // resumed by a later run()
-    }
     slot.finished = true;
     --live_;
     foldHighWater(slot.time);
@@ -190,16 +80,6 @@ Engine::finishCurrent(Slot &slot)
     }
     heapErase(slot.id);
     if (live_ == 0) {
-        if (parallelActive_) {
-            // Last core out: stop every shard loop (including this
-            // thread's own, which exits on runDone_ once we switch back
-            // to it) and let run() — parked in thread joins — return.
-            runDone_.store(true, std::memory_order_relaxed);
-            stopAllShards();
-            GuestContext::switchTo(slot.ctx,
-                                   exec_[plan_->shardOf(slot.id)].loopCtx);
-            return; // resumed by a later run()
-        }
         // Last core out ends the run: hand control back to run().
         GuestContext::switchTo(slot.ctx, schedCtx_);
         return; // resumed by a later run()
@@ -244,36 +124,6 @@ Engine::run()
             heapInsert(i, slots_[i].time);
     }
 
-    // SchedMode::Fast pins the run to the sequential heap scheduler even
-    // when a shard count is configured; Windowed falls back to the token
-    // protocol under schedule perturbation, whose single seeded RNG
-    // stream has no deterministic decomposition across free-running
-    // shard threads.
-    if (live_ > 0 && shards_ > 1 && mode_ != SchedMode::Fast) {
-        if (rebalance_ && winCoreAdmitted_.size() == numCores_) {
-            // Weighted re-plan from the admitted-gate profile of the
-            // previous windowed runs (or a primed profile). The +1
-            // keeps every core's weight positive, so cores the profile
-            // never saw still spread across shards instead of piling
-            // into one. Any contiguous plan is result-equivalent; only
-            // the host load balance changes.
-            std::vector<uint64_t> weights(winCoreAdmitted_);
-            for (uint64_t &w : weights)
-                w += 1;
-            plan_ = std::make_unique<ShardPlan>(numCores_, shards_,
-                                                weights);
-        } else {
-            plan_ = std::make_unique<ShardPlan>(numCores_, shards_);
-        }
-        if (plan_->numShards() > 1) {
-            if (mode_ == SchedMode::Windowed && !schedPerturb_)
-                runWindowed();
-            else
-                runParallel();
-            return;
-        }
-    }
-
     // Dispatch chains run guest-to-guest; control only returns here once
     // the last live core finishes or a supervised interrupt unwinds a
     // dispatch back to the scheduler context (the loop guards against
@@ -288,164 +138,6 @@ Engine::run()
     // Posted stores captured near the end of the run commit here, so the
     // memory image is final when run() returns.
     drainAllEvents();
-}
-
-void
-Engine::runParallel()
-{
-    // The shard plan is rebuilt per run (setShards may change between
-    // runs); coroutine stacks carry no thread affinity of their own, so
-    // a stack parked under one plan resumes correctly under another.
-    // The exec array, by contrast, is reused run to run: a new
-    // generation makes any grant latched by the previous shutdown
-    // detectably stale (see kGrantCmdBits), and all shard threads are
-    // joined between runs, so growing or bumping here is race-free.
-    const uint32_t num_shards = plan_->numShards();
-    if (num_shards > execShards_) {
-        exec_ = std::make_unique<ShardExec[]>(num_shards);
-        execShards_ = num_shards;
-    }
-    ++grantGen_;
-
-    // The cross-shard lookahead sizes the host wait policy: on this
-    // mesh an event crosses shards within a few simulated cycles, so
-    // the matching host handoff is expected almost immediately and a
-    // parked-thread wakeup (micro-seconds) would dominate it. Spin
-    // long when the lookahead is short, park quickly when shards are
-    // genuinely far apart. Standalone engines (no machine attached)
-    // have no NoC to derive a lookahead from and take the long spin.
-    Cycles lookahead = machineCfg_ != nullptr
-                           ? plan_->lookahead(*machineCfg_)
-                           : ShardPlan::kNoLookahead;
-    spinBudget_ = lookahead > 4 ? 512 : 4096;
-    // Oversubscribed host: all waiters spin while only the token holder
-    // makes progress, so spinning steals the very cycles the handoff is
-    // waiting for. Park immediately instead.
-    const uint32_t host_cores = std::thread::hardware_concurrency();
-    if (host_cores != 0 && host_cores <= num_shards)
-        spinBudget_ = 1;
-
-    parallelActive_ = true;
-    runDone_.store(false, std::memory_order_relaxed);
-
-    shardThreads_.reserve(num_shards);
-    for (uint32_t s = 0; s < num_shards; ++s)
-        shardThreads_.emplace_back([this, s] { shardLoop(s); });
-
-    // The initial dispatch decision is made on this thread while it
-    // still holds the token; dispatchFrom posts the first grant (or
-    // stops everything on an immediate supervised interrupt) and
-    // returns without switching — schedCtx_ is never entered in
-    // parallel mode.
-    dispatchFrom(schedCtx_);
-
-    for (std::thread &thread : shardThreads_)
-        thread.join();
-    shardThreads_.clear();
-
-    parallelActive_ = false;
-    running_ = kInvalidCore;
-    if (abortPending_)
-        throwPendingAbort();
-    drainAllEvents();
-}
-
-void
-Engine::shardLoop(uint32_t shard)
-{
-    ShardExec &ex = exec_[shard];
-    while (true) {
-        uint32_t grant = takeGrant(ex);
-        if (grant == kGrantStop || runDone_.load(std::memory_order_relaxed))
-            break;
-        // The acquire in takeGrant orders this read of running_ (and all
-        // simulation state) after the poster's release: the token holder
-        // wrote running_ before posting the grant.
-        Slot &slot = slots_[running_];
-        GuestContext::switchTo(ex.loopCtx, slot.ctx);
-        // Control returns here when a guest on this shard either posted
-        // the token elsewhere (wait for the next grant) or ended the run
-        // on this very thread (runDone_ was set under the token we still
-        // logically held when it switched back).
-        // Relaxed: a stale false just parks us in takeGrant until the
-        // stop grant (the authoritative signal) lands.
-        if (runDone_.load(std::memory_order_relaxed))
-            break;
-    }
-}
-
-uint32_t
-Engine::takeGrant(ShardExec &ex)
-{
-    // Consume one grant if present: 1 = fresh (decoded into cmd),
-    // -1 = stale leftover from a previous run's generation (discarded),
-    // 0 = nothing there. The CAS matters only for the stale case: a
-    // fresh grant can be posted concurrently with the discard (the
-    // token holder owes this shard nothing until it consumes one), so
-    // only the exact observed value may be removed.
-    const uint32_t gen = grantGen_;
-    uint32_t cmd = kGrantNone;
-    auto consume = [&]() -> int {
-        uint32_t grant = ex.grant.load(std::memory_order_acquire);
-        if (grant == kGrantNone)
-            return 0;
-        if (!ex.grant.compare_exchange_strong(grant, kGrantNone,
-                                              std::memory_order_acquire,
-                                              std::memory_order_acquire))
-            return 0;
-        if ((grant >> kGrantCmdBits) != gen)
-            return -1;
-        cmd = grant & kGrantCmdMask;
-        return 1;
-    };
-    // Spin first: on this mesh a cross-shard handoff lands within a few
-    // simulated cycles, so the grant is usually visible long before a
-    // futex sleep/wake round-trip would finish. Only after the budget is
-    // exhausted does the thread park in atomic::wait.
-    for (uint32_t spin = 0; spin < spinBudget_; ++spin) {
-        int got = consume();
-        if (got > 0)
-            return cmd;
-        if (got == 0)
-            cpuRelax();
-    }
-    // Dekker handshake with postGrant: seq_cst on parked here and on the
-    // poster's read means at least one side sees the other — either the
-    // poster sees parked and notifies, or we see the grant on the wait()
-    // re-check (wait returns immediately when the value already moved).
-    ex.parked.store(true, std::memory_order_seq_cst);
-    while (true) {
-        int got = consume();
-        if (got > 0)
-            break;
-        if (got == 0)
-            ex.grant.wait(kGrantNone, std::memory_order_acquire);
-    }
-    ex.parked.store(false, std::memory_order_relaxed);
-    return cmd;
-}
-
-void
-Engine::postGrant(uint32_t shard, uint32_t grant)
-{
-    // Single-poster protocol: only the token holder posts, so no store
-    // here can race another post to the same shard. kGrantStop may
-    // overwrite an unconsumed kGrantRun during shutdown — stop wins by
-    // design — and a stop that itself goes unconsumed (its shard loop
-    // exited on the runDone_ fast path) latches in the reused mailbox
-    // until the next run's generation marks it stale.
-    ShardExec &ex = exec_[shard];
-    ex.grant.store((grantGen_ << kGrantCmdBits) | grant,
-                   std::memory_order_release);
-    if (ex.parked.load(std::memory_order_seq_cst))
-        ex.grant.notify_one();
-}
-
-void
-Engine::stopAllShards()
-{
-    for (uint32_t s = 0; s < plan_->numShards(); ++s)
-        postGrant(s, kGrantStop);
 }
 
 void
@@ -535,17 +227,7 @@ Engine::dispatchFrom(GuestContext &from)
         // Supervised abort: leave the interrupted guest (if any)
         // suspended and unwind this thread, where run() throws the
         // SimAbort on the host stack. The machine is dead from here on;
-        // nothing below may run. In parallel mode the unwind target is
-        // this shard's loop (schedCtx_ is never entered there) and
-        // every other shard loop is stopped first.
-        if (parallelActive_) {
-            runDone_.store(true, std::memory_order_relaxed);
-            stopAllShards();
-            if (&from != &schedCtx_)
-                GuestContext::switchTo(
-                    from, exec_[plan_->shardOf(running_)].loopCtx);
-            return;
-        }
+        // nothing below may run.
         if (&from != &schedCtx_)
             GuestContext::switchTo(from, schedCtx_);
         return;
@@ -558,48 +240,14 @@ Engine::dispatchFrom(GuestContext &from)
     ++switches_;
     if (next->id == running_)
         return; // re-picked the yielding core: no host switch needed
-    CoreId prev = running_;
     running_ = next->id;
-    if (!parallelActive_) {
-        GuestContext::switchTo(from, next->ctx);
-        return;
-    }
-
-    // Parallel dispatch. In-shard: direct guest-to-guest switch, same
-    // cost as the sequential engine. Cross-shard: publish the decision
-    // by handing the token to the target shard (the release store on
-    // its grant makes running_ and all simulation state visible), then
-    // retire this thread to its own shard loop to await the next grant.
-    const uint32_t target = plan_->shardOf(next->id);
-    if (&from == &schedCtx_) {
-        // Initial dispatch from run(): post the first grant; the caller
-        // parks in thread joins rather than a context.
-        postGrant(target, kGrantRun);
-        return;
-    }
-    const uint32_t mine = plan_->shardOf(prev);
-    if (target == mine) {
-        GuestContext::switchTo(from, next->ctx);
-        return;
-    }
-    postGrant(target, kGrantRun);
-    GuestContext::switchTo(from, exec_[mine].loopCtx);
+    GuestContext::switchTo(from, next->ctx);
 }
 
 void
 Engine::syncPoint(CoreId id)
 {
-    if (windowedActive_) {
-        windowedSyncPoint(id);
-        return;
-    }
     ++syncPoints_;
-    syncPointWait(id);
-}
-
-void
-Engine::syncPointWait(CoreId id)
-{
     Slot &slot = slots_[id];
 
     if (!referenceMode_) {
@@ -651,10 +299,6 @@ Engine::syncPointWait(CoreId id)
 void
 Engine::yield(CoreId id)
 {
-    if (windowedActive_) {
-        windowedYield(id);
-        return;
-    }
     Slot &slot = slots_[id];
     if (referenceMode_) {
         GuestContext::switchTo(slot.ctx, schedCtx_);
@@ -668,10 +312,6 @@ Engine::yield(CoreId id)
 void
 Engine::block(CoreId id, ParkKind kind)
 {
-    if (windowedActive_) {
-        windowedBlock(id, kind);
-        return;
-    }
     Slot &slot = slots_[id];
     SPMRT_ASSERT(running_ == id, "block() from a non-running core");
     if (kind == ParkKind::Barrier && slot.wakePending) {
@@ -698,10 +338,6 @@ Engine::block(CoreId id, ParkKind kind)
 void
 Engine::unblock(CoreId id, Cycles t)
 {
-    if (win_ != nullptr) {
-        windowedUnblock(id, t);
-        return;
-    }
     Slot &slot = slots_[id];
     if (!slot.blocked || slot.park != ParkKind::Barrier) {
         // The target has not reached its park yet (its own commit
@@ -729,13 +365,6 @@ Engine::unblock(CoreId id, Cycles t)
 void
 Engine::commitWake(CoreId id, Cycles t)
 {
-    // Routed for the whole windowed run (win_ != nullptr), not just the
-    // window phase: serial-phase commit wakes must rejoin shard state
-    // and feed the replay's done-time stream.
-    if (win_ != nullptr) {
-        windowedCommitWake(id, t);
-        return;
-    }
     Slot &slot = slots_[id];
     SPMRT_ASSERT(slot.blocked, "commitWake() of a core that is not parked");
     SPMRT_ASSERT(slot.park == (t > 0 ? ParkKind::Commit : ParkKind::Drain),
@@ -768,14 +397,6 @@ Engine::foreignClockChange(Slot &slot)
 void
 Engine::scheduleRemoteOp(CoreId issuer, Cycles commit)
 {
-    if (windowedActive_) {
-        // In-window head captures go to the shard's outbox, merged into
-        // the global queue at the barrier. The caller's empty->non-empty
-        // gating is exactly the one-entry-per-issuer queue invariant, so
-        // the merge preserves it.
-        windowedScheduleRemoteOp(issuer, commit);
-        return;
-    }
     events_.push_back(heapKey(issuer, commit));
     std::push_heap(events_.begin(), events_.end(),
                    std::greater<HeapKey>());
@@ -787,27 +408,15 @@ Engine::executeOneEvent()
 {
     SPMRT_ASSERT(!events_.empty(), "no pending remote op to execute");
     std::pop_heap(events_.begin(), events_.end(), std::greater<HeapKey>());
-    const HeapKey key = events_.back();
+    const CoreId issuer = keyId(events_.back());
     events_.pop_back();
-    executeEventKey(key);
-}
-
-void
-Engine::executeEventKey(HeapKey key)
-{
-    const CoreId issuer = keyId(key);
     SPMRT_ASSERT(issuer < opSinks_.size() && opSinks_[issuer] != nullptr,
                  "remote op scheduled by core %u without a sink", issuer);
     // The sink performs the memory-system call (with the captured issue
     // time) and wakes the issuer if the op was blocking; no context
     // switch happens here, so events drain inline on whichever path
-    // noticed them. During a windowed run the commit's checker hooks
-    // are captured for the barrier replay instead of applying here.
-    if (win_ != nullptr)
-        windowedCommitBegin(issuer);
+    // noticed them.
     const Cycles next = opSinks_[issuer]->executeHeadOp();
-    if (win_ != nullptr)
-        windowedCommitEnd(issuer);
     if (next != kNoPendingOp) {
         events_.push_back(heapKey(issuer, next));
         std::push_heap(events_.begin(), events_.end(),

@@ -41,34 +41,10 @@
  * differently, steals hit different victims. Sweeping seeds with the
  * ConcurrencyChecker armed turns the simulator into a protocol fuzzer.
  *
- * Host-parallel mode (setShards / SPMRT_ENGINE_SHARDS) partitions the
- * simulated cores into per-host-thread shards (ShardPlan) and makes every
- * core's coroutine affine to its shard's thread. Two parallel schedulers
- * share that substrate, runtime-selectable via setScheduler:
- *
- *  - SchedMode::Token is the correctness scaffold: a single grant token
- *    serializes all engine and simulation state, and a dispatch either
- *    switches guest-to-guest inside the current shard or hands the token
- *    to the target shard with a release/acquire grant. Every decision
- *    runs the same code over token-serialized state, so equivalence to
- *    the sequential engine is immediate — but so is the lack of speedup.
- *
- *  - SchedMode::Windowed is the performance scheduler: each shard owns a
- *    private gate heap and clock and advances *concurrently* below a
- *    dynamic horizon — the minimum over other shards' published promises
- *    of their earliest possible cross-shard effect (a null-message-free
- *    conservative scheme; the mesh's one-cycle static lookahead is far
- *    too small to window on, so the promises are computed live from each
- *    shard's heap and pending captures). Cross-shard operations are
- *    captured into per-shard timestamped mailboxes and drained in global
- *    (commit time, core id) key order at window barriers, while checker
- *    and telemetry hooks buffer into per-core record logs that a replay
- *    of the sequential scheduler re-emits in canonical order.
- *
- * Both produce digests, cycles, switch counts, and syncPoint counts
- * byte-identical to the sequential engine — enforced over the full
- * workload × shard-count × regime matrix by tests/test_engine_equiv.cpp —
- * see DESIGN.md Sec. 14 for the window protocol and its cost model.
+ * Globally visible memory operations that do not target the issuing
+ * core's own scratchpad commit a uniform delta after their issue gate,
+ * in (commit time, core id) order, through a per-core capture FIFO and
+ * the engine's commit queue (see CoreOpSink and DESIGN.md Sec. 10).
  */
 
 #ifndef SPMRT_SIM_ENGINE_HPP
@@ -78,56 +54,23 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
 #include "obs/trace.hpp"
-#include "obs/winstats.hpp"
 #include "sim/abort.hpp"
 #include "sim/context.hpp"
-#include "sim/shard.hpp"
 
 namespace spmrt {
-
-class ConcurrencyChecker;
-
-/**
- * Runtime-selectable scheduling policy.
- *
- *  - Reference: the original O(N) linear-scan argmin, always sequential
- *    (ignores the shard count). Kept as the equivalence oracle.
- *  - Fast: the indexed-heap argmin, forced sequential even when a shard
- *    count is configured (useful to benchmark the engine alone).
- *  - Token: the indexed-heap argmin; with more than one shard the run is
- *    executed by per-shard host threads serialized by a single grant
- *    token (PR 7's scheme). With one shard this is exactly Fast.
- *  - Windowed: per-shard event heaps advance concurrently to a
- *    conservative dynamic horizon and synchronize at window barriers;
- *    cross-shard effects are captured into per-shard mailboxes and
- *    drained in global key order, so results stay byte-identical to the
- *    sequential engine. Falls back to Token under schedule perturbation
- *    (the perturbation RNG is a single global stream) and with one shard.
- */
-enum class SchedMode : uint8_t
-{
-    Reference,
-    Fast,
-    Token,
-    Windowed,
-};
-
-/** Parse a scheduler name ("reference"/"fast"/"token"/"windowed"). */
-bool parseSchedMode(const char *text, SchedMode &out, std::string &error);
 
 /**
  * Per-core executor for captured remote operations (implemented by Core).
  *
  * Every globally visible memory operation that does not target the
  * issuing core's own scratchpad commits a uniform delta after its issue
- * gate (see DESIGN.md Sec. 14). The issuing core captures the operation
+ * gate (see DESIGN.md Sec. 10). The issuing core captures the operation
  * into its per-core FIFO and tells the engine the head's commit time;
  * the engine calls executeHeadOp() when that commit key is globally next.
  */
@@ -193,10 +136,8 @@ class Engine
         slot.time += dt;
         // Only the running core advances itself on the hot path; any
         // other clock change (phase barriers, tests) must be reflected
-        // in the heap and the high-water mark immediately. In a window
-        // phase running_ is stale (many cores run concurrently) and each
-        // shard folds its own clocks at the barrier.
-        if (id != running_ && !windowedActive_)
+        // in the heap and the high-water mark immediately.
+        if (id != running_)
             foreignClockChange(slot);
     }
 
@@ -207,7 +148,7 @@ class Engine
         Slot &slot = slots_[id];
         if (t > slot.time) {
             slot.time = t;
-            if (id != running_ && !windowedActive_)
+            if (id != running_)
                 foreignClockChange(slot);
         }
     }
@@ -274,14 +215,6 @@ class Engine
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
     /**
-     * Attach (or detach, with nullptr) the concurrency checker so the
-     * windowed barrier replay can apply deferred hook records in exact
-     * sequential order. Sequential/token runs never consult this — their
-     * hooks run inline at the call sites.
-     */
-    void setChecker(ConcurrencyChecker *checker) { checker_ = checker; }
-
-    /**
      * The attached tracer, or nullptr — a compile-time nullptr when
      * telemetry is compiled out, so the context-switch hook in the
      * dispatch path folds away.
@@ -325,24 +258,13 @@ class Engine
     void
     setReferenceScheduler(bool reference)
     {
-        setScheduler(reference ? SchedMode::Reference : SchedMode::Token);
+        SPMRT_ASSERT(running_ == kInvalidCore,
+                     "cannot switch scheduler while guest code runs");
+        referenceMode_ = reference;
     }
 
     /** True while the linear-scan oracle scheduler is selected. */
     bool referenceScheduler() const { return referenceMode_; }
-
-    /** Select the scheduling policy (see SchedMode). */
-    void
-    setScheduler(SchedMode mode)
-    {
-        SPMRT_ASSERT(running_ == kInvalidCore,
-                     "cannot switch scheduler while guest code runs");
-        mode_ = mode;
-        referenceMode_ = mode == SchedMode::Reference;
-    }
-
-    /** The selected scheduling policy. */
-    SchedMode scheduler() const { return mode_; }
     /** @} */
 
     /**
@@ -350,13 +272,12 @@ class Engine
      *
      * Cores capture globally visible memory operations (anything not
      * targeting their own scratchpad) into per-core FIFOs and schedule
-     * the head's commit key here; the engine executes each op — in all
-     * scheduling modes — exactly when its (commit time, issuer id) key
-     * is globally next, so the commit order is identical no matter how
-     * guest execution is interleaved across host threads. An op whose
-     * commit key is already globally next may instead run inline at the
-     * issue site (remoteInlineOk), which keeps the sequential fast path
-     * free of context switches.
+     * the head's commit key here; the engine executes each op exactly
+     * when its (commit time, issuer id) key is globally next, so both
+     * schedulers commit in the same order. An op whose commit key is
+     * already globally next may instead run inline at the issue site
+     * (remoteInlineOk), which keeps the fast path free of context
+     * switches.
      * @{
      */
 
@@ -377,139 +298,20 @@ class Engine
     void scheduleRemoteOp(CoreId issuer, Cycles commit);
 
     /**
-     * Notify the engine of *every* capture (head or not): the windowed
-     * scheduler needs each one for its barrier replay and its published
-     * promise; sequential and token modes ignore the call (one
-     * predictable branch — captures are rare there thanks to the inline
-     * fast path).
-     */
-    void
-    noteCapture(CoreId issuer, Cycles commit, bool blocking)
-    {
-        if (windowedActive_)
-            windowedNoteCapture(issuer, commit, blocking);
-    }
-
-    /**
      * True when an op issued now by core @p id committing at @p commit
      * is already globally next — no other runnable gate strictly before
      * @p commit and no pending op with a smaller commit key — so the
      * issue site may execute it inline with no capture and no switch.
-     * Always false in windowed mode (in-window shards have no global
-     * view; the mailbox drain is the only commit path).
      */
     bool
     remoteInlineOk(CoreId id, Cycles commit)
     {
-        if (windowedActive_)
-            return false;
         if (!events_.empty() && events_[0] < heapKey(id, commit))
             return false;
         Cycles other =
             referenceMode_ ? minOtherTime(id) : cachedOtherMin_;
         return other >= commit;
     }
-    /** @} */
-
-    /**
-     * @name Host-parallel sharding
-     *
-     * With more than one shard, run() partitions the simulated cores
-     * into contiguous balanced shards (ShardPlan) and executes each
-     * shard's coroutines on a dedicated host thread, passing a single
-     * grant token between threads so every scheduling decision and
-     * simulated operation still runs serialized over the same state in
-     * the same order: results, cycle counts, and switch/syncPoint
-     * counts are byte-identical to the sequential engine. One shard is
-     * exactly the sequential engine. The default comes from the
-     * SPMRT_ENGINE_SHARDS environment variable (validated: a positive
-     * integer no larger than the host's core count) or the same-named
-     * CMake option. The reference oracle scheduler is always
-     * sequential and ignores the shard count.
-     * @{
-     */
-    void
-    setShards(uint32_t shards)
-    {
-        SPMRT_ASSERT(running_ == kInvalidCore,
-                     "cannot reshard while guest code runs");
-        SPMRT_ASSERT(shards >= 1, "shard count must be at least 1");
-        shards_ = shards;
-    }
-
-    /** Configured shard count (clamped to the core count at run()). */
-    uint32_t shards() const { return shards_; }
-
-    /**
-     * Attach the owning machine's configuration (must outlive the
-     * engine) so parallel runs can derive the shard plan's cross-shard
-     * lookahead, which sizes the spin-before-park grant wait. Optional:
-     * a standalone engine runs parallel with the default wait policy.
-     */
-    void setMachineConfig(const MachineConfig *cfg) { machineCfg_ = cfg; }
-
-    /**
-     * Enable/disable batched admission in the windowed scheduler. On
-     * (the default), a shard caches the minimum over the other shards'
-     * promises (its horizon) and admits every gate strictly below it
-     * with no atomic traffic at all, publishing its own promise once
-     * per batch — when the cache stops admitting — instead of once per
-     * gate. Off restores the one-promise-per-gate protocol; both admit
-     * exactly the same event set in the same order (a stale horizon is
-     * a *lower* bound on the fresh one, so the fast path admits a
-     * subset of what a fresh scan would, and the refresh retries with
-     * fresh state — tests/test_shard.cpp proves the equivalence).
-     */
-    void setWindowBatching(bool on) { windowBatch_ = on; }
-
-    /** True while batched admission is enabled (the default). */
-    bool windowBatching() const { return windowBatch_; }
-
-    /**
-     * Enable/disable window-aware shard rebalancing: when enabled, the
-     * next parallel run's ShardPlan minimizes the maximum per-shard
-     * admitted-gate weight observed by previous windowed runs (each
-     * core's weight is its admitted count + 1) instead of balancing
-     * core counts. The profile is itself deterministic — a core's
-     * admitted count is its syncPoint count, a pure function of the
-     * simulated program — and any contiguous plan is result-equivalent
-     * by construction, so rebalanced runs stay byte-identical. Defaults
-     * on when SPMRT_ENGINE_SHARDS=auto or SPMRT_ENGINE_REBALANCE is
-     * set truthy in the environment.
-     */
-    void setShardRebalance(bool on) { rebalance_ = on; }
-
-    /** True while window-aware shard rebalancing is enabled. */
-    bool shardRebalance() const { return rebalance_; }
-
-    /**
-     * Inject a per-core occupancy profile (one weight per core) as if
-     * windowed runs had observed it, so tests and tools can exercise a
-     * specific rebalanced plan deterministically. An empty vector
-     * clears the profile (the next plan is balanced again).
-     */
-    void
-    primeShardProfile(std::vector<uint64_t> weights)
-    {
-        SPMRT_ASSERT(weights.empty() || weights.size() == numCores_,
-                     "primeShardProfile: %zu weights for %u cores",
-                     weights.size(), numCores_);
-        winCoreAdmitted_ = std::move(weights);
-    }
-
-    /** The accumulated per-core admitted-gate profile (may be empty). */
-    const std::vector<uint64_t> &shardProfile() const
-    {
-        return winCoreAdmitted_;
-    }
-
-    /**
-     * Window telemetry accumulated by windowed runs (barrier costs,
-     * window length distribution, spin-vs-park outcomes, per-shard
-     * occupancy). Always counted; arming telemetry only registers the
-     * addresses, so counting never perturbs the simulation.
-     */
-    const obs::WindowStats &windowStats() const { return winStats_; }
     /** @} */
 
     /**
@@ -588,10 +390,6 @@ class Engine
     void
     noteProgress()
     {
-        if (windowedActive_) {
-            windowedNoteProgress();
-            return;
-        }
         noteProgressAt(running_ == kInvalidCore ? maxTime()
                                                 : slots_[running_].time);
     }
@@ -752,12 +550,6 @@ class Engine
      *  next head, if any. */
     void executeOneEvent();
 
-    /** Execute op @p key (already removed from whatever queue held it):
-     *  the shared tail of executeOneEvent and the windowed barrier's
-     *  k-way merge drain, which commits shard-outbox keys without first
-     *  round-tripping them through the events_ heap. */
-    void executeEventKey(HeapKey key);
-
     /** Execute every pending op with commit time <= @p limit. */
     void
     drainDueEvents(Cycles limit)
@@ -784,111 +576,8 @@ class Engine
     /** The original O(N) linear-scan scheduling loop (oracle). */
     void runReference();
 
-    /**
-     * @name Token-passing parallel execution
-     *
-     * One ShardExec per shard: a loop context (the shard thread's native
-     * stack, switched to whenever the shard is between grants) and the
-     * grant mailbox. The token invariant: at any instant at most one
-     * thread is past takeGrant() and before its matching postGrant();
-     * only that thread touches engine or simulation state. Handoff
-     * ordering is release (post) / acquire (take), and every guest
-     * coroutine only ever runs on its shard's thread.
-     * @{
-     */
-    static constexpr uint32_t kGrantNone = 0;
-    static constexpr uint32_t kGrantRun = 1;  ///< resume slot running_
-    static constexpr uint32_t kGrantStop = 2; ///< run over: exit the loop
-    /**
-     * Posted grants carry the run generation in their upper bits
-     * (`(grantGen_ << kGrantCmdBits) | cmd`). The exec_ array is reused
-     * across runs, and a shutdown can latch an unconsumed kGrantStop in
-     * a mailbox (a shard loop that exits on the relaxed runDone_ check
-     * never consumes the stop posted to it); the generation tag makes
-     * such leftovers detectably stale, so takeGrant discards them
-     * instead of killing the next run's shard loop.
-     */
-    static constexpr uint32_t kGrantCmdBits = 2;
-    static constexpr uint32_t kGrantCmdMask = (1u << kGrantCmdBits) - 1;
-
-    struct alignas(64) ShardExec
-    {
-        std::atomic<uint32_t> grant{kGrantNone};
-        std::atomic<bool> parked{false}; ///< waiter is in a futex wait
-        GuestContext loopCtx;            ///< root ctx of the shard thread
-    };
-
-    /** Thread-pool body: wait for grants, resume this shard's guests. */
-    void shardLoop(uint32_t shard);
-
-    /** Hand the token (or a stop) to @p shard. */
-    void postGrant(uint32_t shard, uint32_t grant);
-
-    /** Wait for (and consume) this shard's next grant. */
-    uint32_t takeGrant(ShardExec &ex);
-
-    /** Stop every shard loop (run completion or supervised abort). */
-    void stopAllShards();
-
-    /** The sharded scheduling loop (called by run() when shards > 1). */
-    void runParallel();
-    /** @} */
-
-    /**
-     * @name Windowed concurrent execution
-     *
-     * The windowed scheduling loop (selected by run() when shards > 1,
-     * SchedMode::Windowed, and no schedule perturbation): shard threads
-     * advance their local gate heaps concurrently up to a conservative
-     * dynamic horizon — the min over the other shards' published
-     * promises of their earliest possible cross-shard effect — while
-     * capturing remote ops into per-shard mailboxes and deferring
-     * observer hooks to per-core record logs; the coordinator merges
-     * the mailboxes into the global commit queue, drains it in key
-     * order, and replays the record logs through a model of the
-     * sequential scheduler at each window barrier. All defined in
-     * engine_windowed.cpp; the hot-path entry points in this file
-     * branch here on windowedActive_.
-     * @{
-     */
-    struct WindowedState; // shard contexts, record logs, replay state
-    struct WindowedStateDeleter
-    {
-        // Out of line: WindowedState is complete only in
-        // engine_windowed.cpp, and every translation unit that destroys
-        // an Engine needs this deleter instantiable.
-        void operator()(WindowedState *state) const;
-    };
-
-    void runWindowed();
-    CoreId windowedRunningCore() const;
-    void windowedSyncPoint(CoreId id);
-    void windowedYield(CoreId id);
-    void windowedBlock(CoreId id, ParkKind kind);
-    void windowedUnblock(CoreId id, Cycles t);
-    void windowedCommitWake(CoreId id, Cycles t);
-    // Bracket one serial-phase executeHeadOp: hooks the commit fires
-    // (checker edges ride the memory call) are captured per issuer and
-    // applied by the replay at the modeled commit, keeping the
-    // happens-before graph in canonical sequential order.
-    void windowedCommitBegin(CoreId issuer);
-    void windowedCommitEnd(CoreId issuer);
-    void windowedFinish(Slot &slot);
-    void windowedNoteCapture(CoreId issuer, Cycles commit, bool blocking);
-    void windowedScheduleRemoteOp(CoreId issuer, Cycles commit);
-    void windowedNoteProgress();
-    /** @} */
-
     /** Body-return bookkeeping for the current core. */
     void finishCurrent(Slot &slot);
-
-    /**
-     * The admission wait of syncPoint(), minus the call counting: parks
-     * core @p id until it holds the minimal clock. Split out so a core
-     * resuming from a windowed run that ended mid-wait can re-enter the
-     * sequential wait without double-counting the sync point.
-     */
-    void syncPointWait(CoreId id);
 
     /**
      * Pick the next core to run (heap root, or a seeded within-window
@@ -942,45 +631,11 @@ class Engine
     uint64_t syncPoints_ = 0;
     size_t stackBytes_;
     bool referenceMode_;
-    SchedMode mode_ = SchedMode::Token;
-    bool windowedActive_ = false; ///< inside a windowed run's window phase
 
     // Remote-op commit queue (see the public @name block).
     std::vector<HeapKey> events_;     ///< min-heap, one entry per issuer
     std::vector<CoreOpSink *> opSinks_;
     Cycles cachedEventMin_ = kNoOtherCore;
-
-    // Host-parallel state. Written only between runs (shards_) or under
-    // the grant token (runDone_); the grant/parked atomics are the sole
-    // authoritative cross-thread channel during a parallel run. runDone_
-    // is atomic because a shard loop peeks at it right after posting the
-    // token away (an early exit untethered from the grant handshake) —
-    // a stale false there is harmless (the stop grant still arrives),
-    // but the load must not race formally. Relaxed ordering suffices:
-    // every decision that *matters* rides the release/acquire grant.
-    uint32_t shards_ = 1;
-    bool windowBatch_ = true;  ///< batched admission (see the setter)
-    bool rebalance_ = false;   ///< weighted shard plans from the profile
-    bool parallelActive_ = false; ///< inside runParallel()
-    std::atomic<bool> runDone_{false}; ///< set under the token
-    uint32_t spinBudget_ = 0;     ///< takeGrant() spins before parking
-    const MachineConfig *machineCfg_ = nullptr; ///< for the lookahead
-    std::unique_ptr<ShardPlan> plan_;
-    std::unique_ptr<ShardExec[]> exec_; ///< reused; grown when shards grow
-    uint32_t execShards_ = 0; ///< capacity of exec_
-    uint32_t grantGen_ = 0;   ///< bumped per runParallel (stale detection)
-    std::vector<std::thread> shardThreads_;
-    std::unique_ptr<WindowedState, WindowedStateDeleter>
-        win_; ///< live across one runWindowed()
-    obs::WindowStats winStats_; ///< window telemetry (always counted)
-    /**
-     * Per-core admitted-gate counts from windowed runs, the rebalancing
-     * profile. During a window each element is written only by the
-     * owning shard's thread (cores are partitioned), read only between
-     * runs — no synchronization needed beyond the barrier handshake.
-     * Accumulates across runs; primeShardProfile overwrites it.
-     */
-    std::vector<uint64_t> winCoreAdmitted_;
 
     // Indexed-heap scheduler state.
     std::vector<HeapKey> heap_;      ///< runnable cores, packed (time, id)
@@ -1017,7 +672,6 @@ class Engine
     std::string abortDump_;
 
     obs::Tracer *tracer_ = nullptr;
-    ConcurrencyChecker *checker_ = nullptr; ///< for windowed replay only
 
     // Schedule-exploration state.
     bool schedPerturb_ = false;

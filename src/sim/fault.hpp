@@ -27,7 +27,6 @@
 #ifndef SPMRT_SIM_FAULT_HPP
 #define SPMRT_SIM_FAULT_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -141,13 +140,7 @@ class FaultPlan
         for (const CoreStallWindow &w : coreStalls_)
             if (w.core == core && now >= w.start && now < w.end)
                 extra += w.extraPerOp;
-        // Prepared plans (attached to a machine) accumulate into per-core
-        // cells: this query runs inside the windowed engine's concurrent
-        // phase, where cores on different shard threads stall at once.
-        if (core < cells_.size())
-            cells_[core].coreStallCycles += extra;
-        else
-            injected_.coreStallCycles += extra;
+        injected_.coreStallCycles += extra;
         return extra;
     }
 
@@ -185,22 +178,6 @@ class FaultPlan
     {
         if (lockFaults_.empty())
             return 0;
-        if (core < cells_.size()) {
-            // Prepared path: the acquisition count stays cumulative in
-            // the cell (the modulo below needs the lifetime count), and
-            // the injected totals fold at foldInjected().
-            uint64_t count = ++cells_[core].lockAcquisitions;
-            Cycles extra = 0;
-            for (const LockHolderFault &f : lockFaults_)
-                if (f.core == core && f.period != 0 &&
-                    count % f.period == 0)
-                    extra += f.extra;
-            if (extra != 0) {
-                cells_[core].lockHolderCycles += extra;
-                ++cells_[core].lockHolderHits;
-            }
-            return extra;
-        }
         if (core >= lockAcquisitions_.size())
             lockAcquisitions_.resize(core + 1, 0);
         uint64_t count = ++lockAcquisitions_[core];
@@ -215,41 +192,6 @@ class FaultPlan
         return extra;
     }
     /** @} */
-
-    /**
-     * Pre-size the per-core injection cells so the per-core hot-path
-     * queries (coreStall, lockHolderDelay) never touch shared totals —
-     * a hard requirement once guest code runs concurrently on shard
-     * threads (Engine SchedMode::Windowed). Called by the machine when
-     * the plan is attached; idempotent. Plans queried without a machine
-     * keep the legacy shared-total path.
-     */
-    void
-    prepare(uint32_t num_cores)
-    {
-        if (cells_.size() < num_cores)
-            cells_.resize(num_cores);
-    }
-
-    /**
-     * Fold the per-core cells into the shared injected() totals (the
-     * addresses tests and stat registries hold). Idempotent — each fold
-     * moves the cells' deltas and zeroes them; acquisition counts stay
-     * cumulative in their cells. Called from the machine's run tails,
-     * when no shard threads run.
-     */
-    void
-    foldInjected()
-    {
-        for (PerCoreCell &cell : cells_) {
-            injected_.coreStallCycles += cell.coreStallCycles;
-            injected_.lockHolderCycles += cell.lockHolderCycles;
-            injected_.lockHolderHits += cell.lockHolderHits;
-            cell.coreStallCycles = 0;
-            cell.lockHolderCycles = 0;
-            cell.lockHolderHits = 0;
-        }
-    }
 
     /** True when the plan perturbs nothing. */
     bool
@@ -278,7 +220,6 @@ class FaultPlan
     {
         injected_ = InjectedStats{};
         lockAcquisitions_.clear();
-        std::fill(cells_.begin(), cells_.end(), PerCoreCell{});
     }
 
     /** The seed chaos() was built from (0 for hand-built plans). */
@@ -311,27 +252,11 @@ class FaultPlan
                            Cycles horizon = 200'000);
 
   private:
-    /**
-     * Per-core injection accumulators, one cache line each: written only
-     * by the core's own shard thread in a windowed run's concurrent
-     * phase, drained into injected_ by foldInjected() between windows'
-     * owners (serially). The acquisition count is cumulative, never
-     * folded (lockHolderDelay's modulo needs the lifetime count).
-     */
-    struct alignas(64) PerCoreCell
-    {
-        uint64_t coreStallCycles = 0;
-        uint64_t lockHolderCycles = 0;
-        uint64_t lockHolderHits = 0;
-        uint64_t lockAcquisitions = 0;
-    };
-
     std::vector<CoreStallWindow> coreStalls_;
     std::vector<LinkDelayWindow> linkDelays_;
     std::vector<LlcSlowWindow> llcSlows_;
     std::vector<LockHolderFault> lockFaults_;
     std::vector<uint64_t> lockAcquisitions_;
-    std::vector<PerCoreCell> cells_;
     InjectedStats injected_;
     uint64_t seed_ = 0;
 };

@@ -37,7 +37,6 @@ class Machine
           dramHeap_(mem_.map().dramBase(),
                     cfg.dramBytes)
     {
-        engine_.setMachineConfig(&cfg_);
         cores_.reserve(cfg.numCores());
         for (CoreId i = 0; i < cfg.numCores(); ++i)
             cores_.push_back(std::make_unique<Core>(engine_, mem_, i, cfg_));
@@ -94,7 +93,7 @@ class Machine
             Core *core = cores_[i].get();
             engine_.setBody(i, [body, core] { body(*core); });
         }
-        runEngine();
+        engine_.run();
         return engine_.maxTime() - start;
     }
 
@@ -112,7 +111,7 @@ class Machine
             auto body = bodies[i];
             engine_.setBody(i, [body, core] { body(*core); });
         }
-        runEngine();
+        engine_.run();
         return engine_.maxTime() - start;
     }
 
@@ -164,12 +163,6 @@ class Machine
     void
     setFaultPlan(FaultPlan *plan)
     {
-        faultPlan_ = plan;
-        // Per-core injection cells let the hot-path queries run from
-        // concurrent shard threads (windowed engine); folded back into
-        // the shared totals at every run tail.
-        if (plan != nullptr)
-            plan->prepare(numCores());
         for (auto &core : cores_)
             core->setFaultPlan(plan);
         mem_.setFaultPlan(plan);
@@ -193,9 +186,6 @@ class Machine
         if (!checker_)
             checker_ = std::make_unique<ConcurrencyChecker>(numCores());
         mem_.setChecker(checker_.get());
-        // The engine needs the checker too: the windowed scheduler's
-        // barrier replay applies deferred hook records through it.
-        engine_.setChecker(checker_.get());
         return checker_.get();
 #else
         SPMRT_WARN("armChecker(): checker compiled out (SPMRT_CHECKER=OFF)");
@@ -208,7 +198,6 @@ class Machine
     disarmChecker()
     {
         mem_.setChecker(nullptr);
-        engine_.setChecker(nullptr);
     }
 
     /** The armed checker, or nullptr (disarmed or compiled out). */
@@ -236,8 +225,6 @@ class Machine
                                   engine_.switchCountPtr());
             telemetry_->stats.add("engine/sync_points",
                                   engine_.syncPointCountPtr());
-            obs::registerWindowStats(telemetry_->stats,
-                                     engine_.windowStats());
         }
         telemetry_->tracer.setCategories(categories);
         engine_.setTracer(&telemetry_->tracer);
@@ -284,33 +271,6 @@ class Machine
         return cfg;
     }
 
-    /**
-     * Engine run plus the counter folds every run tail owes: windowed
-     * parallel runs accumulate per-core memory and fault-injection
-     * counters in per-core cells, and the shared totals (whose addresses
-     * live in stat registries and test snapshots) must absorb them even
-     * when the run unwinds with a SimAbort.
-     */
-    void
-    runEngine()
-    {
-        try {
-            engine_.run();
-        } catch (...) {
-            foldRunCounters();
-            throw;
-        }
-        foldRunCounters();
-    }
-
-    void
-    foldRunCounters()
-    {
-        mem_.foldShardCounters();
-        if (faultPlan_ != nullptr)
-            faultPlan_->foldInjected();
-    }
-
 #if SPMRT_TELEMETRY_ENABLED
     /**
      * Mirror an installed fault plan into the telemetry: every window
@@ -346,7 +306,6 @@ class Machine
     Engine engine_;
     MemorySystem mem_;
     RangeAllocator dramHeap_;
-    FaultPlan *faultPlan_ = nullptr;
     std::vector<std::unique_ptr<Core>> cores_;
     std::unique_ptr<ConcurrencyChecker> checker_;
     std::unique_ptr<obs::Telemetry> telemetry_;

@@ -157,22 +157,10 @@ makeWorkloads()
  */
 Outcome
 runOnceOn(const MachineConfig &cfg, const Workload &workload,
-          const Regime &regime, bool reference, bool compiled_routes = true,
-          uint32_t shards = 1, SchedMode mode = SchedMode::Token,
-          bool rebalance = false)
+          const Regime &regime, bool reference, bool compiled_routes = true)
 {
     Machine machine(cfg);
-    machine.engine().setScheduler(reference ? SchedMode::Reference : mode);
-    machine.engine().setShards(shards);
-    if (rebalance) {
-        // Profile-driven boundary re-planning with a deliberately skewed
-        // primed profile: any contiguous plan must be result-equivalent.
-        machine.engine().setShardRebalance(true);
-        std::vector<uint64_t> profile(cfg.numCores());
-        for (uint32_t i = 0; i < cfg.numCores(); ++i)
-            profile[i] = 1 + (i * 7) % 13;
-        machine.engine().primeShardProfile(std::move(profile));
-    }
+    machine.engine().setReferenceScheduler(reference);
     machine.mem().noc().setCompiledRoutes(compiled_routes);
     ConcurrencyChecker *ck = machine.armChecker();
     if (regime.perturb)
@@ -205,11 +193,25 @@ runOnceOn(const MachineConfig &cfg, const Workload &workload,
 /** The historical single-geometry entry point: runs on tiny(). */
 Outcome
 runOnce(const Workload &workload, const Regime &regime, bool reference,
-        bool compiled_routes = true, uint32_t shards = 1,
-        SchedMode mode = SchedMode::Token)
+        bool compiled_routes = true)
 {
     return runOnceOn(MachineConfig::tiny(), workload, regime, reference,
-                     compiled_routes, shards, mode);
+                     compiled_routes);
+}
+
+/** Assert @p fast and @p oracle ran the identical simulation, cleanly. */
+void
+expectSameRun(const Outcome &fast, const Outcome &oracle)
+{
+    EXPECT_EQ(fast.digest, oracle.digest) << "result diverged";
+    EXPECT_EQ(fast.cycles, oracle.cycles) << "cycle counts diverged";
+    EXPECT_EQ(fast.switches, oracle.switches) << "switch counts diverged";
+    EXPECT_EQ(fast.syncPoints, oracle.syncPoints)
+        << "syncPoint counts diverged";
+#if SPMRT_CHECKER_ENABLED
+    EXPECT_EQ(fast.violations, 0u) << "fast:\n" << fast.report;
+    EXPECT_EQ(oracle.violations, 0u) << "reference:\n" << oracle.report;
+#endif
 }
 
 class SchedulerEquivalence : public ::testing::TestWithParam<size_t>
@@ -228,20 +230,7 @@ TEST_P(SchedulerEquivalence, FastMatchesReferenceBitForBit)
 
         EXPECT_EQ(fast.digest, workload.reference)
             << regime.name << ": fast scheduler computed a wrong result";
-        EXPECT_EQ(fast.digest, oracle.digest)
-            << regime.name << ": result diverged between schedulers";
-        EXPECT_EQ(fast.cycles, oracle.cycles)
-            << regime.name << ": simulated cycle counts diverged";
-        EXPECT_EQ(fast.switches, oracle.switches)
-            << regime.name << ": context-switch counts diverged";
-        EXPECT_EQ(fast.syncPoints, oracle.syncPoints)
-            << regime.name << ": syncPoint counts diverged";
-#if SPMRT_CHECKER_ENABLED
-        EXPECT_EQ(fast.violations, 0u)
-            << regime.name << " (fast):\n" << fast.report;
-        EXPECT_EQ(oracle.violations, 0u)
-            << regime.name << " (reference):\n" << oracle.report;
-#endif
+        expectSameRun(fast, oracle);
     }
 }
 
@@ -255,149 +244,13 @@ workloadName(const ::testing::TestParamInfo<size_t> &info)
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SchedulerEquivalence,
                          ::testing::Range<size_t>(0, 4), workloadName);
 
-// ---- Host-parallel engine vs. the sequential fast engine -----------------
-
-/**
- * The sharded engine's contract is the same as the fast scheduler's:
- * host cost may change, simulation must not. For every workload, shard
- * count, and scheduling regime — strict, four perturbation seeds, and
- * fault-injected — a parallel run must produce byte-identical digests,
- * cycle counts, and switch/syncPoint counts against the sequential fast
- * engine, with the concurrency checker armed and silent on both sides.
- * One shard must take the sequential path exactly (it *is* the baseline
- * by construction, but the run is kept in the matrix so a regression
- * that accidentally engages the token machinery at one shard fails
- * loudly).
- */
-class ParallelEngineEquivalence : public ::testing::TestWithParam<size_t>
-{
-};
-
-TEST_P(ParallelEngineEquivalence, ShardedMatchesSequentialBitForBit)
-{
-    const Workload workload = makeWorkloads()[GetParam()];
-    SCOPED_TRACE(workload.name);
-
-    std::vector<Regime> regimes;
-    regimes.push_back({"strict", false, 0, false, 0});
-    for (uint64_t seed = 1; seed <= 4; ++seed)
-        regimes.push_back({"perturbed", true, seed, false, 0});
-    regimes.push_back({"faulted", false, 0, true, 5});
-
-    for (const Regime &regime : regimes) {
-        SCOPED_TRACE(regime.name);
-        Outcome sequential = runOnce(workload, regime, false);
-        EXPECT_EQ(sequential.digest, workload.reference);
-
-        for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(std::to_string(shards) + " shards");
-            Outcome sharded =
-                runOnce(workload, regime, false, true, shards);
-            EXPECT_EQ(sharded.digest, sequential.digest)
-                << "result diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.cycles, sequential.cycles)
-                << "cycle counts diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.switches, sequential.switches)
-                << "switch counts diverged under " << shards << " shards";
-            EXPECT_EQ(sharded.syncPoints, sequential.syncPoints)
-                << "syncPoint counts diverged under " << shards
-                << " shards";
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(sharded.violations, 0u)
-                << shards << " shards:\n" << sharded.report;
-#endif
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, ParallelEngineEquivalence,
-                         ::testing::Range<size_t>(0, 4), workloadName);
-
-// ---- Windowed concurrent engine vs. the sequential fast engine -----------
-
-/**
- * The windowed engine removes the grant token: shard threads run
- * concurrently below a conservative horizon and synchronize at window
- * barriers, where the coordinator replays per-shard record logs through
- * a model of the sequential scheduler. The contract is unchanged: for
- * every workload, shard count, and regime the digests, cycle counts, and
- * switch/syncPoint counts must be byte-identical to the sequential fast
- * engine with the checker armed and silent. Under schedule perturbation
- * the windowed mode falls back to token passing (the perturbation RNG is
- * one global stream), which must *also* match — the fallback is part of
- * the contract, so the perturbed regime stays in this matrix.
- */
-class WindowedEngineEquivalence : public ::testing::TestWithParam<size_t>
-{
-};
-
-TEST_P(WindowedEngineEquivalence, WindowedMatchesSequentialBitForBit)
-{
-    const Workload workload = makeWorkloads()[GetParam()];
-    SCOPED_TRACE(workload.name);
-
-    std::vector<Regime> regimes;
-    regimes.push_back({"strict", false, 0, false, 0});
-    regimes.push_back({"perturbed", true, 2, false, 0});
-    regimes.push_back({"faulted", false, 0, true, 5});
-
-    for (const Regime &regime : regimes) {
-        SCOPED_TRACE(regime.name);
-        Outcome sequential = runOnce(workload, regime, false);
-        EXPECT_EQ(sequential.digest, workload.reference);
-
-        for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-            SCOPED_TRACE(std::to_string(shards) + " shards");
-            Outcome windowed = runOnce(workload, regime, false, true,
-                                       shards, SchedMode::Windowed);
-            EXPECT_EQ(windowed.digest, sequential.digest)
-                << "result diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.cycles, sequential.cycles)
-                << "cycle counts diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.switches, sequential.switches)
-                << "switch counts diverged under " << shards << " shards";
-            EXPECT_EQ(windowed.syncPoints, sequential.syncPoints)
-                << "syncPoint counts diverged under " << shards
-                << " shards";
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(windowed.violations, 0u)
-                << shards << " shards:\n" << windowed.report;
-#endif
-        }
-
-        // Rebalanced leg: a skewed primed profile moves the shard
-        // boundaries, which must not move a single byte of the result.
-        {
-            SCOPED_TRACE("4 shards, rebalanced");
-            Outcome rebalanced =
-                runOnceOn(MachineConfig::tiny(), workload, regime, false,
-                          true, 4, SchedMode::Windowed, true);
-            EXPECT_EQ(rebalanced.digest, sequential.digest)
-                << "result diverged under a rebalanced plan";
-            EXPECT_EQ(rebalanced.cycles, sequential.cycles)
-                << "cycle counts diverged under a rebalanced plan";
-            EXPECT_EQ(rebalanced.switches, sequential.switches);
-            EXPECT_EQ(rebalanced.syncPoints, sequential.syncPoints);
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(rebalanced.violations, 0u) << rebalanced.report;
-#endif
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllWorkloads, WindowedEngineEquivalence,
-                         ::testing::Range<size_t>(0, 4), workloadName);
-
 // ---- Free machine geometry: equivalence off the paper floorplan ----------
 
 /**
  * A machine the paper never built: Y-ruched, single-edge LLC, dual
- * DRAM channel. Nothing in the engine-equivalence contract is allowed
- * to depend on the floorplan, and the windowed engine's conservative
- * lookahead is computed from the closed-form route latency — which must
- * stay an exact lower bound under every geometry or the windowed runs
- * drift. This leg crosses both sharded engines against the sequential
- * fast engine on such a machine, checker armed.
+ * DRAM channel. Nothing in the scheduler-equivalence contract is
+ * allowed to depend on the floorplan, so this leg crosses the fast
+ * scheduler against the reference on such a machine, checker armed.
  */
 MachineConfig
 offPaperConfig()
@@ -423,63 +276,34 @@ TEST(GeometryEquivalence, OffPaperMachineMatchesSequentialBitForBit)
         SCOPED_TRACE(workload.name);
         for (const Regime &regime : regimes) {
             SCOPED_TRACE(regime.name);
-            Outcome sequential = runOnceOn(cfg, workload, regime, false);
-            EXPECT_EQ(sequential.digest, workload.reference)
-                << "sequential run computed a wrong result off-paper";
-
-            for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-                SCOPED_TRACE(std::to_string(shards) + " shards");
-                for (SchedMode mode :
-                     {SchedMode::Token, SchedMode::Windowed}) {
-                    SCOPED_TRACE(mode == SchedMode::Token ? "token"
-                                                          : "windowed");
-                    Outcome run = runOnceOn(cfg, workload, regime, false,
-                                            true, shards, mode);
-                    EXPECT_EQ(run.digest, sequential.digest)
-                        << "result diverged off the paper floorplan";
-                    EXPECT_EQ(run.cycles, sequential.cycles)
-                        << "cycle counts diverged off the paper floorplan";
-                    EXPECT_EQ(run.switches, sequential.switches);
-                    EXPECT_EQ(run.syncPoints, sequential.syncPoints);
-#if SPMRT_CHECKER_ENABLED
-                    EXPECT_EQ(run.violations, 0u) << run.report;
-#endif
-                }
-            }
+            Outcome fast = runOnceOn(cfg, workload, regime, false);
+            Outcome oracle = runOnceOn(cfg, workload, regime, true);
+            EXPECT_EQ(fast.digest, workload.reference)
+                << "fast run computed a wrong result off-paper";
+            expectSameRun(fast, oracle);
         }
     }
 }
 
 /**
  * The scale acceptance gate: the 32x32 four-channel big1024() preset
- * must run every equivalence workload windowed byte-identical to the
- * sequential fast engine — digests, cycle counts, and switch/syncPoint
- * counts — with the checker armed. A 1024-core machine is where a
- * lookahead that is merely *approximately* a lower bound, or a route
- * table compiled for the 16x8 floorplan, actually breaks.
+ * must run every equivalence workload byte-identically under both
+ * schedulers — digests, cycle counts, and switch/syncPoint counts —
+ * with the checker armed. A 1024-core machine is where a route table
+ * compiled for the 16x8 floorplan, or a heap key too narrow for the
+ * core ids, actually breaks.
  */
-TEST(GeometryEquivalence, Big1024WindowedMatchesSequentialFast)
+TEST(GeometryEquivalence, Big1024FastMatchesReference)
 {
     const MachineConfig cfg = MachineConfig::big1024();
     const Regime strict{"strict", false, 0, false, 0};
     for (const Workload &workload : makeWorkloads()) {
         SCOPED_TRACE(workload.name);
-        Outcome sequential = runOnceOn(cfg, workload, strict, false);
-        EXPECT_EQ(sequential.digest, workload.reference)
-            << "sequential run computed a wrong result on big1024";
-
-        Outcome windowed = runOnceOn(cfg, workload, strict, false, true, 4,
-                                     SchedMode::Windowed);
-        EXPECT_EQ(windowed.digest, sequential.digest)
-            << "windowed result diverged on big1024";
-        EXPECT_EQ(windowed.cycles, sequential.cycles)
-            << "windowed cycle count diverged on big1024";
-        EXPECT_EQ(windowed.switches, sequential.switches);
-        EXPECT_EQ(windowed.syncPoints, sequential.syncPoints);
-#if SPMRT_CHECKER_ENABLED
-        EXPECT_EQ(windowed.violations, 0u) << windowed.report;
-        EXPECT_EQ(sequential.violations, 0u) << sequential.report;
-#endif
+        Outcome fast = runOnceOn(cfg, workload, strict, false);
+        Outcome oracle = runOnceOn(cfg, workload, strict, true);
+        EXPECT_EQ(fast.digest, workload.reference)
+            << "fast run computed a wrong result on big1024";
+        expectSameRun(fast, oracle);
     }
 }
 
@@ -509,16 +333,9 @@ TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
             Outcome oracle = runOnce(workload, regime, true, false);
 
             EXPECT_EQ(fast.digest, workload.reference);
-            EXPECT_EQ(fast.digest, oracle.digest);
-            EXPECT_EQ(fast.cycles, oracle.cycles);
-            EXPECT_EQ(fast.switches, oracle.switches);
-            EXPECT_EQ(fast.syncPoints, oracle.syncPoints);
+            expectSameRun(fast, oracle);
             EXPECT_EQ(oracle.compiledTraversals, 0u)
                 << "reference run must not use compiled routes";
-#if SPMRT_CHECKER_ENABLED
-            EXPECT_EQ(fast.violations, 0u) << fast.report;
-            EXPECT_EQ(oracle.violations, 0u) << oracle.report;
-#endif
         }
     }
 }
@@ -660,6 +477,69 @@ TEST(SchedulerEquivalence, SchedulerSelectionIsExplicit)
     EXPECT_EQ(engine.referenceScheduler(), !initial);
     engine.setReferenceScheduler(initial);
     EXPECT_EQ(engine.referenceScheduler(), initial);
+}
+
+// One engine alternating the fast and reference schedulers between runs:
+// the state one scheduler leaves behind (clocks, heap, cached minima,
+// recycled coroutine stacks, a core parked and woken) must carry into the
+// other. Each run must match the same run on an engine that never changes
+// mode. The suite name is the one the host-parallel engine's tests used,
+// when a mode change also switched the shard count.
+TEST(ShardEngine, ReusableAcrossModeChanges)
+{
+    constexpr CoreId kCores = 4;
+    auto runAll = [](const std::vector<bool> &modes) {
+        Engine engine(kCores, 64 * 1024);
+        std::vector<EngineTrace> traces;
+        for (bool reference : modes) {
+            engine.setReferenceScheduler(reference);
+            EngineTrace trace;
+            engine.setBody(0, [&engine, &trace] {
+                engine.block(0);
+                for (int k = 0; k < 3; ++k) {
+                    engine.advance(0, 2);
+                    engine.syncPoint(0);
+                    trace.order.emplace_back(0u, engine.time(0));
+                }
+            });
+            for (CoreId i = 1; i < kCores; ++i) {
+                engine.setBody(i, [&engine, &trace, i] {
+                    for (int k = 0; k < 3; ++k) {
+                        engine.advance(i, 2 + i);
+                        engine.syncPoint(i);
+                        trace.order.emplace_back(i, engine.time(i));
+                    }
+                    if (i == kCores - 1)
+                        engine.unblock(0, engine.time(i) + 5);
+                });
+            }
+            engine.run();
+            trace.switches = engine.switchCount();
+            trace.maxTime = engine.maxTime();
+            traces.push_back(std::move(trace));
+        }
+        return traces;
+    };
+    const std::vector<bool> mixed = {false, true, false, true, false};
+    const std::vector<EngineTrace> switched = runAll(mixed);
+    const std::vector<EngineTrace> fastOnly =
+        runAll(std::vector<bool>(mixed.size(), false));
+    const std::vector<EngineTrace> referenceOnly =
+        runAll(std::vector<bool>(mixed.size(), true));
+    ASSERT_EQ(switched.size(), mixed.size());
+    for (size_t run = 0; run < mixed.size(); ++run) {
+        EXPECT_EQ(switched[run].order.size(), 3u * kCores) << "run " << run;
+        EXPECT_EQ(switched[run].order, fastOnly[run].order) << "run " << run;
+        EXPECT_EQ(switched[run].order, referenceOnly[run].order)
+            << "run " << run;
+        EXPECT_EQ(switched[run].switches, fastOnly[run].switches)
+            << "run " << run;
+        EXPECT_EQ(switched[run].maxTime, fastOnly[run].maxTime)
+            << "run " << run;
+    }
+    // Clocks persist across runs in every mode: core 3 advances 15 per
+    // run, and core 0 wakes 5 cycles after it and then advances 6.
+    EXPECT_EQ(switched.back().maxTime, 5u * 15u + 5u + 6u);
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 
 #include <cstdlib>
 #include <string>
-#include <thread>
 
 #include "mem/alloc.hpp"
 #include "sim/machine.hpp"
@@ -173,85 +172,6 @@ TEST(BulkAccess, UnalignedSpansAcrossLineBoundaries)
         core.read(dram + 13, readback.data(), readback.size());
         EXPECT_EQ(readback, pattern);
     });
-}
-
-// An invalid SPMRT_ENGINE_SHARDS value must fail fast at engine
-// construction with a diagnostic naming the offending value — not be
-// silently clamped into a run the user did not ask for. The setenv runs
-// inside the death-test child, so the parent process (and every other
-// test) never sees the variable.
-TEST(ErrorsDeathTest, ShardEnvZeroPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "0", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'0' is zero");
-}
-
-TEST(ErrorsDeathTest, ShardEnvNonNumericPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "many", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'many' is not a number");
-}
-
-TEST(ErrorsDeathTest, ShardEnvTrailingGarbagePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "4x", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'4x' has trailing garbage");
-}
-
-TEST(ErrorsDeathTest, ShardEnvAutoIsAccepted)
-{
-    // 'auto' resolves to the host's concurrency (or sequential on an
-    // unknown host) — never a panic. The child exits 0 on success;
-    // EXPECT_EXIT keeps the setenv quarantined like the death tests.
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "auto", 1);
-            Engine engine(2, 64 * 1024);
-            std::exit(0);
-        },
-        ::testing::ExitedWithCode(0), "");
-}
-
-TEST(ErrorsDeathTest, ShardEnvMisspelledAutoPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", "automatic", 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*'automatic' is not a number");
-}
-
-TEST(ErrorsDeathTest, ShardEnvBeyondHostCoresPanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    if (std::thread::hardware_concurrency() == 0)
-        GTEST_SKIP() << "host core count unknown; upper bound not enforced";
-    std::string beyond =
-        std::to_string(std::thread::hardware_concurrency() + 1);
-    EXPECT_DEATH(
-        {
-            ::setenv("SPMRT_ENGINE_SHARDS", beyond.c_str(), 1);
-            Engine engine(2, 64 * 1024);
-        },
-        "SPMRT_ENGINE_SHARDS.*exceeds the .* host cores");
 }
 
 // ---- machine-geometry validation -----------------------------------------

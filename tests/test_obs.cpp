@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <map>
 #include <string>
 #include <tuple>
@@ -22,6 +24,7 @@
 
 #include "common/env.hpp"
 #include "obs/telemetry.hpp"
+#include "runtime/queue_ops.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "workloads/cilksort.hpp"
 #include "workloads/fib.hpp"
@@ -94,39 +97,6 @@ TEST(TelemetryNeutrality, ArmedRunsBitIdenticalToOff)
         EXPECT_EQ(off.switches, armed.switches) << workload;
         EXPECT_EQ(off.syncPoints, armed.syncPoints) << workload;
     }
-}
-
-TEST(TelemetryNeutrality, WindowTelemetryArmedBitIdenticalToOff)
-{
-    // The window-telemetry counters are always counted; arming only
-    // registers their addresses. So an armed windowed run must stay
-    // bit-identical to an off one — and must count the same number of
-    // windows, or the counters themselves perturbed the schedule.
-    auto run = [](bool armed, RunCapture &capture) -> uint64_t {
-        Machine machine(MachineConfig::tiny());
-        machine.engine().setScheduler(SchedMode::Windowed);
-        machine.engine().setShards(2);
-        if (armed)
-            machine.armTelemetry();
-        WorkStealingRuntime rt(machine, RuntimeConfig::full());
-        Addr out = machine.dramAlloc(8, 8);
-        rt.run([&](TaskContext &tc) { fibKernel(tc, 11, out); });
-        capture.digest =
-            static_cast<uint64_t>(machine.mem().peekAs<int64_t>(out));
-        capture.maxTime = machine.engine().maxTime();
-        capture.switches = machine.engine().switchCount();
-        capture.syncPoints = machine.engine().syncPointCount();
-        return machine.engine().windowStats().windows;
-    };
-    RunCapture off, armed;
-    const uint64_t off_windows = run(false, off);
-    const uint64_t armed_windows = run(true, armed);
-    EXPECT_GT(off_windows, 0u);
-    EXPECT_EQ(off_windows, armed_windows);
-    EXPECT_EQ(off.digest, armed.digest);
-    EXPECT_EQ(off.maxTime, armed.maxTime);
-    EXPECT_EQ(off.switches, armed.switches);
-    EXPECT_EQ(off.syncPoints, armed.syncPoints);
 }
 
 TEST(TelemetryNeutrality, ReferenceSchedulerAlsoUnperturbed)
@@ -327,40 +297,61 @@ TEST(StatRegistry, SnapshotsTrackLiveCounters)
     EXPECT_EQ(count, count_after);
 }
 
-TEST(StatRegistry, WindowTelemetryTracksEngine)
+TEST(StatRegistry, CountersAreLiveInsideAGuestBody)
 {
+    // A snapshot is always current: sampled from guest code mid-run, the
+    // memory and fault-injection totals must already include every
+    // access the guest made, not lag until the run ends.
     Machine machine(MachineConfig::tiny());
-    machine.engine().setScheduler(SchedMode::Windowed);
-    machine.engine().setShards(2);
     obs::Telemetry *telemetry = machine.armTelemetry();
     ASSERT_NE(telemetry, nullptr);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    Addr out = machine.dramAlloc(8, 8);
-    rt.run([&](TaskContext &tc) { fibKernel(tc, 11, out); });
+    FaultPlan plan;
+    plan.stallCore(0, 0, 1'000'000, 3);
+    plan.delayLockHolder(0, 1, 5);
+    machine.setFaultPlan(&plan);
+    const obs::StatRegistry &stats = telemetry->stats;
+    const char *const names[] = {
+        "mem/local_spm_loads",      "mem/local_spm_stores",
+        "mem/amos",                 "fault/core_stall_cycles",
+        "fault/lock_holder_cycles", "fault/lock_holder_hits",
+    };
+    constexpr size_t kCounters = std::size(names);
+    std::array<uint64_t, kCounters> before{}, after{};
 
-    const obs::WindowStats &ws = machine.engine().windowStats();
-    EXPECT_GT(ws.windows, 0u);
-    EXPECT_GT(ws.admitted, 0u);
-    obs::StatRegistry &stats = telemetry->stats;
-    EXPECT_EQ(stats.value("engine/win/windows"), ws.windows);
-    EXPECT_EQ(stats.value("engine/win/admitted"), ws.admitted);
-    EXPECT_EQ(stats.value("engine/win/barrier_ns"), ws.barrierNs);
-    EXPECT_EQ(stats.value("engine/win/shard/00/admitted"),
-              ws.shardAdmitted[0]);
+    machine.run([&](Core &core) {
+        if (core.id() != 0)
+            return;
+        const Addr word = core.spmBase();
+        const Addr lock = core.spmBase() + 64;
+        for (size_t i = 0; i < kCounters; ++i)
+            before[i] = stats.value(names[i]);
+        for (uint32_t i = 0; i < 100; ++i)
+            core.load<uint32_t>(word);
+        for (uint32_t i = 0; i < 50; ++i)
+            core.store<uint32_t>(word, i);
+        for (uint32_t i = 0; i < 10; ++i)
+            core.amoAdd(word, 1);
+        QueueOps ops(core);
+        for (uint32_t i = 0; i < 4; ++i) {
+            ops.lockAcquire(lock);
+            ops.lockRelease(lock);
+        }
+        for (size_t i = 0; i < kCounters; ++i)
+            after[i] = stats.value(names[i]);
+    });
+    machine.setFaultPlan(nullptr);
 
-    // Every window lands in exactly one length bucket.
-    uint64_t bucketed = 0;
-    for (uint64_t b : ws.winLenBuckets)
-        bucketed += b;
-    EXPECT_EQ(bucketed, ws.windows);
-
-    // The JSON export carries the schema tag and per-shard rows (the
-    // bench harness writes it as the CI telemetry artifact).
-    std::string json = ws.json();
-    EXPECT_NE(json.find("\"spmrt-window-telemetry-v1\""),
-              std::string::npos);
-    EXPECT_NE(json.find("\"win_len_buckets\""), std::string::npos);
-    EXPECT_NE(json.find("\"shards\""), std::string::npos);
+    // 4 lock rounds add one local AMO (acquire) and one local store
+    // (release) each; every period-1 acquisition holds 5 extra cycles.
+    EXPECT_EQ(after[0] - before[0], 100u) << names[0];
+    EXPECT_EQ(after[1] - before[1], 54u) << names[1];
+    EXPECT_EQ(after[2] - before[2], 14u) << names[2];
+    EXPECT_GT(after[3], before[3]) << names[3];
+    EXPECT_EQ(after[4] - before[4], 20u) << names[4];
+    EXPECT_EQ(after[5] - before[5], 4u) << names[5];
+    // The run tail adds nothing the guest did not already see.
+    for (size_t i = 0; i < kCounters; ++i)
+        EXPECT_EQ(stats.value(names[i]), after[i]) << names[i];
 }
 
 TEST(Tracer, BoundedBufferCountsDrops)

@@ -25,24 +25,13 @@ artifact, and perf PRs use it to commit the point they land.
 Rows may carry a ``series`` tag; rows tagged ``"throughput"`` (the fleet
 batch-simulation series, whose ``speedup`` is multi-worker/serial
 sims-per-sec scaling and varies with host core count) are gated with the
-separate, laxer ``--throughput-tolerance``, and rows tagged
-``"parallel"`` (the sharded-engine series, whose ``speedup`` is
-sequential/parallel wall-clock and depends entirely on free host cores)
-with ``--parallel-tolerance``. For both, the ``equivalent`` flag — the
-byte-identity contract — remains gated strictly regardless of tolerance.
-``--require-series NAME`` (repeatable) fails when the measured file
-carries no row of that series — CI uses it to ensure neither the fleet
-bench nor the parallel-engine legs silently drop out of the measurement.
-
-Parallel rows carry the measuring machine's ``host_cores``: a shard
-thread can only beat the sequential engine when a real host core backs
-it, so the speedup floor applies to a parallel row only when its
-``host_cores`` exceeds its ``shards`` (on an undersized host only the
-equivalence flag is gated — a wall ratio there measures the OS
-scheduler, not the engine). ``--require-parallel-speedup`` additionally
-demands that at least one eligible multi-shard parallel row actually
-clears 1.0x — the windowed engine's reason to exist — and is skipped
-with a notice when the host has no eligible rows to offer.
+separate, laxer ``--throughput-tolerance``; their ``equivalent`` flag —
+the byte-identity contract — remains gated strictly regardless of
+tolerance. Reference rows of any other series (the retired host-parallel
+engine's ``"parallel"`` legs in old trajectory points) are skipped: the
+bench no longer measures them. ``--require-series NAME`` (repeatable)
+fails when the measured file carries no row of that series — CI uses it
+to ensure the fleet bench does not silently drop out of the measurement.
 
 Usage:
     check_host_perf.py <measured.json> <baseline.json>
@@ -58,6 +47,7 @@ import sys
 
 TRAJECTORY_SCHEMA = "spmrt-host-perf-trajectory-v1"
 POINT_SCHEMA = "spmrt-host-perf-v1"
+GATED_SERIES = (None, "throughput")
 
 
 def row_key(r):
@@ -142,44 +132,27 @@ def load_trajectory(path):
 
 def describe_row(key, base=None, row=None):
     """Human-readable identity of a failing row: which series and leg,
-    not just the key tuple. ``workload/cores`` plus the series tag and
-    shard count when present, e.g. ``fib-tiny/128 (series=parallel,
-    shards=8)``."""
+    not just the key tuple. ``workload/cores`` plus the series tag when
+    present, e.g. ``fleet/4 (series=throughput)``."""
     name = f"{key[0]}/{key[1]}"
     tags = []
     source = base or row or {}
     series = source.get("series") or (row or {}).get("series")
     if series:
         tags.append(f"series={series}")
-    shards = (row or {}).get("shards", source.get("shards"))
-    if shards is not None:
-        tags.append(f"shards={shards}")
     if key[2]:
         tags.append(f"geometry={key[2]}")
     return name + (f" ({', '.join(tags)})" if tags else "")
 
 
-def row_tolerance(base, tolerance, throughput_tolerance,
-                  parallel_tolerance):
+def row_tolerance(base, tolerance, throughput_tolerance):
     if base.get("series") == "throughput":
         return throughput_tolerance
-    if base.get("series") == "parallel":
-        return parallel_tolerance
     return tolerance
 
 
-def parallel_row_eligible(row):
-    """True when a parallel row's wall ratio is meaningful: each shard
-    thread backed by a real host core. Rows from old measurements with
-    no host_cores field stay eligible (the historical behaviour)."""
-    host_cores = row.get("host_cores")
-    if host_cores is None:
-        return True
-    return host_cores > row.get("shards", 1)
-
-
 def check(measured, reference, reference_name, tolerance,
-          throughput_tolerance, parallel_tolerance):
+          throughput_tolerance):
     """Gate measured rows against one reference row set."""
     failures = []
     print(f"vs {reference_name}:")
@@ -188,21 +161,19 @@ def check(measured, reference, reference_name, tolerance,
     for key, base in sorted(reference.items(),
                             key=lambda kv: (kv[0][0], kv[0][1],
                                             kv[0][2] or "")):
+        if base.get("series") not in GATED_SERIES:
+            continue
         row = find_row(measured, key)
         if row is None:
             failures.append(f"{describe_row(key, base)}: missing from "
                             "measured results — the leg did not run or "
                             "was filtered out")
             continue
-        waived = (base.get("series") == "parallel" and
-                  not parallel_row_eligible(row))
-        floor = row_tolerance(base, tolerance, throughput_tolerance,
-                              parallel_tolerance) * base["speedup"]
-        speedup_ok = waived or row["speedup"] >= floor
+        floor = row_tolerance(base, tolerance,
+                              throughput_tolerance) * base["speedup"]
+        speedup_ok = row["speedup"] >= floor
         ok = speedup_ok and row.get("equivalent", False)
         status = "ok" if ok else "FAIL"
-        if waived and row.get("equivalent", False):
-            status = "ok (speedup waived: host_cores <= shards)"
         print(f"  {key[0]:<10} {key[1]:>6} {row['speedup']:>8.2f}x "
               f"{base['speedup']:>8.2f}x {floor:>6.2f}x  {status}")
         if not row.get("equivalent", False):
@@ -216,28 +187,6 @@ def check(measured, reference, reference_name, tolerance,
                 f"({reference_name} recorded {base['speedup']:.2f}x)")
     print()
     return failures
-
-
-def check_parallel_speedup(rows, source):
-    """--require-parallel-speedup: at least one eligible multi-shard
-    parallel row must beat the sequential engine outright."""
-    eligible = [r for r in rows
-                if r.get("series") == "parallel" and r.get("shards", 1) > 1
-                and parallel_row_eligible(r)]
-    if not eligible:
-        print("parallel-speedup gate skipped: no parallel row has "
-              "host_cores > shards (undersized host)")
-        return []
-    best = max(eligible, key=lambda r: r["speedup"])
-    print(f"parallel-speedup gate: best eligible row "
-          f"{best['workload']}/{best.get('shards')} shards at "
-          f"{best['speedup']:.2f}x")
-    if best["speedup"] > 1.0:
-        return []
-    return [f"{source}: no eligible parallel row beats the sequential "
-            f"engine (best {best['workload']} at {best['speedup']:.2f}x "
-            f"with {best.get('shards')} shards on "
-            f"{best.get('host_cores')} host cores)"]
 
 
 def append_point(trajectory_path, measured_doc, label):
@@ -261,9 +210,9 @@ def append_point(trajectory_path, measured_doc, label):
 def self_test():
     """Unit-style checks of the gating logic itself (run from ctest).
     Synthetic rows, no files: every branch the CI gate depends on —
-    keying, legacy-geometry fallback, per-series tolerances, the
-    host_cores waiver, the parallel-speedup gate, and the failure
-    messages naming the series and leg."""
+    keying, legacy-geometry fallback, per-series tolerances, skipped
+    retired series, and the failure messages naming the series and
+    leg."""
     def expect(cond, what):
         if not cond:
             sys.exit(f"check_host_perf.py --self-test FAILED: {what}")
@@ -279,49 +228,32 @@ def self_test():
            "legacy fallback must still match workload and cores")
 
     # Per-series tolerances.
-    expect(row_tolerance({}, 0.75, 0.5, 0.25) == 0.75, "main tolerance")
-    expect(row_tolerance({"series": "throughput"}, 0.75, 0.5, 0.25) == 0.5,
+    expect(row_tolerance({}, 0.75, 0.5) == 0.75, "main tolerance")
+    expect(row_tolerance({"series": "throughput"}, 0.75, 0.5) == 0.5,
            "throughput tolerance")
-    expect(row_tolerance({"series": "parallel"}, 0.75, 0.5, 0.25) == 0.25,
-           "parallel tolerance")
-
-    # The host_cores waiver.
-    expect(parallel_row_eligible({"host_cores": 8, "shards": 4}),
-           "8 host cores back 4 shards")
-    expect(not parallel_row_eligible({"host_cores": 4, "shards": 4}),
-           "oversubscribed host must be waived")
-    expect(parallel_row_eligible({}), "legacy rows stay eligible")
-
-    # The parallel-speedup gate.
-    rows = [{"workload": "fib", "series": "parallel", "shards": 4,
-             "host_cores": 16, "speedup": 1.4, "equivalent": True}]
-    expect(check_parallel_speedup(rows, "t") == [],
-           "a 1.4x eligible row passes the speedup gate")
-    rows[0]["speedup"] = 0.9
-    expect(len(check_parallel_speedup(rows, "t")) == 1,
-           "a 0.9x best row fails the speedup gate")
-    rows[0]["host_cores"] = 4
-    expect(check_parallel_speedup(rows, "t") == [],
-           "an undersized host skips the speedup gate")
 
     # A failing row's message must name its series and leg.
-    base = {"workload": "fib-tiny", "cores": 128, "geometry": "16x8",
-            "series": "parallel", "speedup": 1.2, "equivalent": True}
-    bad = dict(base, speedup=0.1, shards=8, host_cores=64,
-               equivalent=False)
+    base = {"workload": "fleet", "cores": 4, "geometry": "4x4",
+            "series": "throughput", "speedup": 3.0, "equivalent": True}
+    bad = dict(base, speedup=0.1, equivalent=False)
     failures = check(key_rows([bad]), key_rows([base]), "baseline",
-                     0.75, 0.5, 0.25)
+                     0.75, 0.5)
     expect(len(failures) == 1, "one divergent row, one failure")
-    expect("fib-tiny/128" in failures[0] and
-           "series=parallel" in failures[0] and
-           "shards=8" in failures[0],
+    expect("fleet/4" in failures[0] and
+           "series=throughput" in failures[0],
            f"failure must name series and leg, got: {failures[0]}")
 
     # A missing leg names the series it came from.
-    failures = check({}, key_rows([base]), "baseline", 0.75, 0.5, 0.25)
-    expect(len(failures) == 1 and "series=parallel" in failures[0] and
+    failures = check({}, key_rows([base]), "baseline", 0.75, 0.5)
+    expect(len(failures) == 1 and "series=throughput" in failures[0] and
            "missing" in failures[0],
            f"missing-leg failure must name the series: {failures}")
+
+    # Reference rows of a retired series gate nothing.
+    retired = {"workload": "fib-par2", "cores": 128, "series": "parallel",
+               "shards": 2, "speedup": 0.1, "equivalent": True}
+    expect(check({}, key_rows([retired]), "trajectory", 0.75, 0.5) == [],
+           "a retired series' reference rows must be skipped")
 
     print("check_host_perf.py --self-test passed")
     return 0
@@ -346,21 +278,11 @@ def main():
                         help="tolerance applied to rows tagged "
                              "series=throughput, whose scaling depends on "
                              "host core count (default 0.5)")
-    parser.add_argument("--parallel-tolerance", type=float, default=0.25,
-                        help="tolerance applied to rows tagged "
-                             "series=parallel, whose wall ratio depends "
-                             "on free host cores; equivalence is still "
-                             "gated strictly (default 0.25)")
     parser.add_argument("--require-series", metavar="NAME",
                         action="append", default=[],
                         help="fail unless the measured file contains at "
                              "least one row with this series tag "
                              "(repeatable)")
-    parser.add_argument("--require-parallel-speedup", action="store_true",
-                        help="fail unless at least one parallel row with "
-                             "shards > 1 and host_cores > shards clears a "
-                             "1.0x wall ratio (skipped when no row is "
-                             "eligible)")
     args = parser.parse_args()
     if args.append and not args.trajectory:
         parser.error("--append requires --trajectory")
@@ -379,12 +301,8 @@ def main():
                 f"{series!r} — the bench that produces that "
                 "series did not run (was it filtered out?)")
 
-    if args.require_parallel_speedup:
-        failures += check_parallel_speedup(measured_doc["rows"],
-                                           args.measured)
-
     failures += check(measured, baseline, args.baseline, args.tolerance,
-                      args.throughput_tolerance, args.parallel_tolerance)
+                      args.throughput_tolerance)
     if args.trajectory:
         if not os.path.exists(args.trajectory):
             print(f"{args.trajectory}: not found, skipping trajectory gate")
@@ -394,7 +312,7 @@ def main():
             failures += check(
                 measured, key_rows(latest["rows"]),
                 f"{args.trajectory}[{latest['label']}]", args.tolerance,
-                args.throughput_tolerance, args.parallel_tolerance)
+                args.throughput_tolerance)
 
     if failures:
         print("host-perf regression check FAILED:", file=sys.stderr)
