@@ -4,7 +4,7 @@
  * data-structure costs. These measure *host* nanoseconds, not simulated
  * cycles — they bound how fast the simulator itself can run and catch
  * regressions in the hot paths (context switch, fluid-server charge,
- * NoC traversal, RNGs, task registry, allocator).
+ * NoC traversal, RNGs, task registry, allocator, machine build).
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +20,7 @@
 #include "mem/noc.hpp"
 #include "runtime/task.hpp"
 #include "sim/engine.hpp"
+#include "sim/machine.hpp"
 
 namespace spmrt {
 namespace {
@@ -135,6 +136,36 @@ BM_RemoteSpmRoundTrip(benchmark::State &state)
         benchmark::DoNotOptimize(t = mem.load(0, t, addr, &value, 4));
 }
 BENCHMARK(BM_RemoteSpmRoundTrip);
+
+/**
+ * Construct and destroy one Machine: engine, memory system (NoC, LLC
+ * tags, SPM image, DRAM image) and per-core handles. The DRAM image is a
+ * lazily zero-filled mapping, so this measures the machine's structures,
+ * not its DRAM size. Args: {paper?} — 0 is the 16-core, 128 MiB fleet
+ * job machine, 1 the 128-core, 256 MiB paper machine.
+ */
+void
+BM_MachineBuildTeardown(benchmark::State &state)
+{
+    MachineConfig cfg = MachineConfig::paper();
+    if (state.range(0) == 0) {
+        cfg.meshCols = 4;
+        cfg.meshRows = 4;
+        cfg.llcBanks = 8;
+        cfg.llcSetsPerBank = 32;
+        cfg.dramBytes = 128ull * 1024 * 1024;
+    }
+    for (auto _ : state) {
+        Machine machine(cfg);
+        benchmark::DoNotOptimize(&machine);
+    }
+    state.SetLabel(std::to_string(cfg.numCores()) + " cores/" +
+                   std::to_string(cfg.dramBytes >> 20) + " MiB");
+}
+BENCHMARK(BM_MachineBuildTeardown)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_TaskRegistryAddRemove(benchmark::State &state)

@@ -14,9 +14,9 @@ constexpr uint32_t kRequestPayload = 4;
 } // namespace
 
 MemorySystem::MemorySystem(const MachineConfig &cfg)
-    : cfg_(cfg), map_(cfg), noc_(cfg), dram_(cfg), llc_(cfg, dram_)
+    : cfg_(cfg), map_(cfg), noc_(cfg), dram_(cfg), llc_(cfg, dram_),
+      dramData_(cfg.dramBytes)
 {
-    dramData_.assign(cfg.dramBytes, 0);
     spmData_.assign(static_cast<size_t>(cfg.numCores()) * cfg.spmBytes, 0);
     spmPorts_.assign(cfg.numCores(), FluidServer(1));
     storeDrain_.assign(cfg.numCores(), 0);
@@ -32,7 +32,7 @@ MemorySystem::backing(const DecodedAddr &decoded, uint32_t size)
                              cfg_.spmBytes +
                          decoded.offset];
     }
-    return &dramData_[decoded.offset];
+    return dramBase_ + decoded.offset;
 }
 
 const uint8_t *

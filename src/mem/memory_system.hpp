@@ -2,9 +2,11 @@
  * @file
  * Functional + timing model of the whole memory system.
  *
- * Functionally, the PGAS is backed by flat host arrays (one per SPM, one
- * for DRAM); every simulated access moves real bytes, so workloads compute
- * real results that tests can verify.
+ * Functionally, the PGAS is backed by flat host memory: one array holds
+ * every core's SPM, and the DRAM image is a lazily zero-filled anonymous
+ * mapping (common/host_mapping.hpp), so a machine costs the DRAM pages it
+ * touches rather than its DRAM size. Every simulated access moves real
+ * bytes, so workloads compute real results that tests can verify.
  *
  * Timing follows HammerBlade's organization:
  *  - local SPM: serialize on the SPM port, then a fixed 2-cycle latency;
@@ -25,6 +27,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/host_mapping.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
 #include "mem/address_map.hpp"
@@ -347,7 +350,7 @@ class MemorySystem
     DramModel dram_;
     LlcModel llc_;
 
-    std::vector<uint8_t> dramData_;
+    HostMapping dramData_;         ///< DRAM image, zero-filled on touch
     std::vector<uint8_t> spmData_; ///< all cores' SPMs, contiguous
     std::vector<FluidServer> spmPorts_;
     std::vector<Cycles> storeDrain_;

@@ -1,22 +1,9 @@
 #include "sim/context.hpp"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
-#include <cstring>
-
 #include "common/log.hpp"
 
 #if !defined(__x86_64__)
 #include <ucontext.h>
-#endif
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SPMRT_ASAN 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define SPMRT_ASAN 1
 #endif
 
 #if defined(SPMRT_TSAN)
@@ -57,39 +44,27 @@ GuestContext::~GuestContext()
 #if defined(SPMRT_TSAN)
     // Only init()'d contexts own their fiber; a root context's handle
     // is the host thread's implicit fiber, which TSan owns.
-    if (stackBase_ != nullptr && tsanFiber_ != nullptr)
+    if (valid() && tsanFiber_ != nullptr)
         __tsan_destroy_fiber(tsanFiber_);
 #endif
-    if (stackBase_ != nullptr)
-        ::munmap(stackBase_, mapBytes_);
 }
 
 void
 GuestContext::init(size_t stack_bytes, void (*entry)(void *), void *arg)
 {
-    SPMRT_ASSERT(stackBase_ == nullptr, "context initialized twice");
+    SPMRT_ASSERT(!valid(), "context initialized twice");
+    // Guard page at the low (overflow) end of the downward-growing stack.
+    stack_ = HostMapping(scaledStackBytes(stack_bytes), true);
 #if defined(SPMRT_TSAN)
     tsanFiber_ = __tsan_create_fiber(0);
 #endif
-
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    stack_bytes = scaledStackBytes(stack_bytes);
-    mapBytes_ = ((stack_bytes + page - 1) / page) * page + page;
-    void *base = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED)
-        SPMRT_FATAL("cannot mmap %zu-byte coroutine stack", mapBytes_);
-    // Guard page at the low (overflow) end of the downward-growing stack.
-    if (::mprotect(base, page, PROT_NONE) != 0)
-        SPMRT_FATAL("cannot protect coroutine guard page");
-    stackBase_ = base;
 
     // Build the initial frame that spmrt_ctx_swap will "return" into.
     // Memory layout ascending from the saved sp:
     //   [6 callee-saved slots][trampoline][arg][entry][padding...]
     // The saved sp must be ~= 8 (mod 16) so that the trampoline's call
     // site sees a 16-byte-aligned stack (see context_x86_64.S).
-    auto top = reinterpret_cast<uintptr_t>(base) + mapBytes_;
+    auto top = reinterpret_cast<uintptr_t>(stack_.data() + stack_.size());
     top &= ~uintptr_t(15);
     auto *slot = reinterpret_cast<uint64_t *>(top);
     *--slot = 0; // padding
@@ -154,35 +129,24 @@ GuestContext::GuestContext() = default;
 GuestContext::~GuestContext()
 {
 #if defined(SPMRT_TSAN)
-    if (stackBase_ != nullptr && tsanFiber_ != nullptr)
+    if (valid() && tsanFiber_ != nullptr)
         __tsan_destroy_fiber(tsanFiber_);
 #endif
     delete static_cast<ucontext_t *>(ucontextStorage_);
-    if (stackBase_ != nullptr)
-        ::munmap(stackBase_, mapBytes_);
 }
 
 void
 GuestContext::init(size_t stack_bytes, void (*entry)(void *), void *arg)
 {
+    stack_ = HostMapping(scaledStackBytes(stack_bytes), true);
 #if defined(SPMRT_TSAN)
     tsanFiber_ = __tsan_create_fiber(0);
 #endif
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    stack_bytes = scaledStackBytes(stack_bytes);
-    mapBytes_ = ((stack_bytes + page - 1) / page) * page + page;
-    void *base = ::mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED)
-        SPMRT_FATAL("cannot mmap %zu-byte coroutine stack", mapBytes_);
-    if (::mprotect(base, page, PROT_NONE) != 0)
-        SPMRT_FATAL("cannot protect coroutine guard page");
-    stackBase_ = base;
 
     auto *ctx = asUcontext(ucontextStorage_);
     ::getcontext(ctx);
-    ctx->uc_stack.ss_sp = static_cast<char *>(base) + page;
-    ctx->uc_stack.ss_size = mapBytes_ - page;
+    ctx->uc_stack.ss_sp = stack_.data();
+    ctx->uc_stack.ss_size = stack_.size();
     ctx->uc_link = nullptr;
     auto fn_bits = reinterpret_cast<uintptr_t>(entry);
     auto arg_bits = reinterpret_cast<uintptr_t>(arg);

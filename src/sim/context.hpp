@@ -14,6 +14,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/host_mapping.hpp"
+
 // ThreadSanitizer cannot follow a hand-rolled stack switch; every
 // context carries a TSan fiber handle and switchTo() announces the
 // switch (see __tsan_switch_to_fiber). Without this, every coroutine
@@ -48,6 +50,7 @@ class GuestContext
     /**
      * Allocate a stack (with an inaccessible guard page at the overflow
      * end) and arrange for the first activation to call @p entry(@p arg).
+     * Throws std::bad_alloc when the stack cannot be mapped.
      *
      * @param stack_bytes usable stack size in bytes.
      * @param entry entry point executed on the new stack.
@@ -56,7 +59,7 @@ class GuestContext
     void init(size_t stack_bytes, void (*entry)(void *), void *arg);
 
     /** True once init() has been called. */
-    bool valid() const { return stackBase_ != nullptr; }
+    bool valid() const { return stack_.data() != nullptr; }
 
     /**
      * Suspend the currently running context into @p from and resume
@@ -65,9 +68,8 @@ class GuestContext
     static void switchTo(GuestContext &from, GuestContext &to);
 
   private:
-    void *sp_ = nullptr;       ///< saved stack pointer while suspended
-    void *stackBase_ = nullptr; ///< mmap base (guard page at this end)
-    size_t mapBytes_ = 0;       ///< total mapped bytes including guard
+    void *sp_ = nullptr; ///< saved stack pointer while suspended
+    HostMapping stack_;  ///< usable stack above its guard page
 
 #if defined(SPMRT_TSAN)
     /**

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "mem/address_map.hpp"
@@ -618,6 +622,104 @@ TEST(MemorySystem, RemoteLatencyGradientMatchesFig5)
     CoreId corner = cfg.numCores() - 1;
     EXPECT_LT(latency[0], latency[1]);
     EXPECT_GT(latency[corner], latency[1]);
+}
+
+// ---- DRAM image backing -----------------------------------------------------
+
+/** Mapped (@p resident false) or resident bytes of this process, from
+ *  /proc/self/statm, or 0 if unknown. */
+size_t
+processBytes(bool resident)
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t mapped_pages = 0;
+    size_t resident_pages = 0;
+    if (!(statm >> mapped_pages >> resident_pages))
+        return 0;
+    return (resident ? resident_pages : mapped_pages) *
+           static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/** Host mappings of this process (/proc/self/maps lines), or 0. */
+size_t
+mappingCount()
+{
+    std::ifstream maps("/proc/self/maps");
+    size_t lines = 0;
+    for (std::string line; std::getline(maps, line);)
+        ++lines;
+    return lines;
+}
+
+TEST(MemorySystem, DramImageStartsZeroAndIsPrivate)
+{
+    MachineConfig cfg = MachineConfig::tiny();
+    MemorySystem a(cfg);
+    MemorySystem b(cfg);
+    const Addr first = a.map().dramBase();
+    const Addr last = first + static_cast<Addr>(cfg.dramBytes - 1);
+    EXPECT_EQ(a.peekAs<uint8_t>(first), 0u);
+    EXPECT_EQ(a.peekAs<uint8_t>(last), 0u);
+
+    a.pokeAs<uint8_t>(last, 0xa5);
+    EXPECT_EQ(a.peekAs<uint8_t>(last), 0xa5u);
+    a.pokeAs<uint8_t>(first, 0x5a);
+    EXPECT_EQ(b.peekAs<uint8_t>(first), 0u) << "images must not alias";
+    EXPECT_EQ(b.peekAs<uint8_t>(last), 0u);
+    b.pokeAs<uint8_t>(last, 0x3c);
+    EXPECT_EQ(a.peekAs<uint8_t>(last), 0xa5u);
+    EXPECT_EQ(b.peekAs<uint8_t>(last), 0x3cu);
+}
+
+/**
+ * A machine costs the DRAM pages it touches, not its DRAM size: building
+ * the 512 MiB big1024 image must not make it resident. A size assertion,
+ * not a timing one.
+ */
+TEST(MemorySystem, LargeDramImageIsNotResidentUntilTouched)
+{
+    const size_t before = processBytes(true);
+    if (before == 0)
+        GTEST_SKIP() << "/proc/self/statm unavailable";
+    MachineConfig cfg = MachineConfig::big1024();
+    ASSERT_EQ(cfg.dramBytes, 512ull * 1024 * 1024);
+    MemorySystem mem(cfg);
+    const size_t after = processBytes(true);
+    const size_t grown = after - std::min(before, after);
+    EXPECT_LT(grown, 32u * 1024 * 1024)
+        << "building the DRAM image made " << (grown >> 20)
+        << " MiB resident";
+    const Addr last = mem.map().dramBase() +
+                      static_cast<Addr>(cfg.dramBytes - sizeof(uint32_t));
+    mem.pokeAs<uint32_t>(last, 0xfeedf00du);
+    EXPECT_EQ(mem.peekAs<uint32_t>(last), 0xfeedf00du);
+}
+
+/**
+ * Building, running and tearing down machines (DRAM images and coroutine
+ * stacks) returns every host mapping it made. Leaked neighbours with equal
+ * permissions can merge into one /proc/self/maps line, so the mapped size
+ * is bounded too: a leak would add a 64 MiB image per cycle.
+ */
+TEST(Machine, BuildRunTeardownLeaksNoMappings)
+{
+#if defined(SPMRT_ASAN)
+    GTEST_SKIP() << "ASan's allocator maps quarantine memory as it grows";
+#endif
+    const MachineConfig cfg = MachineConfig::tiny();
+    auto cycle = [&cfg] {
+        Machine machine(cfg);
+        machine.run([](Core &core) { core.tick(1); });
+    };
+    cycle(); // warm up allocator arenas and lazily built statics
+    const size_t lines = mappingCount();
+    const size_t mapped = processBytes(false);
+    if (lines == 0 || mapped == 0)
+        GTEST_SKIP() << "/proc/self/maps or statm unavailable";
+    for (int i = 0; i < 64; ++i)
+        cycle();
+    EXPECT_EQ(mappingCount(), lines);
+    EXPECT_LT(processBytes(false), mapped + cfg.dramBytes);
 }
 
 } // namespace

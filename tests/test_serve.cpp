@@ -12,8 +12,12 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <future>
 #include <set>
 
@@ -391,6 +395,49 @@ TEST(Fleet, SetupFailureFailsFastWithMessage)
     EXPECT_NE(report.error.find("input matrix file not found"),
               std::string::npos);
     EXPECT_TRUE(report.quarantined);
+}
+
+/**
+ * A machine whose DRAM image the host cannot map is a typed
+ * setup_failure, not an abort. The child caps its address space at what
+ * it already maps plus room for the server's threads and the job's
+ * stacks, well below the job's 1 GiB DRAM image, and exits 0 only on a
+ * setup_failure that carries a message. Sanitizer runtimes reserve
+ * terabytes of shadow address space, so the cap cannot apply there.
+ */
+TEST(FleetDeathTest, UnmappableDramImageIsASetupFailure)
+{
+#if defined(SPMRT_ASAN) || defined(SPMRT_TSAN)
+    GTEST_SKIP() << "sanitizer shadow needs unlimited address space";
+#else
+    EXPECT_EXIT(
+        {
+            JobRequest req = makeWorkloadRequest({"fib", 5, 0, 0.0});
+            req.machine.dramBytes = 1024ull * 1024 * 1024;
+            std::ifstream statm("/proc/self/statm");
+            size_t mapped_pages = 0;
+            statm >> mapped_pages;
+            rlimit cap{};
+            cap.rlim_cur = cap.rlim_max =
+                mapped_pages * static_cast<size_t>(::sysconf(_SC_PAGESIZE)) +
+                256ull * 1024 * 1024;
+            if (mapped_pages == 0 || cap.rlim_cur >= req.machine.dramBytes ||
+                ::setrlimit(RLIMIT_AS, &cap) != 0)
+                std::_Exit(2);
+            FleetConfig cfg;
+            cfg.workers = 1;
+            cfg.retry = instantRetry(1);
+            FleetServer server(cfg);
+            JobReport report = server.wait(server.submit(std::move(req)));
+            std::fprintf(stderr, "status %s: %s\n",
+                         jobStatusName(report.status), report.error.c_str());
+            std::exit(report.status == JobStatus::SetupFailure &&
+                              !report.error.empty()
+                          ? 0
+                          : 1);
+        },
+        ::testing::ExitedWithCode(0), "status setup_failure");
+#endif
 }
 
 TEST(Fleet, DigestMismatchFailsFast)

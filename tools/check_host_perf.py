@@ -25,13 +25,16 @@ artifact, and perf PRs use it to commit the point they land.
 Rows may carry a ``series`` tag; rows tagged ``"throughput"`` (the fleet
 batch-simulation series, whose ``speedup`` is multi-worker/serial
 sims-per-sec scaling and varies with host core count) are gated with the
-separate, laxer ``--throughput-tolerance``; their ``equivalent`` flag —
-the byte-identity contract — remains gated strictly regardless of
-tolerance. Reference rows of any other series (the retired host-parallel
-engine's ``"parallel"`` legs in old trajectory points) are skipped: the
-bench no longer measures them. ``--require-series NAME`` (repeatable)
-fails when the measured file carries no row of that series — CI uses it
-to ensure the fleet bench does not silently drop out of the measurement.
+separate, laxer ``--throughput-tolerance``, and only against a reference
+row recorded at the same ``host_cores``: when the two differ, or either
+is missing, the speedup floor is skipped with a printed notice. Their
+``equivalent`` flag — the byte-identity contract — remains gated
+strictly regardless of tolerance or host. Reference rows of any other
+series (the retired host-parallel engine's ``"parallel"`` legs in old
+trajectory points) are skipped: the bench no longer measures them.
+``--require-series NAME`` (repeatable) fails when the measured file
+carries no row of that series — CI uses it to ensure the fleet bench
+does not silently drop out of the measurement.
 
 Usage:
     check_host_perf.py <measured.json> <baseline.json>
@@ -151,6 +154,16 @@ def row_tolerance(base, tolerance, throughput_tolerance):
     return tolerance
 
 
+def ratchets(base, row):
+    """Whether a reference row's speedup floors the measured one.
+    Throughput scaling tracks the host's core count, so those rows
+    ratchet only between points recorded at the same ``host_cores``."""
+    if base.get("series") != "throughput":
+        return True
+    cores = base.get("host_cores")
+    return cores is not None and cores == row.get("host_cores")
+
+
 def check(measured, reference, reference_name, tolerance,
           throughput_tolerance):
     """Gate measured rows against one reference row set."""
@@ -171,11 +184,16 @@ def check(measured, reference, reference_name, tolerance,
             continue
         floor = row_tolerance(base, tolerance,
                               throughput_tolerance) * base["speedup"]
-        speedup_ok = row["speedup"] >= floor
+        gated = ratchets(base, row)
+        speedup_ok = not gated or row["speedup"] >= floor
         ok = speedup_ok and row.get("equivalent", False)
-        status = "ok" if ok else "FAIL"
+        status = "FAIL" if not ok else "ok" if gated else "skip"
         print(f"  {key[0]:<10} {key[1]:>6} {row['speedup']:>8.2f}x "
               f"{base['speedup']:>8.2f}x {floor:>6.2f}x  {status}")
+        if not gated:
+            print(f"    notice: {describe_row(key, base, row)}: reference "
+                  f"host_cores {base.get('host_cores')} vs measured "
+                  f"{row.get('host_cores')}; speedup floor not applied")
         if not row.get("equivalent", False):
             failures.append(f"{describe_row(key, base, row)}: results "
                             "diverged (equivalent=false) — the leg's "
@@ -210,9 +228,9 @@ def append_point(trajectory_path, measured_doc, label):
 def self_test():
     """Unit-style checks of the gating logic itself (run from ctest).
     Synthetic rows, no files: every branch the CI gate depends on —
-    keying, legacy-geometry fallback, per-series tolerances, skipped
-    retired series, and the failure messages naming the series and
-    leg."""
+    keying, legacy-geometry fallback, per-series tolerances, the
+    host_cores match for throughput rows, skipped retired series, and
+    the failure messages naming the series and leg."""
     def expect(cond, what):
         if not cond:
             sys.exit(f"check_host_perf.py --self-test FAILED: {what}")
@@ -248,6 +266,34 @@ def self_test():
     expect(len(failures) == 1 and "series=throughput" in failures[0] and
            "missing" in failures[0],
            f"missing-leg failure must name the series: {failures}")
+
+    # Throughput rows ratchet only at equal host_cores; the byte-identity
+    # flag is gated on any host.
+    fleet = dict(base, host_cores=4)
+    slow = dict(fleet, speedup=1.0)
+    failures = check(key_rows([slow]), key_rows([fleet]), "trajectory",
+                     0.75, 0.5)
+    expect(len(failures) == 1 and "below floor" in failures[0],
+           f"equal host_cores must gate the speedup: {failures}")
+    for cores in (1, None):
+        other = dict(slow, host_cores=cores)
+        expect(check(key_rows([other]), key_rows([fleet]), "trajectory",
+                     0.75, 0.5) == [],
+               f"host_cores 4 vs {cores} must skip the speedup floor")
+        expect(check(key_rows([slow]), key_rows([dict(fleet,
+                                                      host_cores=cores)]),
+                     "trajectory", 0.75, 0.5) == [],
+               f"reference host_cores {cores} vs 4 must skip the floor")
+        diverged = dict(other, equivalent=False)
+        failures = check(key_rows([diverged]), key_rows([fleet]),
+                         "trajectory", 0.75, 0.5)
+        expect(len(failures) == 1 and "diverged" in failures[0],
+               f"a skipped floor must still gate equivalence: {failures}")
+    legacy = {k: v for k, v in fleet.items() if k != "host_cores"}
+    expect(not ratchets(legacy, slow),
+           "a reference row without host_cores must not ratchet")
+    expect(ratchets({"workload": "fib", "cores": 128}, {}),
+           "scheduler rows ratchet regardless of host_cores")
 
     # Reference rows of a retired series gate nothing.
     retired = {"workload": "fib-par2", "cores": 128, "series": "parallel",
