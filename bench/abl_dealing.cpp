@@ -14,14 +14,11 @@
  * asserted per status at the end.
  */
 
-#include <memory>
-
 #include "bench/fleet_util.hpp"
-#include "workloads/uts.hpp"
+#include "serve/workloads.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-using namespace spmrt::workloads;
 
 namespace {
 
@@ -60,32 +57,18 @@ loopRequest(const char *shape, bool dealing, int64_t n,
     return req;
 }
 
-/** One UTS cell, verification folded into the digest contract. */
+/** One UTS cell, checked against the registry's reference count. */
 serve::JobRequest
-utsRequest(bool dealing, const UtsParams &tree)
+utsRequest(bool dealing, const serve::FleetWorkload &tree)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(tree);
     req.name = log::format("abl_dealing/uts/%s",
                            dealing ? "dealing" : "stealing");
     req.cacheKey = req.name;
     req.machine = MachineConfig{};
-    req.runtime = RuntimeConfig::full();
     req.runtime.workDealing = dealing;
     req.armChecker = false;
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    req.prepare = [tree](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto data = std::make_shared<UtsData>(utsSetup(machine, tree));
-        serve::PreparedJob prep;
-        prep.root = [data](TaskContext &tc) { utsKernel(tc, *data); };
-        prep.digest = [tree, data](Machine &m) {
-            maybeWriteTrace(m);
-            return utsResult(m, *data) == utsReference(tree) ? 1ull
-                                                             : 0ull;
-        };
-        return prep;
-    };
+    traceJob(req);
     return req;
 }
 
@@ -112,8 +95,9 @@ main(int argc, char **argv)
     report.comment("Ablation: work stealing vs. work dealing "
                    "(Zakkak-style)");
 
-    UtsParams tree = UtsParams::binomial(scaled<uint32_t>(128, 32), 4,
-                                         scaled<double>(0.24, 0.2), 7);
+    const serve::FleetWorkload tree = {"uts", scaled<uint32_t>(128, 32), 7,
+                                       scaled<double>(0.24, 0.2),
+                                       "binomial", 4};
 
     serve::FleetServer server(benchFleetConfig());
     struct PendingPair

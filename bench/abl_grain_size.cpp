@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "bench/fleet_util.hpp"
+#include "graph/generators.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;

@@ -10,8 +10,9 @@
  * addressing vs. SPM queues behind a DRAM pointer table, on steal-heavy
  * workloads.
  *
- * Every (workload, addressing) cell is one supervised FleetServer job;
- * the batch totals are asserted per status at the end. Instruction and
+ * Every (workload, addressing) cell is one supervised FleetServer job,
+ * checked against the registry's host reference digest; the batch
+ * totals are asserted per status at the end. Instruction and
  * steal counters flow back through a side-channel filled by each job's
  * digest stage (the last point where the worker's machine is alive).
  */
@@ -19,12 +20,10 @@
 #include <memory>
 
 #include "bench/fleet_util.hpp"
-#include "workloads/fib.hpp"
-#include "workloads/uts.hpp"
+#include "serve/workloads.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-using namespace spmrt::workloads;
 
 namespace {
 
@@ -41,58 +40,24 @@ struct Mode
     bool pointer_table;
 };
 
-/** Shared request scaffolding for both workloads. */
+/**
+ * One (workload, addressing) cell; its digest stage copies the
+ * machine's instruction and steal counters into @p stats.
+ */
 serve::JobRequest
-baseRequest(const char *workload, const Mode &mode)
+cellRequest(const char *workload, const serve::FleetWorkload &spec,
+            const Mode &mode, std::shared_ptr<CellStats> stats)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(spec);
     req.name = log::format("abl_queue/%s/%s", workload, mode.label);
     req.cacheKey = req.name;
     req.machine = MachineConfig{};
-    req.runtime = RuntimeConfig::full();
     req.runtime.queuePointerTable = mode.pointer_table;
     req.armChecker = false;
-    return req;
-}
-
-serve::JobRequest
-fibRequest(const Mode &mode, int n, std::shared_ptr<CellStats> stats)
-{
-    serve::JobRequest req = baseRequest("Fib", mode);
-    req.prepare = [n, stats](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        Addr out = machine.dramAlloc(8, 8);
-        serve::PreparedJob prep;
-        prep.root = [n, out](TaskContext &tc) { fibKernel(tc, n, out); };
-        prep.digest = [stats](Machine &m) {
-            stats->instructions = m.totalInstructions();
-            stats->steals = m.totalStat(&RuntimeStats::stealHits);
-            maybeWriteTrace(m);
-            return 0ull;
-        };
-        return prep;
-    };
-    return req;
-}
-
-serve::JobRequest
-utsRequest(const Mode &mode, const UtsParams &tree,
-           std::shared_ptr<CellStats> stats)
-{
-    serve::JobRequest req = baseRequest("UTS", mode);
-    req.prepare = [tree, stats](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto data = std::make_shared<UtsData>(utsSetup(machine, tree));
-        serve::PreparedJob prep;
-        prep.root = [data](TaskContext &tc) { utsKernel(tc, *data); };
-        prep.digest = [stats](Machine &m) {
-            stats->instructions = m.totalInstructions();
-            stats->steals = m.totalStat(&RuntimeStats::stealHits);
-            maybeWriteTrace(m);
-            return 0ull;
-        };
-        return prep;
-    };
+    traceJob(req, [stats](Machine &m) {
+        stats->instructions = m.totalInstructions();
+        stats->steals = m.totalStat(&RuntimeStats::stealHits);
+    });
     return req;
 }
 
@@ -102,7 +67,6 @@ int
 main(int argc, char **argv)
 {
     Report report("abl_queue_addressing", argc, argv);
-    const int fib_n = scaled<int>(17, 12);
     report.comment("Ablation: victim queue addressing (both configs "
                    "keep the queue itself in SPM)");
 
@@ -110,8 +74,11 @@ main(int argc, char **argv)
         {"fixed SPM offset (paper)", false},
         {"DRAM pointer table", true},
     };
-    UtsParams tree = UtsParams::geometric(scaled<uint32_t>(9, 7),
-                                          scaled<double>(2.7, 2.0), 42);
+    const std::pair<const char *, serve::FleetWorkload> workloads[] = {
+        {"Fib", {"fib", scaled<uint32_t>(17, 12)}},
+        {"UTS",
+         {"uts", scaled<uint32_t>(9, 7), 42, scaled<double>(2.7, 2.0)}},
+    };
 
     serve::FleetServer server(benchFleetConfig());
     struct PendingCell
@@ -122,21 +89,16 @@ main(int argc, char **argv)
         std::shared_ptr<CellStats> stats;
     };
     std::vector<PendingCell> pending;
-    for (const Mode &mode : modes) {
-        if (!report.wants(std::string("Fib/") + mode.label))
-            continue;
-        auto stats = std::make_shared<CellStats>();
-        pending.push_back({"Fib", mode.label,
-                           server.submit(fibRequest(mode, fib_n, stats)),
-                           stats});
-    }
-    for (const Mode &mode : modes) {
-        if (!report.wants(std::string("UTS/") + mode.label))
-            continue;
-        auto stats = std::make_shared<CellStats>();
-        pending.push_back({"UTS", mode.label,
-                           server.submit(utsRequest(mode, tree, stats)),
-                           stats});
+    for (const auto &[workload, spec] : workloads) {
+        for (const Mode &mode : modes) {
+            if (!report.wants(std::string(workload) + "/" + mode.label))
+                continue;
+            auto stats = std::make_shared<CellStats>();
+            pending.push_back(
+                {workload, mode.label,
+                 server.submit(cellRequest(workload, spec, mode, stats)),
+                 stats});
+        }
     }
 
     for (const PendingCell &cell : pending) {

@@ -9,8 +9,8 @@
  * sweep). This ablation measures all three on a steal-heavy dynamic
  * workload (UTS) and a skewed loop workload (PageRank, email-like).
  *
- * Every (workload, policy) cell is one supervised FleetServer job with
- * verification folded into the digest contract; steal counters flow
+ * Every (workload, policy) cell is one supervised FleetServer job,
+ * checked against the registry's digest; steal counters flow
  * back through a side-channel filled by each job's digest stage, and
  * the batch totals are asserted per status at the end.
  */
@@ -18,12 +18,10 @@
 #include <memory>
 
 #include "bench/fleet_util.hpp"
-#include "workloads/pagerank.hpp"
-#include "workloads/uts.hpp"
+#include "serve/workloads.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-using namespace spmrt::workloads;
 
 namespace {
 
@@ -40,69 +38,24 @@ struct Policy
     VictimPolicy policy;
 };
 
-/** Shared request scaffolding for both workloads. */
+/**
+ * One (workload, policy) cell; its digest stage copies the machine's
+ * steal counters into @p stats.
+ */
 serve::JobRequest
-baseRequest(const char *workload, const Policy &policy)
+cellRequest(const char *workload, const serve::FleetWorkload &spec,
+            const Policy &policy, std::shared_ptr<CellStats> stats)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(spec);
     req.name = log::format("abl_victim/%s/%s", workload, policy.label);
     req.cacheKey = req.name;
     req.machine = MachineConfig{};
-    req.runtime = RuntimeConfig::full();
     req.runtime.victimPolicy = policy.policy;
     req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    return req;
-}
-
-serve::JobRequest
-utsRequest(const Policy &policy, const UtsParams &tree,
-           std::shared_ptr<CellStats> stats)
-{
-    serve::JobRequest req = baseRequest("UTS", policy);
-    req.prepare = [tree, stats](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto data = std::make_shared<UtsData>(utsSetup(machine, tree));
-        serve::PreparedJob prep;
-        prep.root = [data](TaskContext &tc) { utsKernel(tc, *data); };
-        prep.digest = [tree, data, stats](Machine &m) {
-            stats->steals = m.totalStat(&RuntimeStats::stealHits);
-            stats->stealAttempts =
-                m.totalStat(&RuntimeStats::stealAttempts);
-            maybeWriteTrace(m);
-            return utsResult(m, *data) == utsReference(tree) ? 1ull
-                                                             : 0ull;
-        };
-        return prep;
-    };
-    return req;
-}
-
-serve::JobRequest
-pagerankRequest(const Policy &policy,
-                std::shared_ptr<const HostGraph> graph,
-                std::shared_ptr<CellStats> stats)
-{
-    serve::JobRequest req = baseRequest("PageRank", policy);
-    req.prepare = [graph, stats](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto data = std::make_shared<PageRankData>(
-            pagerankSetup(machine, *graph));
-        serve::PreparedJob prep;
-        prep.root = [data](TaskContext &tc) {
-            pagerankKernel(tc, *data, 1);
-        };
-        prep.digest = [graph, data, stats](Machine &m) {
-            stats->steals = m.totalStat(&RuntimeStats::stealHits);
-            stats->stealAttempts =
-                m.totalStat(&RuntimeStats::stealAttempts);
-            maybeWriteTrace(m);
-            return pagerankVerify(m, *data, *graph, 1) ? 1ull : 0ull;
-        };
-        return prep;
-    };
+    traceJob(req, [stats](Machine &m) {
+        stats->steals = m.totalStat(&RuntimeStats::stealHits);
+        stats->stealAttempts = m.totalStat(&RuntimeStats::stealAttempts);
+    });
     return req;
 }
 
@@ -121,10 +74,13 @@ main(int argc, char **argv)
     report.comment("Ablation: victim-selection policy, work-stealing "
                    "runtime (both in SPM)");
 
-    UtsParams tree = UtsParams::binomial(scaled<uint32_t>(128, 32), 4,
-                                         scaled<double>(0.24, 0.2), 7);
-    auto graph = std::make_shared<const HostGraph>(
-        genPowerLaw(scaled<uint32_t>(8192, 1024), 16, 0.7, 77));
+    const std::pair<const char *, serve::FleetWorkload> workloads[] = {
+        {"UTS",
+         {"uts", scaled<uint32_t>(128, 32), 7, scaled<double>(0.24, 0.2),
+          "binomial", 4}},
+        {"PageRank",
+         {"pagerank", scaled<uint32_t>(8192, 1024), 77, 0.0, "email", 16}},
+    };
 
     serve::FleetServer server(benchFleetConfig());
     struct PendingCell
@@ -135,22 +91,16 @@ main(int argc, char **argv)
         std::shared_ptr<CellStats> stats;
     };
     std::vector<PendingCell> pending;
-    for (const Policy &policy : policies) {
-        if (!report.wants(std::string("UTS/") + policy.label))
-            continue;
-        auto stats = std::make_shared<CellStats>();
-        pending.push_back({"UTS", policy.label,
-                           server.submit(utsRequest(policy, tree, stats)),
-                           stats});
-    }
-    for (const Policy &policy : policies) {
-        if (!report.wants(std::string("PageRank/") + policy.label))
-            continue;
-        auto stats = std::make_shared<CellStats>();
-        pending.push_back(
-            {"PageRank", policy.label,
-             server.submit(pagerankRequest(policy, graph, stats)),
-             stats});
+    for (const auto &[workload, spec] : workloads) {
+        for (const Policy &policy : policies) {
+            if (!report.wants(std::string(workload) + "/" + policy.label))
+                continue;
+            auto stats = std::make_shared<CellStats>();
+            pending.push_back(
+                {workload, policy.label,
+                 server.submit(cellRequest(workload, spec, policy, stats)),
+                 stats});
+        }
     }
 
     for (const PendingCell &cell : pending) {

@@ -25,6 +25,7 @@
 #include <memory>
 
 #include "bench/fleet_util.hpp"
+#include "graph/generators.hpp"
 #include "workloads/pagerank.hpp"
 
 using namespace spmrt;

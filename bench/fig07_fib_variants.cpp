@@ -6,8 +6,9 @@
  *
  * Every (series, variant) cell is one supervised FleetServer job: the
  * whole figure is submitted up front, cells parallelize across host
- * workers behind the hang watchdog, verification folds into the digest
- * contract, and the batch totals are asserted per status at the end.
+ * workers behind the hang watchdog, each result is checked against the
+ * registry's host reference digest, and the batch totals are asserted
+ * per status at the end.
  *
  * Expected shape (paper): both-in-DRAM slowest; SPM stack matters more
  * than SPM queue; both-in-SPM fastest; Fib-S slightly below Fib for the
@@ -17,40 +18,25 @@
  */
 
 #include "bench/fleet_util.hpp"
-#include "workloads/fib.hpp"
+#include "serve/workloads.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
-using namespace spmrt::workloads;
 
 namespace {
 
 /** One Fig. 7 cell (series x placement variant) as a fleet job. */
 serve::JobRequest
-cellRequest(const char *series, const Variant &variant, int n)
+cellRequest(const char *series, const Variant &variant, uint32_t n)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest({"fib", n});
     req.name = log::format("fig07/%s/%s", series, variant.label);
     req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime = variant.cfg;
     req.runtime.swOverflowCheck = std::string(series) == "Fib-S";
     req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    req.prepare = [n](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        Addr out = machine.dramAlloc(8, 8);
-        serve::PreparedJob prep;
-        prep.root = [n, out](TaskContext &tc) { fibKernel(tc, n, out); };
-        prep.digest = [n, out](Machine &m) {
-            bool ok = m.mem().peekAs<int64_t>(out) == fibReference(n);
-            maybeWriteTrace(m);
-            return ok ? 1ull : 0ull;
-        };
-        return prep;
-    };
+    traceJob(req);
     return req;
 }
 
@@ -60,8 +46,8 @@ int
 main(int argc, char **argv)
 {
     Report report("fig07_fib_variants", argc, argv);
-    const int n = scaled<int>(18, 12);
-    report.comment("Fig. 7: fib(%d) across work-stealing placement "
+    const uint32_t n = scaled<uint32_t>(18, 12);
+    report.comment("Fig. 7: fib(%u) across work-stealing placement "
                    "variants; speedup is relative to the naive "
                    "both-in-DRAM runtime",
                    n);

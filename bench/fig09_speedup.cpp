@@ -8,9 +8,10 @@
  * static cells run the static runtime via JobRequest::staticRuntime —
  * so the whole figure is a single batch submitted up front: cells
  * parallelize across host workers, each run sits behind the hang
- * watchdog, verification folds into the digest contract, and the batch
- * totals are asserted per status at the end (as fleet_batch does), so a
- * shed or quarantined cell cannot silently vanish from the figure.
+ * watchdog, each result is checked against the registry's digest, and
+ * the batch totals are asserted per status at the end (as fleet_batch
+ * does), so a shed or quarantined cell cannot silently vanish from the
+ * figure.
  *
  * Expected shape (paper): 1.2x-28.5x speedups for irregular inputs
  * (PageRank/BFS/SpMV/SpMT on skewed inputs, NQueens, UTS), minimal
@@ -32,29 +33,13 @@ serve::JobRequest
 cellRequest(const WorkloadRow &row, const Variant &variant,
             const MachineConfig &machine_cfg)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(row.spec);
     req.name = log::format("fig09/%s/%s/%s", row.workload.c_str(),
                            row.input.c_str(), variant.label);
     req.cacheKey = req.name;
     req.machine = machine_cfg;
-    req.runtime = variant.cfg;
-    req.runtime.userSpmReserve = row.spmReserve;
-    req.staticRuntime = variant.isStatic;
+    applyVariant(req, variant);
     req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            return instance->verify(m) ? 1ull : 0ull;
-        };
-        return prep;
-    };
     return req;
 }
 

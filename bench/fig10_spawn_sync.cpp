@@ -7,8 +7,9 @@
  *
  * Every (workload, variant) cell is one supervised FleetServer job: the
  * whole figure is submitted up front, cells parallelize across host
- * workers behind the hang watchdog, verification folds into the digest
- * contract, and the batch totals are asserted per status at the end.
+ * workers behind the hang watchdog, each result is checked against the
+ * registry's digest, and the batch totals are asserted per status at
+ * the end.
  *
  * Expected shape (paper): both workloads benefit from the SPM stack;
  * normalized performance of the other variants falls between ~0.6 and
@@ -28,31 +29,14 @@ serve::JobRequest
 cellRequest(const WorkloadRow &row, const Variant &variant,
             const MachineConfig &machine_cfg)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(row.spec);
     req.name = log::format("fig10/%s/%s/%s", row.workload.c_str(),
                            row.input.c_str(), variant.label);
     req.cacheKey = req.name;
     req.machine = machine_cfg;
-    req.runtime = variant.cfg;
-    req.runtime.userSpmReserve = row.spmReserve;
+    applyVariant(req, variant);
     req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            bool ok = instance->verify(m);
-            maybeWriteTrace(m);
-            return ok ? 1ull : 0ull;
-        };
-        return prep;
-    };
+    traceJob(req);
     return req;
 }
 

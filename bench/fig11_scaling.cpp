@@ -64,66 +64,40 @@ scalingRows()
     return rows;
 }
 
-/** One scaling cell as a supervised fleet job. */
+/**
+ * One scaling cell as a supervised fleet job; @p inspect sees the
+ * worker's machine at the digest stage (traceJob).
+ */
 serve::JobRequest
 cellRequest(const WorkloadRow &row, const MachineConfig &machine_cfg,
-            uint32_t cores)
+            uint32_t cores,
+            std::function<void(Machine &)> inspect = nullptr)
 {
-    serve::JobRequest req;
+    serve::JobRequest req = serve::makeWorkloadRequest(row.spec);
     req.name = log::format("fig11/%s/x%u", row.workload.c_str(), cores);
     req.cacheKey = req.name;
     req.machine = machine_cfg;
-    req.runtime = RuntimeConfig::full();
     req.runtime.activeCores = cores;
-    req.runtime.userSpmReserve = row.spmReserve;
     req.armChecker = false;
-    // Verification folds into the digest contract: 1 = verified.
-    req.expectedDigest = 1;
-    req.hasExpectedDigest = true;
-    auto prepare_row = row.prepare;
-    req.prepare = [prepare_row](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
-        auto instance =
-            std::make_shared<RowInstance>(prepare_row(machine));
-        serve::PreparedJob prep;
-        prep.root = [instance](TaskContext &tc) { instance->root(tc); };
-        prep.digest = [instance](Machine &m) {
-            maybeWriteTrace(m);
-            return instance->verify(m) ? 1ull : 0ull;
-        };
-        return prep;
-    };
+    traceJob(req, std::move(inspect));
     return req;
 }
 
 /**
- * Wrap a cell request so the digest stage (the last point the worker's
- * machine is alive — the fig06 idiom) also exports the run's NoC-link
- * and LLC-bank heatmaps, tagged by workload and machine geometry.
+ * Export the run's NoC-link and LLC-bank heatmaps, tagged by workload
+ * and machine geometry.
  */
 void
-addHeatmapExport(serve::JobRequest &req, const std::string &workload)
+exportHeatmaps(Machine &m, const std::string &workload)
 {
-    auto inner = req.prepare;
-    req.prepare = [inner, workload](Machine &machine,
-                                    serve::AssetCache &assets) {
-        serve::PreparedJob prep = inner(machine, assets);
-        auto digest = prep.digest;
-        prep.digest = [digest, workload](Machine &m) {
-            std::string tag = log::format(
-                "%s_%s", workload.c_str(), m.config().geometry().c_str());
-            obs::Heatmap noc_map = m.mem().noc().linkHeatmap();
-            noc_map.writeCsv(
-                log::format("BENCH_fig11_noc_heatmap_%s.csv", tag.c_str())
-                    .c_str());
-            obs::Heatmap llc_map = m.mem().llc().bankHeatmap();
-            llc_map.writeCsv(
-                log::format("BENCH_fig11_llc_heatmap_%s.csv", tag.c_str())
-                    .c_str());
-            return digest(m);
-        };
-        return prep;
-    };
+    std::string tag = log::format("%s_%s", workload.c_str(),
+                                  m.config().geometry().c_str());
+    obs::Heatmap noc_map = m.mem().noc().linkHeatmap();
+    noc_map.writeCsv(
+        log::format("BENCH_fig11_noc_heatmap_%s.csv", tag.c_str()).c_str());
+    obs::Heatmap llc_map = m.mem().llc().bankHeatmap();
+    llc_map.writeCsv(
+        log::format("BENCH_fig11_llc_heatmap_%s.csv", tag.c_str()).c_str());
 }
 
 /** The saturation study's workload subset: one compute-bound and one
@@ -248,13 +222,15 @@ main(int argc, char **argv)
                     SatCell cell;
                     cell.workload = row.workload;
                     cell.geometry = cfg.geometry();
-                    serve::JobRequest ws =
-                        cellRequest(row, cfg, cfg.numCores());
+                    serve::JobRequest ws = cellRequest(
+                        row, cfg, cfg.numCores(),
+                        [workload = row.workload](Machine &m) {
+                            exportHeatmaps(m, workload);
+                        });
                     ws.name = log::format("fig11sat/%s/%s/ws",
                                           row.workload.c_str(),
                                           cell.geometry.c_str());
                     ws.cacheKey = ws.name;
-                    addHeatmapExport(ws, row.workload);
                     serve::JobRequest st =
                         cellRequest(row, cfg, cfg.numCores());
                     st.name = log::format("fig11sat/%s/%s/static",

@@ -6,8 +6,8 @@
  * cell a JobRequest behind the hang watchdog and retry policy), settles
  * the rows it needs, and then asserts the per-status batch totals so a
  * shed, cancelled, quarantined, or failed cell cannot silently vanish
- * from the output. The two helpers here keep that contract identical
- * across benches.
+ * from the output. The helpers here keep that contract, and trace
+ * capture, identical across benches.
  */
 
 #ifndef SPMRT_BENCH_FLEET_UTIL_HPP
@@ -33,6 +33,32 @@ benchFleetConfig()
     if (!traceOutPath().empty())
         cfg.workers = 1;
     return cfg;
+}
+
+/**
+ * Wrap @p req's prepare so the job records SPMRT_TRACE_OUT's trace and,
+ * at the digest stage (the last point the worker's machine is alive),
+ * hands the machine to @p inspect for counters or heatmaps that the job
+ * report does not carry.
+ */
+inline void
+traceJob(serve::JobRequest &req,
+         std::function<void(Machine &)> inspect = nullptr)
+{
+    auto inner = req.prepare;
+    req.prepare = [inner, inspect](Machine &machine,
+                                   serve::AssetCache &assets) {
+        maybeArmTrace(machine);
+        serve::PreparedJob prep = inner(machine, assets);
+        auto digest = prep.digest;
+        prep.digest = [digest, inspect](Machine &m) {
+            if (inspect)
+                inspect(m);
+            maybeWriteTrace(m);
+            return digest(m);
+        };
+        return prep;
+    };
 }
 
 /**

@@ -12,8 +12,10 @@
  * machine-independent in a way absolute wall-clock is not.
  *
  * The two schedulers must agree on results, cycles, switches, and sync
- * points — this bench asserts it (cheaply re-checking test_engine_equiv's contract at
- * bench scale) so the recorded speedup is never a speedup into wrongness.
+ * points, and the result must equal the workload registry's host
+ * reference digest — this bench asserts it (cheaply re-checking
+ * test_engine_equiv's contract at bench scale) so the recorded speedup
+ * is never a speedup into wrongness.
  *
  * A second series ("throughput") measures batch simulation throughput
  * through the FleetServer: the same job mix on 1 worker vs 4 workers,
@@ -33,67 +35,9 @@
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
-#include "workloads/cilksort.hpp"
-#include "workloads/fib.hpp"
-#include "workloads/nqueens.hpp"
-#include "workloads/uts.hpp"
 
 namespace spmrt {
 namespace {
-
-using namespace spmrt::workloads;
-
-/** One workload under measurement. */
-struct HostWorkload
-{
-    const char *name;
-    std::function<uint64_t(Machine &, WorkStealingRuntime &)> run;
-};
-
-std::vector<HostWorkload>
-makeWorkloads()
-{
-    const int fib_n = bench::scaled(17, 11);
-    const uint32_t sort_n = bench::scaled(6000u, 800u);
-    const uint32_t uts_depth = bench::scaled(9u, 6u);
-    const uint32_t queens_n = bench::scaled(8u, 6u);
-
-    std::vector<HostWorkload> w;
-    w.push_back({"fib", [fib_n](Machine &machine, WorkStealingRuntime &rt) {
-                     Addr out = machine.dramAlloc(8, 8);
-                     rt.run([&](TaskContext &tc) {
-                         fibKernel(tc, fib_n, out);
-                     });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<int64_t>(out));
-                 }});
-    w.push_back({"cilksort",
-                 [sort_n](Machine &machine, WorkStealingRuntime &rt) {
-                     CilkSortData data = cilksortSetup(machine, sort_n, 900);
-                     rt.run([&](TaskContext &tc) {
-                         cilksortKernel(tc, data);
-                     });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<uint32_t>(data.data));
-                 }});
-    w.push_back({"uts",
-                 [uts_depth](Machine &machine, WorkStealingRuntime &rt) {
-                     UtsParams params =
-                         UtsParams::geometric(uts_depth, 2.2, 42);
-                     UtsData data = utsSetup(machine, params);
-                     rt.run([&](TaskContext &tc) { utsKernel(tc, data); });
-                     return utsResult(machine, data);
-                 }});
-    w.push_back({"nqueens",
-                 [queens_n](Machine &machine, WorkStealingRuntime &rt) {
-                     NQueensData data = nqueensSetup(machine, queens_n);
-                     rt.run([&](TaskContext &tc) {
-                         nqueensKernel(tc, data);
-                     });
-                     return nqueensResult(machine, data);
-                 }});
-    return w;
-}
 
 /** The two machine scales of the trajectory. */
 MachineConfig
@@ -168,8 +112,12 @@ measureFleet(uint32_t workers)
     return sample;
 }
 
+/**
+ * Run @p req once with the runtime constructed first, then the
+ * workload prepared: the order every trajectory point was recorded in.
+ */
 Sample
-measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
+measureOnce(const serve::JobRequest &req, uint32_t cores, bool reference)
 {
     Machine machine(machineFor(cores));
     machine.engine().setReferenceScheduler(reference);
@@ -177,9 +125,12 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
     uint64_t switches0 = machine.engine().switchCount();
     uint64_t syncs0 = machine.engine().syncPointCount();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
+    serve::AssetCache assets; // inputs are generated inside the timing
     auto start = std::chrono::steady_clock::now();
-    sample.digest = workload.run(machine, rt);
+    serve::PreparedJob prep = req.prepare(machine, assets);
+    rt.run(prep.root, prep.rootFrameBytes);
     auto stop = std::chrono::steady_clock::now();
+    sample.digest = prep.digest(machine);
     sample.wallMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
     sample.simCycles = machine.engine().maxTime();
@@ -195,17 +146,17 @@ measureOnce(const HostWorkload &workload, uint32_t cores, bool reference)
 // count, and switch/syncPoint counts — a rep that diverges is a
 // determinism bug, not noise, and fataling here beats gating on it.
 Sample
-measure(const HostWorkload &workload, uint32_t cores, bool reference)
+measure(const serve::JobRequest &req, uint32_t cores, bool reference)
 {
     constexpr int kReps = 3;
-    Sample best = measureOnce(workload, cores, reference);
+    Sample best = measureOnce(req, cores, reference);
     for (int rep = 1; rep < kReps; ++rep) {
-        Sample s = measureOnce(workload, cores, reference);
+        Sample s = measureOnce(req, cores, reference);
         if (s.digest != best.digest || s.simCycles != best.simCycles ||
             s.switches != best.switches || s.syncPoints != best.syncPoints)
             SPMRT_FATAL("host_perf: %s/%u rep %d diverged from rep 0 "
                         "(digest %llx vs %llx)",
-                        workload.name, cores, rep,
+                        req.name.c_str(), cores, rep,
                         (unsigned long long)s.digest,
                         (unsigned long long)best.digest);
         if (s.wallMs < best.wallMs)
@@ -215,14 +166,18 @@ measure(const HostWorkload &workload, uint32_t cores, bool reference)
 }
 
 /**
- * The first quantity on which @p fast and @p ref disagree, or nullptr
- * when they ran the identical simulation.
+ * The first quantity on which @p fast and @p ref disagree, with
+ * "reference_digest" when both computed a result other than the
+ * registry's host reference @p expected; nullptr when they ran the
+ * identical, correct simulation.
  */
 const char *
-divergence(const Sample &fast, const Sample &ref)
+divergence(const Sample &fast, const Sample &ref, uint64_t expected)
 {
     if (fast.digest != ref.digest)
         return "digest";
+    if (fast.digest != expected)
+        return "reference_digest";
     if (fast.simCycles != ref.simCycles)
         return "sim_cycles";
     if (fast.switches != ref.switches)
@@ -240,7 +195,12 @@ main(int argc, char **argv)
 {
     using namespace spmrt;
     bench::Report report("host_perf", argc, argv);
-    auto workloads = makeWorkloads();
+    const serve::FleetWorkload specs[] = {
+        {"fib", bench::scaled(17u, 11u)},
+        {"cilksort", bench::scaled(6000u, 800u), 900},
+        {"uts", bench::scaled(9u, 6u), 42, 2.2},
+        {"nqueens", bench::scaled(8u, 6u)},
+    };
     const uint32_t core_counts[] = {16, 128};
     // Recorded in every row: a wall-clock number only means anything
     // relative to the machine that measured it, and the fleet series
@@ -254,23 +214,27 @@ main(int argc, char **argv)
                         bench::quickMode() ? "true" : "false");
 
     bool first = true;
-    for (const auto &workload : workloads) {
+    for (const serve::FleetWorkload &spec : specs) {
+        const serve::JobRequest req = serve::makeWorkloadRequest(spec);
+        const char *name = spec.kind.c_str();
         for (uint32_t cores : core_counts) {
-            if (!report.wants(log::format("%s/%u", workload.name, cores)))
+            if (!report.wants(log::format("%s/%u", name, cores)))
                 continue;
-            Sample fast = measure(workload, cores, false);
-            Sample ref = measure(workload, cores, true);
+            Sample fast = measure(req, cores, false);
+            Sample ref = measure(req, cores, true);
             // The speedup is only meaningful if it is a speedup into the
-            // identical simulation.
-            const char *diverged = divergence(fast, ref);
+            // identical, correct simulation.
+            const char *diverged =
+                divergence(fast, ref, req.expectedDigest);
             bool ok = diverged == nullptr;
             if (!ok)
-                report.fail("%s at %u cores: fast and reference "
-                            "schedulers disagree on %s",
-                            workload.name, cores, diverged);
+                report.fail("%s at %u cores: the fast scheduler, the "
+                            "reference scheduler and the host reference "
+                            "disagree on %s",
+                            name, cores, diverged);
             double speedup = fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0;
             report.row()
-                .cell("workload", workload.name)
+                .cell("workload", name)
                 .cell("cores", cores)
                 .cell("wall_ms", fast.wallMs)
                 .cell("wall_ms_ref", ref.wallMs)
@@ -288,8 +252,8 @@ main(int argc, char **argv)
                 "\"speedup\": %.3f, \"switches\": %llu, "
                 "\"syncpoints\": %llu, \"sim_cycles\": %llu, "
                 "\"equivalent\": %s}",
-                workload.name, cores,
-                machineFor(cores).geometry().c_str(), host_cores,
+                name, cores, machineFor(cores).geometry().c_str(),
+                host_cores,
                 fast.wallMs, ref.wallMs, speedup,
                 static_cast<unsigned long long>(fast.switches),
                 static_cast<unsigned long long>(fast.syncPoints),

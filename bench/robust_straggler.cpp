@@ -15,6 +15,7 @@
  */
 
 #include "bench/support.hpp"
+#include "graph/csr.hpp"
 #include "runtime/static_runtime.hpp"
 #include "sim/fault.hpp"
 

@@ -1,44 +1,18 @@
 /**
  * @file
- * The workload/input rows of the paper's Table 1, with scaled-down
- * structural stand-ins for the paper's datasets (see DESIGN.md Sec. 2):
- *
- *   paper input      stand-in here
- *   MatMul 256/512   128 / 256 (same tiled kernel, 3 KB SPM reserve)
- *   g14k16           uniform random, 2^13 vertices, degree 16
- *   email-*          power-law (Zipf 0.7 endpoints, clustered hubs)
- *   c-58             banded structural matrix/graph
- *   bundle1          dense-row-minority ("bundle") matrix
- *   CilkSort 16K/128K  16K / 64K keys
- *   NQueens 8/9/10   6 / 7 / 8 (same backtracking kernel)
- *   UTS small-t1/t3  geometric / binomial splittable-RNG trees
+ * The workload/input rows of the paper's Table 1, as registry specs
+ * (serve/workloads.hpp, which also maps each stand-in input to the
+ * paper's dataset). Quick mode shrinks the inputs.
  */
 
 #ifndef SPMRT_BENCH_ROWS_HPP
 #define SPMRT_BENCH_ROWS_HPP
 
-#include <memory>
-
 #include "bench/support.hpp"
-#include "workloads/bfs.hpp"
-#include "workloads/cilksort.hpp"
-#include "workloads/mat_transpose.hpp"
-#include "workloads/matmul.hpp"
-#include "workloads/nqueens.hpp"
-#include "workloads/pagerank.hpp"
-#include "workloads/spm_transpose.hpp"
-#include "workloads/spmv.hpp"
-#include "workloads/uts.hpp"
+#include "serve/workloads.hpp"
 
 namespace spmrt {
 namespace bench {
-
-/** Closures bound to one machine's uploaded instance of a row. */
-struct RowInstance
-{
-    std::function<void(TaskContext &)> root;
-    std::function<bool(Machine &)> verify;
-};
 
 /** One (workload, input) row of Table 1. */
 struct WorkloadRow
@@ -46,282 +20,56 @@ struct WorkloadRow
     std::string workload;
     std::string input;
     bool hasStatic = true; ///< spawn-sync rows have no static baseline
-    uint32_t spmReserve = 0;
-    std::function<RowInstance(Machine &)> prepare;
+    serve::FleetWorkload spec;
 };
-
-/** Graph inputs shared by PageRank and BFS. */
-inline HostGraph
-benchGraph(const std::string &kind, uint32_t vertices, uint32_t degree)
-{
-    if (kind == "uniform")
-        return genUniformRandom(vertices, degree, 1001);
-    if (kind == "email")
-        return genPowerLaw(vertices, degree, 0.7, 1002);
-    if (kind == "c-58") {
-        // Band width scaled with |V| so the BFS diameter (≈ V/band)
-        // stays in the low hundreds of levels, as for the real c-58.
-        return genBanded(vertices, vertices / 170, degree, 1003);
-    }
-    SPMRT_FATAL("unknown graph kind %s", kind.c_str());
-}
-
-/** Matrix inputs shared by SpMV and SpMatrixTranspose. */
-inline HostCsr
-benchMatrix(const std::string &kind, uint32_t n, uint32_t nnz)
-{
-    if (kind == "bundle1")
-        return genCsrBundle(n, n, n / 256, nnz * 64, nnz / 2, 2001);
-    if (kind == "email")
-        return genCsrPowerLaw(n, n, nnz, 0.7, 2002);
-    if (kind == "c-58")
-        return genCsrBanded(n, 24, nnz, 2003);
-    SPMRT_FATAL("unknown matrix kind %s", kind.c_str());
-}
 
 /** Build the full row list (quick mode shrinks the inputs). */
 inline std::vector<WorkloadRow>
 table1Rows()
 {
-    using namespace spmrt::workloads;
     std::vector<WorkloadRow> rows;
+    auto add = [&rows](const char *workload, const std::string &input,
+                       bool has_static, const serve::FleetWorkload &spec) {
+        // Quick mode collapses some sizes onto one input: keep one row.
+        if (rows.empty() || rows.back().workload != workload ||
+            rows.back().input != input)
+            rows.push_back({workload, input, has_static, spec});
+    };
 
-    // ---- MatMul (static-balanced) --------------------------------------
-    for (uint32_t n : {scaled<uint32_t>(128, 64), scaled<uint32_t>(256, 64)}) {
-        if (!rows.empty() && rows.back().workload == "MatMul" &&
-            rows.back().input == std::to_string(n))
-            continue; // quick mode collapses the two sizes
-        WorkloadRow row;
-        row.workload = "MatMul";
-        row.input = std::to_string(n);
-        row.spmReserve = kMatMulSpmReserve;
-        row.prepare = [n](Machine &machine) {
-            auto data = std::make_shared<MatMulData>(
-                matmulSetup(machine, n, 100));
-            auto a = std::make_shared<HostDense>(
-                genDenseRandom(n, n, 100));
-            auto b = std::make_shared<HostDense>(
-                genDenseRandom(n, n, 101));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                matmulKernel(tc, *data);
-            };
-            instance.verify = [data, a, b](Machine &machine) {
-                return matmulVerify(machine, *data, *a, *b);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- PageRank (static-unbalanced) ----------------------------------
     // Full size matches the paper's g14k16: 2^14 vertices, degree 16.
     const uint32_t graph_v = scaled<uint32_t>(16384, 1024);
     const uint32_t graph_d = scaled<uint32_t>(16, 8);
-    for (const char *kind : {"uniform", "email", "c-58"}) {
-        WorkloadRow row;
-        row.workload = "PageRank";
-        row.input = kind;
-        std::string kind_str = kind;
-        row.prepare = [kind_str, graph_v, graph_d](Machine &machine) {
-            auto graph = std::make_shared<HostGraph>(
-                benchGraph(kind_str, graph_v, graph_d));
-            auto data = std::make_shared<PageRankData>(
-                pagerankSetup(machine, *graph));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                pagerankKernel(tc, *data, 1);
-            };
-            instance.verify = [data, graph](Machine &machine) {
-                return pagerankVerify(machine, *data, *graph, 1);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- BFS (static-unbalanced) ----------------------------------------
-    for (const char *kind : {"uniform", "email", "c-58"}) {
-        WorkloadRow row;
-        row.workload = "BFS";
-        row.input = kind;
-        std::string kind_str = kind;
-        row.prepare = [kind_str, graph_v, graph_d](Machine &machine) {
-            auto graph = std::make_shared<HostGraph>(
-                benchGraph(kind_str, graph_v, graph_d));
-            auto data = std::make_shared<BfsData>(
-                bfsSetup(machine, *graph, 0));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                bfsKernel(tc, *data);
-            };
-            instance.verify = [data, graph](Machine &machine) {
-                return bfsVerify(machine, *data, *graph);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- SpMV (static-unbalanced) ----------------------------------------
     const uint32_t mat_n = scaled<uint32_t>(16384, 1024);
     const uint32_t mat_nnz = scaled<uint32_t>(8, 6);
-    for (const char *kind : {"bundle1", "email", "c-58"}) {
-        WorkloadRow row;
-        row.workload = "SpMV";
-        row.input = kind;
-        std::string kind_str = kind;
-        row.prepare = [kind_str, mat_n, mat_nnz](Machine &machine) {
-            auto matrix = std::make_shared<HostCsr>(
-                benchMatrix(kind_str, mat_n, mat_nnz));
-            auto data = std::make_shared<SpmvData>(
-                spmvSetup(machine, *matrix, 7));
-            auto x = std::make_shared<std::vector<float>>(
-                spmvInputVector(machine, *data));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                spmvKernel(tc, *data);
-            };
-            instance.verify = [data, matrix, x](Machine &machine) {
-                return spmvVerify(machine, *data, *matrix, *x);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
+    const std::pair<const char *, uint64_t> graphs[] = {
+        {"uniform", 1001}, {"email", 1002}, {"c-58", 1003}};
+    const std::pair<const char *, uint64_t> matrices[] = {
+        {"bundle1", 2001}, {"email", 2002}, {"c-58", 2003}};
 
-    // ---- SpMatrixTranspose (static-unbalanced) ----------------------------
-    for (const char *kind : {"bundle1", "email", "c-58"}) {
-        WorkloadRow row;
-        row.workload = "SpMT";
-        row.input = kind;
-        std::string kind_str = kind;
-        row.prepare = [kind_str, mat_n, mat_nnz](Machine &machine) {
-            auto matrix = std::make_shared<HostCsr>(
-                benchMatrix(kind_str, mat_n, mat_nnz));
-            auto data = std::make_shared<SpmTransposeData>(
-                spmTransposeSetup(machine, *matrix));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                spmTransposeKernel(tc, *data);
-            };
-            instance.verify = [data, matrix](Machine &machine) {
-                return spmTransposeVerify(machine, *data, *matrix);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- MatrixTranspose (dynamic-balanced, no static baseline) -----------
-    for (uint32_t n : {scaled<uint32_t>(128, 64), scaled<uint32_t>(256, 64)}) {
-        if (!rows.empty() && rows.back().workload == "MatTrans" &&
-            rows.back().input == std::to_string(n))
-            continue;
-        WorkloadRow row;
-        row.workload = "MatTrans";
-        row.input = std::to_string(n);
-        row.hasStatic = false;
-        row.prepare = [n](Machine &machine) {
-            auto input = std::make_shared<HostDense>(
-                genDenseRandom(n, n, 600));
-            auto data = std::make_shared<MatTransposeData>(
-                matTransposeSetup(machine, n, 600));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                matTransposeKernel(tc, *data);
-            };
-            instance.verify = [data, input](Machine &machine) {
-                return matTransposeVerify(machine, *data, *input);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- CilkSort (dynamic-unbalanced, no static baseline) ----------------
+    // In the paper's Table 1 order.
+    for (uint32_t n : {scaled<uint32_t>(128, 64), scaled<uint32_t>(256, 64)})
+        add("MatMul", std::to_string(n), true, {"matmul", n, 100});
+    for (const auto &[label, kind] :
+         {std::pair{"PageRank", "pagerank"}, std::pair{"BFS", "bfs"}})
+        for (const auto &[input, seed] : graphs)
+            add(label, input, true,
+                {kind, graph_v, seed, 0.0, input, graph_d});
+    for (const auto &[label, kind] :
+         {std::pair{"SpMV", "spmv"}, std::pair{"SpMT", "spmt"}})
+        for (const auto &[input, seed] : matrices)
+            add(label, input, true, {kind, mat_n, seed, 0.0, input, mat_nnz});
+    for (uint32_t n : {scaled<uint32_t>(128, 64), scaled<uint32_t>(256, 64)})
+        add("MatTrans", std::to_string(n), false, {"mattrans", n, 600});
     for (uint32_t n :
-         {scaled<uint32_t>(16384, 4096), scaled<uint32_t>(65536, 4096)}) {
-        if (!rows.empty() && rows.back().workload == "CilkSort" &&
-            rows.back().input == std::to_string(n))
-            continue;
-        WorkloadRow row;
-        row.workload = "CilkSort";
-        row.input = std::to_string(n);
-        row.hasStatic = false;
-        row.prepare = [n](Machine &machine) {
-            auto data = std::make_shared<CilkSortData>(
-                cilksortSetup(machine, n, 700));
-            auto original = std::make_shared<std::vector<uint32_t>>(
-                downloadArray<uint32_t>(machine, data->data, n));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                cilksortKernel(tc, *data);
-            };
-            instance.verify = [data, original](Machine &machine) {
-                return cilksortVerify(machine, *data, *original);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- NQueens (dynamic-unbalanced) --------------------------------------
-    for (uint32_t n : {6u, 7u, scaled<uint32_t>(8, 7)}) {
-        if (!rows.empty() && rows.back().workload == "NQueens" &&
-            rows.back().input == std::to_string(n))
-            continue;
-        WorkloadRow row;
-        row.workload = "NQueens";
-        row.input = std::to_string(n);
-        row.prepare = [n](Machine &machine) {
-            auto data = std::make_shared<NQueensData>(
-                nqueensSetup(machine, n));
-            RowInstance instance;
-            instance.root = [data](TaskContext &tc) {
-                nqueensKernel(tc, *data);
-            };
-            instance.verify = [data, n](Machine &machine) {
-                return nqueensResult(machine, *data) ==
-                       nqueensReference(n);
-            };
-            return instance;
-        };
-        rows.push_back(std::move(row));
-    }
-
-    // ---- UTS (dynamic-unbalanced) -------------------------------------------
-    {
-        std::vector<std::pair<std::string, workloads::UtsParams>> trees;
-        trees.emplace_back(
-            "t1-geo", UtsParams::geometric(scaled<uint32_t>(9, 7),
-                                           scaled<double>(2.7, 2.2), 42));
-        trees.emplace_back(
-            "t3-bin",
-            UtsParams::binomial(scaled<uint32_t>(256, 64), 4,
-                                scaled<double>(0.246, 0.2), 77));
-        for (auto &[name, params] : trees) {
-            WorkloadRow row;
-            row.workload = "UTS";
-            row.input = name;
-            UtsParams tree_params = params;
-            row.prepare = [tree_params](Machine &machine) {
-                auto data = std::make_shared<UtsData>(
-                    utsSetup(machine, tree_params));
-                uint64_t expected = utsReference(tree_params);
-                RowInstance instance;
-                instance.root = [data](TaskContext &tc) {
-                    utsKernel(tc, *data);
-                };
-                instance.verify = [data, expected](Machine &machine) {
-                    return utsResult(machine, *data) == expected;
-                };
-                return instance;
-            };
-            rows.push_back(std::move(row));
-        }
-    }
-
+         {scaled<uint32_t>(16384, 4096), scaled<uint32_t>(65536, 4096)})
+        add("CilkSort", std::to_string(n), false, {"cilksort", n, 700});
+    for (uint32_t n : {6u, 7u, scaled<uint32_t>(8, 7)})
+        add("NQueens", std::to_string(n), true, {"nqueens", n});
+    add("UTS", "t1-geo", true,
+        {"uts", scaled<uint32_t>(9, 7), 42, scaled<double>(2.7, 2.2)});
+    add("UTS", "t3-bin", true,
+        {"uts", scaled<uint32_t>(256, 64), 77, scaled<double>(0.246, 0.2),
+         "binomial", 4});
     return rows;
 }
 

@@ -35,9 +35,9 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "graph/generators.hpp"
-#include "matrix/generators.hpp"
 #include "parallel/patterns.hpp"
+#include "serve/assets.hpp"
+#include "serve/job.hpp"
 
 namespace spmrt {
 namespace bench {
@@ -142,46 +142,51 @@ wsVariants()
     };
 }
 
+/**
+ * Point @p req at @p variant: its runtime configuration and static flag,
+ * keeping the SPM reserve the workload registry set.
+ */
+inline void
+applyVariant(serve::JobRequest &req, const Variant &variant)
+{
+    const uint32_t reserve = req.runtime.userSpmReserve;
+    req.runtime = variant.cfg;
+    req.runtime.userSpmReserve = reserve;
+    req.staticRuntime = variant.isStatic;
+}
+
 /** Result of one timed kernel execution. */
 struct RunResult
 {
     Cycles cycles = 0;
     uint64_t instructions = 0;
     uint64_t steals = 0;
-    uint64_t stealAttempts = 0;
     bool verified = true;
 };
 
 /**
- * Run @p root under @p variant on a fresh machine built by @p make_machine
- * and input prepared by @p setup; @p verify (optional) checks output.
- * Captures a Chrome trace when SPMRT_TRACE_OUT requests one.
+ * Run @p req once on a fresh machine outside the fleet, in the server's
+ * order (prepare, then the runtime), under req.machine, req.runtime and
+ * req.staticRuntime; verified means the digest matched. Captures a
+ * Chrome trace when SPMRT_TRACE_OUT requests one.
  */
 inline RunResult
-runVariant(const Variant &variant, const MachineConfig &machine_cfg,
-           uint32_t user_spm_reserve,
-           const std::function<void(Machine &)> &setup,
-           const std::function<void(TaskContext &)> &root,
-           const std::function<bool(Machine &)> &verify = nullptr)
+runVariant(const serve::JobRequest &req, serve::AssetCache &assets)
 {
-    Machine machine(machine_cfg);
+    Machine machine(req.machine);
     maybeArmTrace(machine);
-    setup(machine);
-    RuntimeConfig cfg = variant.cfg;
-    cfg.userSpmReserve = user_spm_reserve;
+    serve::PreparedJob prep = req.prepare(machine, assets);
     RunResult result;
-    if (variant.isStatic) {
-        StaticRuntime rt(machine, cfg);
-        result.cycles = rt.run(root);
+    if (req.staticRuntime) {
+        StaticRuntime rt(machine, req.runtime);
+        result.cycles = rt.run(prep.root, prep.rootFrameBytes);
     } else {
-        WorkStealingRuntime rt(machine, cfg);
-        result.cycles = rt.run(root);
+        WorkStealingRuntime rt(machine, req.runtime);
+        result.cycles = rt.run(prep.root, prep.rootFrameBytes);
     }
     result.instructions = machine.totalInstructions();
     result.steals = machine.totalStat(&RuntimeStats::stealHits);
-    result.stealAttempts = machine.totalStat(&RuntimeStats::stealAttempts);
-    if (verify)
-        result.verified = verify(machine);
+    result.verified = prep.digest(machine) == req.expectedDigest;
     maybeWriteTrace(machine);
     return result;
 }

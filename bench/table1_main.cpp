@@ -26,23 +26,18 @@ main(int argc, char **argv)
     if (quickMode())
         report.comment("QUICK MODE: shrunken inputs");
 
-    MachineConfig machine_cfg; // the paper's 16x8 machine
+    serve::AssetCache assets; // one generated input serves all six runs
     for (const WorkloadRow &row : table1Rows()) {
         if (!report.wants(row.workload + "/" + row.input))
             continue;
+        serve::JobRequest base = serve::makeWorkloadRequest(row.spec);
+        base.machine = MachineConfig{}; // the paper's 16x8 machine
         for (const Variant &variant : table1Variants()) {
             if (variant.isStatic && !row.hasStatic)
                 continue;
-            RowInstance instance; // bound during setup below
-            RunResult result = runVariant(
-                variant, machine_cfg, row.spmReserve,
-                [&](Machine &machine) {
-                    instance = row.prepare(machine);
-                },
-                [&](TaskContext &tc) { instance.root(tc); },
-                [&](Machine &machine) {
-                    return instance.verify(machine);
-                });
+            serve::JobRequest req = base;
+            applyVariant(req, variant);
+            RunResult result = runVariant(req, assets);
             if (!result.verified)
                 report.fail("%s/%s under '%s' failed verification",
                             row.workload.c_str(), row.input.c_str(),

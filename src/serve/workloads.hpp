@@ -1,14 +1,43 @@
 /**
  * @file
- * Named-workload registry for fleet jobs.
+ * The workload registry: the one home of every workload instance.
  *
- * Maps a compact declarative spec — workload name plus its parameters —
- * to a JobRequest whose prepare() rebuilds the workload on any fresh
- * Machine, sharing generated inputs through the batch AssetCache. The
- * digests produced here match the conventions used by the standalone
- * tests (fib: result value; cilksort: FNV-1a over the sorted array;
- * uts/nqueens: the count), so fleet results are byte-comparable with
- * single-process runs.
+ * A FleetWorkload is a compact declarative spec — kernel name plus its
+ * parameters — of one instance of the paper's ten kernels: Fib and
+ * Table 1's nine. makeWorkloadRequest() maps it to a JobRequest whose
+ * prepare() builds the instance on any fresh Machine, sharing generated
+ * host inputs through the batch AssetCache. This module alone decides
+ * an instance's input generators and fixed seeds, the order of its
+ * simulated allocations, and its digest convention. Fleet jobs, the
+ * figure and ablation benches, host_perf and the tests all build their
+ * workloads here (DESIGN.md Sec. 13).
+ *
+ * Digests: fib is the result value, cilksort FNV-1a over the sorted
+ * array, uts and nqueens the count, so those runs are byte-comparable
+ * with a host reference. The six kernels with no exact host reference
+ * (matmul, pagerank, bfs, spmv, spmt, mattrans) digest to 1 when their
+ * *Verify check passes and to 0 otherwise.
+ *
+ * Allocation order: prepare() allocates the instance's inputs, and a
+ * runtime constructor allocates its own DRAM (root home, queue table,
+ * DRAM stacks), so which of the two runs first moves the input
+ * addresses and with them the simulated cycles. FleetServer and
+ * bench::runVariant prepare first; the standalone tests and host_perf
+ * construct the runtime first, the order their recorded counts use.
+ *
+ * The Table-1 inputs (bench/rows.hpp) are scaled-down structural
+ * stand-ins for the paper's datasets (DESIGN.md Sec. 2):
+ *
+ *   paper input        stand-in here
+ *   MatMul 256/512     128 / 256 (same tiled kernel, 3 KB SPM reserve)
+ *   g14k16             "uniform": uniform random, 2^14 vertices, degree 16
+ *   email-*            "email": power-law (Zipf 0.7 endpoints, clustered
+ *                      hubs)
+ *   c-58               "c-58": banded structural graph / matrix
+ *   bundle1            "bundle1": dense-row-minority matrix
+ *   CilkSort 16K/128K  16K / 64K keys
+ *   NQueens 8/9/10     6 / 7 / 8 (same backtracking kernel)
+ *   UTS small-t1/t3    geometric / binomial splittable-RNG trees
  */
 
 #ifndef SPMRT_SERVE_WORKLOADS_HPP
@@ -35,20 +64,52 @@ fnvDigest(const std::vector<T> &values)
     return h;
 }
 
-/** Declarative spec of one registered workload instance. */
+/**
+ * Declarative spec of one registered workload instance. A field the
+ * kind does not read must keep its default: the registry rejects a
+ * spec that sets one, so every instance has exactly one spec and one
+ * key.
+ */
 struct FleetWorkload
 {
-    /** "fib", "cilksort", "uts", or "nqueens". */
+    /**
+     * "fib", "cilksort", "uts", "nqueens", "matmul", "pagerank", "bfs",
+     * "spmv", "spmt" (sparse-matrix transpose) or "mattrans" (dense
+     * transpose).
+     */
     std::string kind;
-    /** fib n / cilksort element count / uts max depth / nqueens n. */
+    /**
+     * fib n / cilksort element count / uts max depth (geometric) or
+     * root children (binomial) / nqueens n / matmul and mattrans matrix
+     * order (matmul: a multiple of the 16-element tile) / pagerank and
+     * bfs vertex count / spmv and spmt row count.
+     */
     uint32_t n = 0;
-    /** cilksort key seed / uts root seed (unused otherwise). */
+    /** Input seed: cilksort keys, uts root, generated graph or matrix. */
     uint64_t dataSeed = 0;
-    /** uts geometric branching factor (unused otherwise). */
+    /**
+     * uts branching: the expected branching factor (geometric) or the
+     * success probability q (binomial), at most three decimals.
+     */
     double branch = 0.0;
+    /**
+     * Input family: "uniform", "email" or "c-58" graphs (pagerank,
+     * bfs); "bundle1", "email" or "c-58" matrices (spmv, spmt); "" for
+     * a geometric or "binomial" for a binomial uts tree.
+     */
+    std::string input = "";
+    /**
+     * Graph average degree / sparse-matrix nonzeros per row / binomial
+     * uts children per success.
+     */
+    uint32_t degree = 0;
 };
 
-/** Canonical identity string, also the cacheKey ("cilksort/400/900"). */
+/**
+ * Canonical identity string, also the cacheKey ("cilksort/400/900").
+ * Throws std::runtime_error for an unknown kind or input, or a spec
+ * that sets a field its kind does not read.
+ */
 std::string workloadKey(const FleetWorkload &w);
 
 /** Host-side reference digest of @p w (what a correct run must produce). */
@@ -57,8 +118,10 @@ uint64_t workloadReference(const FleetWorkload &w);
 /**
  * A JobRequest running @p w: name/cacheKey filled from the spec,
  * expectedDigest set to the host reference, prepare() wired to the
- * workload's setup/kernel/result helpers. Machine/runtime/seed fields
- * keep their defaults — tune them on the returned request.
+ * workload's setup/kernel/result helpers, and matmul's SPM reserve set
+ * in runtime.userSpmReserve. Machine/runtime/seed fields otherwise keep
+ * their defaults — tune them on the returned request. Throws
+ * std::runtime_error for a spec workloadKey() rejects.
  */
 JobRequest makeWorkloadRequest(const FleetWorkload &w);
 

@@ -56,10 +56,17 @@ transposeRec(TaskContext &tc, const MatTransposeData &data, uint32_t r0,
 MatTransposeData
 matTransposeSetup(Machine &machine, uint32_t n, uint64_t seed)
 {
+    return matTransposeSetupFrom(machine, genDenseRandom(n, n, seed));
+}
+
+MatTransposeData
+matTransposeSetupFrom(Machine &machine, const HostDense &in)
+{
+    SPMRT_ASSERT(in.rows == in.cols, "transpose input must be square");
     MatTransposeData data;
-    data.n = n;
-    data.in = SimDense::upload(machine, genDenseRandom(n, n, seed));
-    data.out = SimDense::zeros(machine, n, n);
+    data.n = in.rows;
+    data.in = SimDense::upload(machine, in);
+    data.out = SimDense::zeros(machine, data.n, data.n);
     return data;
 }
 

@@ -29,6 +29,10 @@ struct MatTransposeData
 MatTransposeData matTransposeSetup(Machine &machine, uint32_t n,
                                    uint64_t seed);
 
+/** Upload square matrix @p in and allocate the destination. */
+MatTransposeData matTransposeSetupFrom(Machine &machine,
+                                       const HostDense &in);
+
 /** out = in^T via recursive quadrant division (dynamic contexts only). */
 void matTransposeKernel(TaskContext &tc, const MatTransposeData &data);
 

@@ -10,11 +10,21 @@ namespace workloads {
 MatMulData
 matmulSetup(Machine &machine, uint32_t n, uint64_t seed)
 {
+    return matmulSetupFrom(machine, genDenseRandom(n, n, seed),
+                           genDenseRandom(n, n, seed + 1));
+}
+
+MatMulData
+matmulSetupFrom(Machine &machine, const HostDense &a, const HostDense &b)
+{
+    const uint32_t n = a.rows;
+    SPMRT_ASSERT(a.cols == n && b.rows == n && b.cols == n,
+                 "matmul operands must be square and of one order");
     SPMRT_ASSERT(n % kMatMulTile == 0, "n must be a multiple of the tile");
     MatMulData data;
     data.n = n;
-    data.a = SimDense::upload(machine, genDenseRandom(n, n, seed));
-    data.b = SimDense::upload(machine, genDenseRandom(n, n, seed + 1));
+    data.a = SimDense::upload(machine, a);
+    data.b = SimDense::upload(machine, b);
     data.c = SimDense::zeros(machine, n, n);
     return data;
 }

@@ -32,8 +32,12 @@ struct MatMulData
     uint32_t n = 0;
 };
 
-/** Generate an n x n problem and upload it. */
+/** Generate an n x n problem (A from @p seed, B from seed + 1), upload it. */
 MatMulData matmulSetup(Machine &machine, uint32_t n, uint64_t seed);
+
+/** Upload square operands @p a and @p b and allocate a zeroed C. */
+MatMulData matmulSetupFrom(Machine &machine, const HostDense &a,
+                           const HostDense &b);
 
 /**
  * C = A * B over TxT tiles with SPM-resident tile buffers. Runs on both

@@ -14,12 +14,15 @@
 
 #include <string>
 
+#include "graph/generators.hpp"
 #include "runtime/queue_ops.hpp"
+#include "runtime/static_runtime.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "sim/checker.hpp"
 #include "sim/machine.hpp"
 #include "spm/layout.hpp"
 #include "spm/stack.hpp"
+#include "workloads/bfs.hpp"
 #include "workloads/fib.hpp"
 
 namespace spmrt {
@@ -451,6 +454,49 @@ TEST(CheckerRuntime, HealthyWorkStealingRunIsClean)
               workloads::fibReference(12));
     EXPECT_EQ(ck->violations().size(), 0u) << ck->report();
     EXPECT_GT(ck->shadowWords(), 0u) << "checker observed no traffic?";
+}
+
+/**
+ * A known, benign checker finding, pinned so it stays visible. BFS's
+ * frontier test `load(levels[u]) == level - 1` races with same-level
+ * discoveries: pull mode discovers with a plain store of `level`, push
+ * mode with an AMO min to `level`, and either value the test can read
+ * differs from `level - 1`, so the outcome is benign by construction.
+ * The checker has no annotation for the pattern and reports the pairs
+ * as races (DESIGN.md Sec. 9). Every bench disarms the checker, so
+ * this test is where the finding shows: BFS stays correct, and every
+ * report is a Race on a joinLevel word.
+ */
+TEST(CheckerRuntime, BfsFrontierRaceIsConfinedToJoinLevel)
+{
+    REQUIRE_CHECKER();
+    // The quick Table-1 "uniform" graph (bench/rows.hpp).
+    const HostGraph graph = genUniformRandom(1024, 8, 1001);
+    for (bool static_runtime : {false, true}) {
+        SCOPED_TRACE(static_runtime ? "static" : "work stealing");
+        Machine machine(MachineConfig::tiny());
+        ConcurrencyChecker *ck = machine.armChecker();
+        ASSERT_NE(ck, nullptr);
+        workloads::BfsData data = workloads::bfsSetup(machine, graph, 0);
+        auto root = [&data](TaskContext &tc) {
+            workloads::bfsKernel(tc, data);
+        };
+        if (static_runtime)
+            StaticRuntime(machine, RuntimeConfig::full()).run(root);
+        else
+            WorkStealingRuntime(machine, RuntimeConfig::full()).run(root);
+
+        EXPECT_TRUE(workloads::bfsVerify(machine, data, graph));
+        // Zero reports would mean the frontier test became race-free
+        // (a benign-race annotation or an AMO load): update Sec. 9.
+        EXPECT_GT(ck->violations().size(), 0u);
+        const Addr levels_end = data.joinLevel + 4ull * graph.numVertices;
+        for (const ConcurrencyChecker::Violation &v : ck->violations()) {
+            EXPECT_EQ(v.kind, VK::Race) << v.describe();
+            EXPECT_TRUE(v.addr >= data.joinLevel && v.addr < levels_end)
+                << v.describe();
+        }
+    }
 }
 
 TEST(CheckerRuntime, ArmCheckerIsNullWhenCompiledOut)

@@ -16,23 +16,18 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <functional>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "runtime/ws_runtime.hpp"
+#include "serve/assets.hpp"
+#include "serve/workloads.hpp"
 #include "sim/checker.hpp"
 #include "sim/fault.hpp"
-#include "workloads/cilksort.hpp"
-#include "workloads/fib.hpp"
-#include "workloads/nqueens.hpp"
-#include "workloads/uts.hpp"
 
 namespace spmrt {
 namespace {
-
-using namespace spmrt::workloads;
 
 constexpr Cycles kWindow = 8; ///< perturbation admission window
 
@@ -71,83 +66,13 @@ struct Outcome
     std::string report;
 };
 
-/** FNV-1a over a result vector, so array outputs digest to one word. */
-template <typename T>
-uint64_t
-fnvDigest(const std::vector<T> &values)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const T &v : values) {
-        h ^= static_cast<uint64_t>(v);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-/** One workload: reference digest + a run returning digest. */
-struct Workload
-{
-    const char *name;
-    uint64_t reference;
-    std::function<uint64_t(Machine &, WorkStealingRuntime &)> run;
+/** The equivalence workloads (serve/workloads.hpp specs). */
+const serve::FleetWorkload kWorkloads[] = {
+    {"fib", 12},
+    {"cilksort", 400, 900},
+    {"uts", 7, 42, 2.2},
+    {"nqueens", 6},
 };
-
-std::vector<Workload>
-makeWorkloads()
-{
-    std::vector<Workload> w;
-
-    w.push_back({"fib", static_cast<uint64_t>(fibReference(12)),
-                 [](Machine &machine, WorkStealingRuntime &rt) {
-                     Addr out = machine.dramAlloc(8, 8);
-                     rt.run([&](TaskContext &tc) { fibKernel(tc, 12, out); });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<int64_t>(out));
-                 }});
-
-    {
-        constexpr uint32_t kN = 400;
-        constexpr uint64_t kDataSeed = 900;
-        Machine ref_machine(MachineConfig::tiny());
-        CilkSortData ref = cilksortSetup(ref_machine, kN, kDataSeed);
-        std::vector<uint32_t> sorted =
-            downloadArray<uint32_t>(ref_machine, ref.data, kN);
-        std::sort(sorted.begin(), sorted.end());
-        w.push_back({"cilksort", fnvDigest(sorted),
-                     [](Machine &machine, WorkStealingRuntime &rt) {
-                         CilkSortData data =
-                             cilksortSetup(machine, kN, kDataSeed);
-                         rt.run([&](TaskContext &tc) {
-                             cilksortKernel(tc, data);
-                         });
-                         return fnvDigest(downloadArray<uint32_t>(
-                             machine, data.data, kN));
-                     }});
-    }
-
-    {
-        UtsParams params = UtsParams::geometric(7, 2.2, 42);
-        w.push_back({"uts", utsReference(params),
-                     [params](Machine &machine, WorkStealingRuntime &rt) {
-                         UtsData data = utsSetup(machine, params);
-                         rt.run([&](TaskContext &tc) {
-                             utsKernel(tc, data);
-                         });
-                         return utsResult(machine, data);
-                     }});
-    }
-
-    w.push_back({"nqueens", nqueensReference(6),
-                 [](Machine &machine, WorkStealingRuntime &rt) {
-                     NQueensData data = nqueensSetup(machine, 6);
-                     rt.run([&](TaskContext &tc) {
-                         nqueensKernel(tc, data);
-                     });
-                     return nqueensResult(machine, data);
-                 }});
-
-    return w;
-}
 
 /**
  * Run @p workload once under @p regime on the chosen scheduler, on an
@@ -156,7 +81,7 @@ makeWorkloads()
  * crossed against the uncached per-hop reference walk.
  */
 Outcome
-runOnceOn(const MachineConfig &cfg, const Workload &workload,
+runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
           const Regime &regime, bool reference, bool compiled_routes = true)
 {
     Machine machine(cfg);
@@ -176,7 +101,11 @@ runOnceOn(const MachineConfig &cfg, const Workload &workload,
     uint64_t switches0 = machine.engine().switchCount();
     uint64_t syncs0 = machine.engine().syncPointCount();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    out.digest = workload.run(machine, rt);
+    serve::AssetCache assets;
+    serve::PreparedJob prep =
+        serve::makeWorkloadRequest(workload).prepare(machine, assets);
+    rt.run(prep.root, prep.rootFrameBytes);
+    out.digest = prep.digest(machine);
     out.cycles = machine.engine().maxTime() - start;
     out.switches = machine.engine().switchCount() - switches0;
     out.syncPoints = machine.engine().syncPointCount() - syncs0;
@@ -192,8 +121,8 @@ runOnceOn(const MachineConfig &cfg, const Workload &workload,
 
 /** The historical single-geometry entry point: runs on tiny(). */
 Outcome
-runOnce(const Workload &workload, const Regime &regime, bool reference,
-        bool compiled_routes = true)
+runOnce(const serve::FleetWorkload &workload, const Regime &regime,
+        bool reference, bool compiled_routes = true)
 {
     return runOnceOn(MachineConfig::tiny(), workload, regime, reference,
                      compiled_routes);
@@ -220,15 +149,15 @@ class SchedulerEquivalence : public ::testing::TestWithParam<size_t>
 
 TEST_P(SchedulerEquivalence, FastMatchesReferenceBitForBit)
 {
-    const Workload workload = makeWorkloads()[GetParam()];
-    SCOPED_TRACE(workload.name);
+    const serve::FleetWorkload &workload = kWorkloads[GetParam()];
+    SCOPED_TRACE(workload.kind);
 
     for (const Regime &regime : makeRegimes()) {
         SCOPED_TRACE(regime.name);
         Outcome fast = runOnce(workload, regime, false);
         Outcome oracle = runOnce(workload, regime, true);
 
-        EXPECT_EQ(fast.digest, workload.reference)
+        EXPECT_EQ(fast.digest, serve::workloadReference(workload))
             << regime.name << ": fast scheduler computed a wrong result";
         expectSameRun(fast, oracle);
     }
@@ -237,12 +166,12 @@ TEST_P(SchedulerEquivalence, FastMatchesReferenceBitForBit)
 std::string
 workloadName(const ::testing::TestParamInfo<size_t> &info)
 {
-    static const char *const names[] = {"fib", "cilksort", "uts", "nqueens"};
-    return names[info.param];
+    return kWorkloads[info.param].kind;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, SchedulerEquivalence,
-                         ::testing::Range<size_t>(0, 4), workloadName);
+                         ::testing::Range<size_t>(0, std::size(kWorkloads)),
+                         workloadName);
 
 // ---- Free machine geometry: equivalence off the paper floorplan ----------
 
@@ -266,19 +195,18 @@ offPaperConfig()
 TEST(GeometryEquivalence, OffPaperMachineMatchesSequentialBitForBit)
 {
     const MachineConfig cfg = offPaperConfig();
-    const std::vector<Workload> workloads = makeWorkloads();
     const Regime regimes[] = {
         {"strict", false, 0, false, 0},
         {"faulted", false, 0, true, 5},
     };
     for (size_t wi : {size_t{0}, size_t{1}}) { // fib, cilksort
-        const Workload &workload = workloads[wi];
-        SCOPED_TRACE(workload.name);
+        const serve::FleetWorkload &workload = kWorkloads[wi];
+        SCOPED_TRACE(workload.kind);
         for (const Regime &regime : regimes) {
             SCOPED_TRACE(regime.name);
             Outcome fast = runOnceOn(cfg, workload, regime, false);
             Outcome oracle = runOnceOn(cfg, workload, regime, true);
-            EXPECT_EQ(fast.digest, workload.reference)
+            EXPECT_EQ(fast.digest, serve::workloadReference(workload))
                 << "fast run computed a wrong result off-paper";
             expectSameRun(fast, oracle);
         }
@@ -297,11 +225,11 @@ TEST(GeometryEquivalence, Big1024FastMatchesReference)
 {
     const MachineConfig cfg = MachineConfig::big1024();
     const Regime strict{"strict", false, 0, false, 0};
-    for (const Workload &workload : makeWorkloads()) {
-        SCOPED_TRACE(workload.name);
+    for (const serve::FleetWorkload &workload : kWorkloads) {
+        SCOPED_TRACE(workload.kind);
         Outcome fast = runOnceOn(cfg, workload, strict, false);
         Outcome oracle = runOnceOn(cfg, workload, strict, true);
-        EXPECT_EQ(fast.digest, workload.reference)
+        EXPECT_EQ(fast.digest, serve::workloadReference(workload))
             << "fast run computed a wrong result on big1024";
         expectSameRun(fast, oracle);
     }
@@ -319,20 +247,19 @@ TEST(GeometryEquivalence, Big1024FastMatchesReference)
  */
 TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
 {
-    const std::vector<Workload> workloads = makeWorkloads();
     const Regime regimes[] = {
         {"strict", false, 0, false, 0},
         {"perturbed", true, 3, false, 0},
         {"faulted", false, 0, true, 7},
     };
-    for (const Workload &workload : workloads) {
-        SCOPED_TRACE(workload.name);
+    for (const serve::FleetWorkload &workload : kWorkloads) {
+        SCOPED_TRACE(workload.kind);
         for (const Regime &regime : regimes) {
             SCOPED_TRACE(regime.name);
             Outcome fast = runOnce(workload, regime, false, true);
             Outcome oracle = runOnce(workload, regime, true, false);
 
-            EXPECT_EQ(fast.digest, workload.reference);
+            EXPECT_EQ(fast.digest, serve::workloadReference(workload));
             expectSameRun(fast, oracle);
             EXPECT_EQ(oracle.compiledTraversals, 0u)
                 << "reference run must not use compiled routes";
@@ -347,7 +274,7 @@ TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
  */
 TEST(SchedulerEquivalence, RouteFallbackEngagesDuringFaultWindows)
 {
-    const Workload workload = makeWorkloads()[0]; // fib
+    const serve::FleetWorkload &workload = kWorkloads[0]; // fib
 
     FaultPlan probe = FaultPlan::chaos(5, MachineConfig::tiny());
     ASSERT_TRUE(probe.hasLinkDelays())

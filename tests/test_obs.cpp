@@ -26,9 +26,10 @@
 #include "obs/telemetry.hpp"
 #include "runtime/queue_ops.hpp"
 #include "runtime/ws_runtime.hpp"
+#include "serve/assets.hpp"
+#include "serve/workloads.hpp"
 #include "workloads/cilksort.hpp"
 #include "workloads/fib.hpp"
-#include "workloads/uts.hpp"
 
 namespace spmrt {
 namespace {
@@ -44,43 +45,20 @@ struct RunCapture
     uint64_t syncPoints = 0;
 };
 
-uint64_t
-fnv1a(const std::vector<uint32_t> &values)
-{
-    uint64_t hash = 1469598103934665603ull;
-    for (uint32_t value : values) {
-        hash ^= value;
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
-/** Run one of the three reference workloads, optionally with telemetry. */
+/** Run @p workload, optionally with telemetry armed. */
 RunCapture
-runWorkload(const std::string &name, bool armed,
-            const MachineConfig &cfg = MachineConfig::tiny())
+runWorkload(const serve::FleetWorkload &workload, bool armed)
 {
-    Machine machine(cfg);
+    Machine machine(MachineConfig::tiny());
     if (armed)
         machine.armTelemetry();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
+    serve::AssetCache assets;
+    serve::PreparedJob prep =
+        serve::makeWorkloadRequest(workload).prepare(machine, assets);
+    rt.run(prep.root, prep.rootFrameBytes);
     RunCapture capture;
-    if (name == "fib") {
-        Addr out = machine.dramAlloc(8, 8);
-        rt.run([&](TaskContext &tc) { fibKernel(tc, 11, out); });
-        capture.digest =
-            static_cast<uint64_t>(machine.mem().peekAs<int64_t>(out));
-    } else if (name == "cilksort") {
-        CilkSortData data = cilksortSetup(machine, 600, 900);
-        rt.run([&](TaskContext &tc) { cilksortKernel(tc, data); });
-        capture.digest = fnv1a(
-            downloadArray<uint32_t>(machine, data.data, data.n));
-    } else {
-        UtsParams params = UtsParams::geometric(6, 2.2, 42);
-        UtsData data = utsSetup(machine, params);
-        rt.run([&](TaskContext &tc) { utsKernel(tc, data); });
-        capture.digest = utsResult(machine, data);
-    }
+    capture.digest = prep.digest(machine);
     capture.maxTime = machine.engine().maxTime();
     capture.switches = machine.engine().switchCount();
     capture.syncPoints = machine.engine().syncPointCount();
@@ -89,13 +67,15 @@ runWorkload(const std::string &name, bool armed,
 
 TEST(TelemetryNeutrality, ArmedRunsBitIdenticalToOff)
 {
-    for (const char *workload : {"fib", "cilksort", "uts"}) {
+    const serve::FleetWorkload workloads[] = {
+        {"fib", 11}, {"cilksort", 600, 900}, {"uts", 6, 42, 2.2}};
+    for (const serve::FleetWorkload &workload : workloads) {
         RunCapture off = runWorkload(workload, false);
         RunCapture armed = runWorkload(workload, true);
-        EXPECT_EQ(off.digest, armed.digest) << workload;
-        EXPECT_EQ(off.maxTime, armed.maxTime) << workload;
-        EXPECT_EQ(off.switches, armed.switches) << workload;
-        EXPECT_EQ(off.syncPoints, armed.syncPoints) << workload;
+        EXPECT_EQ(off.digest, armed.digest) << workload.kind;
+        EXPECT_EQ(off.maxTime, armed.maxTime) << workload.kind;
+        EXPECT_EQ(off.switches, armed.switches) << workload.kind;
+        EXPECT_EQ(off.syncPoints, armed.syncPoints) << workload.kind;
     }
 }
 

@@ -25,8 +25,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -35,15 +35,9 @@
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 #include "sim/checker.hpp"
-#include "workloads/cilksort.hpp"
-#include "workloads/fib.hpp"
-#include "workloads/nqueens.hpp"
-#include "workloads/uts.hpp"
 
 namespace spmrt {
 namespace {
-
-using namespace spmrt::workloads;
 
 constexpr uint64_t kNumSeeds = 16;
 constexpr Cycles kWindow = 8; ///< admission window around the min clock
@@ -57,89 +51,18 @@ struct Outcome
     std::string report;
 };
 
-/** FNV-1a over a result vector, so array outputs digest to one word. */
-template <typename T>
-uint64_t
-fnvDigest(const std::vector<T> &values)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const T &v : values) {
-        h ^= static_cast<uint64_t>(v);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
-/** One workload: reference digest + a run returning digest. */
-struct Workload
-{
-    const char *name;
-    uint64_t reference;
-    std::function<uint64_t(Machine &, WorkStealingRuntime &)> run;
+/** The swept workloads (serve/workloads.hpp specs). */
+const serve::FleetWorkload kWorkloads[] = {
+    {"fib", 12},
+    {"cilksort", 400, 900},
+    {"uts", 7, 42, 2.2},
+    {"nqueens", 6},
 };
-
-std::vector<Workload>
-makeWorkloads()
-{
-    std::vector<Workload> w;
-
-    w.push_back({"fib", static_cast<uint64_t>(fibReference(12)),
-                 [](Machine &machine, WorkStealingRuntime &rt) {
-                     Addr out = machine.dramAlloc(8, 8);
-                     rt.run([&](TaskContext &tc) { fibKernel(tc, 12, out); });
-                     return static_cast<uint64_t>(
-                         machine.mem().peekAs<int64_t>(out));
-                 }});
-
-    {
-        // Host-side reference sort for the digest.
-        constexpr uint32_t kN = 400;
-        constexpr uint64_t kDataSeed = 900;
-        Machine ref_machine(MachineConfig::tiny());
-        CilkSortData ref = cilksortSetup(ref_machine, kN, kDataSeed);
-        std::vector<uint32_t> sorted =
-            downloadArray<uint32_t>(ref_machine, ref.data, kN);
-        std::sort(sorted.begin(), sorted.end());
-        w.push_back({"cilksort", fnvDigest(sorted),
-                     [](Machine &machine, WorkStealingRuntime &rt) {
-                         CilkSortData data =
-                             cilksortSetup(machine, kN, kDataSeed);
-                         rt.run([&](TaskContext &tc) {
-                             cilksortKernel(tc, data);
-                         });
-                         return fnvDigest(downloadArray<uint32_t>(
-                             machine, data.data, kN));
-                     }});
-    }
-
-    {
-        UtsParams params = UtsParams::geometric(7, 2.2, 42);
-        w.push_back({"uts", utsReference(params),
-                     [params](Machine &machine, WorkStealingRuntime &rt) {
-                         UtsData data = utsSetup(machine, params);
-                         rt.run([&](TaskContext &tc) {
-                             utsKernel(tc, data);
-                         });
-                         return utsResult(machine, data);
-                     }});
-    }
-
-    w.push_back({"nqueens", nqueensReference(6),
-                 [](Machine &machine, WorkStealingRuntime &rt) {
-                     NQueensData data = nqueensSetup(machine, 6);
-                     rt.run([&](TaskContext &tc) {
-                         nqueensKernel(tc, data);
-                     });
-                     return nqueensResult(machine, data);
-                 }});
-
-    return w;
-}
 
 /** Run @p workload once; optionally perturbed, optionally checked. */
 Outcome
-runOnce(const Workload &workload, bool perturb, uint64_t sched_seed,
-        bool armed)
+runOnce(const serve::FleetWorkload &workload, bool perturb,
+        uint64_t sched_seed, bool armed)
 {
     Machine machine(MachineConfig::tiny());
     ConcurrencyChecker *ck = armed ? machine.armChecker() : nullptr;
@@ -149,7 +72,11 @@ runOnce(const Workload &workload, bool perturb, uint64_t sched_seed,
     Outcome out;
     Cycles start = machine.engine().maxTime();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    out.digest = workload.run(machine, rt);
+    serve::AssetCache assets;
+    serve::PreparedJob prep =
+        serve::makeWorkloadRequest(workload).prepare(machine, assets);
+    rt.run(prep.root, prep.rootFrameBytes);
+    out.digest = prep.digest(machine);
     out.cycles = machine.engine().maxTime() - start;
     if (ck != nullptr) {
         out.violations = ck->violations().size();
@@ -167,13 +94,7 @@ TEST_P(ScheduleSweep, SeededPerturbationIsCleanAndDeterministic)
 #if !SPMRT_CHECKER_ENABLED
     GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
 #endif
-    static const serve::FleetWorkload kSpecs[] = {
-        {"fib", 12, 0, 0.0},
-        {"cilksort", 400, 900, 0.0},
-        {"uts", 7, 42, 2.2},
-        {"nqueens", 6, 0, 0.0},
-    };
-    const serve::FleetWorkload spec = kSpecs[GetParam()];
+    const serve::FleetWorkload &spec = kWorkloads[GetParam()];
     SCOPED_TRACE(spec.kind);
 
     serve::FleetConfig fcfg;
@@ -216,23 +137,24 @@ TEST_P(ScheduleSweep, SeededPerturbationIsCleanAndDeterministic)
 std::string
 workloadName(const ::testing::TestParamInfo<size_t> &info)
 {
-    static const char *const names[] = {"fib", "cilksort", "uts", "nqueens"};
-    return names[info.param];
+    return kWorkloads[info.param].kind;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ScheduleSweep,
-                         ::testing::Range<size_t>(0, 4), workloadName);
+                         ::testing::Range<size_t>(0, std::size(kWorkloads)),
+                         workloadName);
 
 TEST(ScheduleSweep, UnperturbedRunIsCleanToo)
 {
 #if !SPMRT_CHECKER_ENABLED
     GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
 #endif
-    for (const Workload &workload : makeWorkloads()) {
+    for (const serve::FleetWorkload &workload : kWorkloads) {
         Outcome out = runOnce(workload, false, 0, true);
         EXPECT_EQ(out.violations, 0u)
-            << workload.name << ":\n" << out.report;
-        EXPECT_EQ(out.digest, workload.reference) << workload.name;
+            << workload.kind << ":\n" << out.report;
+        EXPECT_EQ(out.digest, serve::workloadReference(workload))
+            << workload.kind;
     }
 }
 
@@ -242,20 +164,20 @@ TEST(ScheduleSweep, ArmingTheCheckerChangesNoCycle)
     // same program must take exactly the same number of cycles. This is
     // the compiled-IN zero-overhead guarantee; the SPMRT_CHECKER=OFF
     // build enforces the compiled-OUT one by construction.
-    for (const Workload &workload : makeWorkloads()) {
+    for (const serve::FleetWorkload &workload : kWorkloads) {
         Outcome armed = runOnce(workload, false, 0, true);
         Outcome bare = runOnce(workload, false, 0, false);
         EXPECT_EQ(armed.cycles, bare.cycles)
-            << workload.name << ": arming the checker perturbed timing";
-        EXPECT_EQ(armed.digest, bare.digest) << workload.name;
+            << workload.kind << ": arming the checker perturbed timing";
+        EXPECT_EQ(armed.digest, bare.digest) << workload.kind;
 
         // Same under a perturbed schedule (same seed, armed vs not).
         Outcome armed_p = runOnce(workload, true, 3, true);
         Outcome bare_p = runOnce(workload, true, 3, false);
         EXPECT_EQ(armed_p.cycles, bare_p.cycles)
-            << workload.name
+            << workload.kind
             << ": checker perturbed a perturbed schedule";
-        EXPECT_EQ(armed_p.digest, bare_p.digest) << workload.name;
+        EXPECT_EQ(armed_p.digest, bare_p.digest) << workload.kind;
     }
 }
 

@@ -19,14 +19,19 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <iterator>
+#include <map>
 #include <set>
+#include <stdexcept>
 
+#include "runtime/static_runtime.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 #include "sim/fault.hpp"
 #include "workloads/cilksort.hpp"
 #include "workloads/fib.hpp"
+#include "workloads/matmul.hpp"
 
 namespace spmrt {
 namespace serve {
@@ -680,6 +685,124 @@ TEST(Fleet, AcceptanceBatchDegradesGracefully)
     EXPECT_NE(json.find("\"status\":\"hang\""), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"setup_failure\""), std::string::npos);
     EXPECT_NE(json.find("\"status\":\"cache_hit\""), std::string::npos);
+}
+
+// ---- Workload registry ---------------------------------------------------
+
+/** A small instance of every registered kind, input family and shape. */
+const FleetWorkload kRegistrySpecs[] = {
+    {"fib", 10},
+    {"cilksort", 300, 5},
+    {"uts", 5, 42, 2.0},
+    {"uts", 16, 7, 0.2, "binomial", 4},
+    {"nqueens", 5},
+    {"matmul", 32, 100},
+    {"mattrans", 32, 600},
+    {"pagerank", 512, 1001, 0.0, "uniform", 6},
+    {"pagerank", 512, 1002, 0.0, "email", 6},
+    {"pagerank", 512, 1003, 0.0, "c-58", 6},
+    {"bfs", 512, 1001, 0.0, "uniform", 6},
+    {"bfs", 512, 1002, 0.0, "email", 6},
+    {"bfs", 512, 1003, 0.0, "c-58", 6},
+    {"spmv", 512, 2001, 0.0, "bundle1", 6},
+    {"spmv", 512, 2002, 0.0, "email", 6},
+    {"spmv", 512, 2003, 0.0, "c-58", 6},
+    {"spmt", 512, 2001, 0.0, "bundle1", 6},
+    {"spmt", 512, 2002, 0.0, "email", 6},
+    {"spmt", 512, 2003, 0.0, "c-58", 6},
+};
+
+/** Run @p w standalone on tiny(): the runtime first, then prepare(). */
+uint64_t
+standaloneDigest(const FleetWorkload &w, bool static_runtime)
+{
+    JobRequest req = makeWorkloadRequest(w);
+    Machine machine(MachineConfig::tiny());
+    AssetCache assets;
+    auto run = [&](auto &rt) {
+        PreparedJob prep = req.prepare(machine, assets);
+        rt.run(prep.root, prep.rootFrameBytes);
+        return prep.digest(machine);
+    };
+    if (static_runtime) {
+        StaticRuntime rt(machine, req.runtime);
+        return run(rt);
+    }
+    WorkStealingRuntime rt(machine, req.runtime);
+    return run(rt);
+}
+
+TEST(WorkloadRegistry, EveryKindMatchesItsReferenceStandalone)
+{
+    for (const FleetWorkload &w : kRegistrySpecs) {
+        const std::string key = workloadKey(w);
+        const uint64_t expected = workloadReference(w);
+        EXPECT_EQ(standaloneDigest(w, false), expected)
+            << key << " under work stealing";
+        // Fib, CilkSort and MatTrans are spawn-sync kernels with no
+        // static form.
+        if (w.kind != "fib" && w.kind != "cilksort" &&
+            w.kind != "mattrans") {
+            EXPECT_EQ(standaloneDigest(w, true), expected)
+                << key << " under the static runtime";
+        }
+    }
+    EXPECT_EQ(makeWorkloadRequest({"matmul", 32, 100}).runtime.userSpmReserve,
+              kMatMulSpmReserve);
+}
+
+TEST(WorkloadRegistry, KeyChangesWithEverySpecField)
+{
+    // The key is the result-cache and quarantine identity: two specs
+    // that differ in one field must never share it. An edit the kind
+    // cannot take (a field it does not read, an input it lacks) must
+    // be rejected instead.
+    const std::map<std::string, std::string> twin = {
+        {"fib", "nqueens"},  {"nqueens", "fib"},  {"matmul", "mattrans"},
+        {"mattrans", "matmul"}, {"pagerank", "bfs"}, {"bfs", "pagerank"},
+        {"spmv", "spmt"},    {"spmt", "spmv"},    {"cilksort", "fib"},
+        {"uts", "fib"}};
+    std::set<std::string> keys;
+    for (const FleetWorkload &base : kRegistrySpecs) {
+        const std::string key = workloadKey(base);
+        keys.insert(key);
+        std::vector<FleetWorkload> edits(6, base);
+        edits[0].kind = twin.at(base.kind);
+        edits[1].n += 16;
+        edits[2].dataSeed += 1;
+        edits[3].branch += 0.5;
+        edits[4].input = base.input == "email" ? "c-58"
+                         : base.input.empty() ? "binomial"
+                                              : "email";
+        edits[5].degree += 1;
+        for (const FleetWorkload &edit : edits) {
+            try {
+                EXPECT_NE(workloadKey(edit), key)
+                    << "an edited " << edit.kind << " spec kept its key";
+            } catch (const std::runtime_error &) {
+            }
+        }
+        EXPECT_NO_THROW(workloadKey(edits[1])) << key;
+    }
+    EXPECT_EQ(keys.size(), std::size(kRegistrySpecs));
+}
+
+TEST(WorkloadRegistry, MalformedSpecsThrowTypedErrors)
+{
+    const FleetWorkload bad[] = {
+        {"quicksort", 10},                     // unknown kind
+        {"pagerank", 512, 1, 0.0, "rmat", 6},  // unknown graph family
+        {"spmv", 512, 1, 0.0, "uniform", 6},   // a graph, not a matrix
+        {"uts", 5, 42, 2.0, "binary"},         // unknown tree shape
+        {"fib", 10, 0, 0.0, "email"},          // fib takes no input
+        {"nqueens", 6, 9},                     // nqueens reads no seed
+        {"uts", 5, 42, 2.0, "", 3},            // degree on a geometric tree
+        {"uts", 5, 42, 2.0005},                // branch finer than its key
+        {"matmul", 40, 100},                   // not a multiple of the tile
+    };
+    for (const FleetWorkload &w : bad)
+        EXPECT_THROW(makeWorkloadRequest(w), std::runtime_error)
+            << w.kind << " '" << w.input << "'";
 }
 
 } // namespace

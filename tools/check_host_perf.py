@@ -36,6 +36,14 @@ trajectory points) are skipped: the bench no longer measures them.
 carries no row of that series — CI uses it to ensure the fleet bench
 does not silently drop out of the measurement.
 
+Simulated counts are the reproduction itself, so against the latest
+trajectory point (never the baseline, whose counts predate the
+commit-delta memory model) every row without a series tag must match
+the reference row's ``switches``, ``syncpoints`` and ``sim_cycles``
+exactly. The gate applies only when the point's ``quick`` flag matches
+the measurement's; otherwise it is skipped with a printed notice. A PR
+that moves cycles on purpose appends its point in the same PR.
+
 Usage:
     check_host_perf.py <measured.json> <baseline.json>
         [--trajectory BENCH_host_perf.json] [--append <label>]
@@ -51,6 +59,7 @@ import sys
 TRAJECTORY_SCHEMA = "spmrt-host-perf-trajectory-v1"
 POINT_SCHEMA = "spmrt-host-perf-v1"
 GATED_SERIES = (None, "throughput")
+COUNT_FIELDS = ("switches", "syncpoints", "sim_cycles")
 
 
 def row_key(r):
@@ -207,6 +216,29 @@ def check(measured, reference, reference_name, tolerance,
     return failures
 
 
+def check_counts(measured, measured_quick, point, point_name):
+    """Gate the simulated counts of every untagged reference row of
+    trajectory ``point``: they must equal the measured row's exactly.
+    Missing rows are left to check(), which already reports them."""
+    if point.get("quick", False) != measured_quick:
+        print(f"notice: {point_name} was recorded with quick="
+              f"{point.get('quick', False)}, the measurement with quick="
+              f"{measured_quick}; simulated-count gate skipped")
+        return []
+    failures = []
+    for key, base in key_rows(point["rows"]).items():
+        row = find_row(measured, key)
+        if base.get("series") is not None or row is None:
+            continue
+        for field in COUNT_FIELDS:
+            if row.get(field) != base.get(field):
+                failures.append(
+                    f"{describe_row(key, base, row)}: {field} "
+                    f"{row.get(field)} differs from {base.get(field)} "
+                    f"recorded by {point_name} — simulated counts moved")
+    return failures
+
+
 def append_point(trajectory_path, measured_doc, label):
     """Append the measured rows to the trajectory (creating it if new)."""
     if os.path.exists(trajectory_path):
@@ -301,6 +333,23 @@ def self_test():
     expect(check({}, key_rows([retired]), "trajectory", 0.75, 0.5) == [],
            "a retired series' reference rows must be skipped")
 
+    # Simulated counts gate exactly against the trajectory point, and
+    # only at the point's quick flag.
+    counts = {"workload": "uts", "cores": 16, "geometry": "4x4",
+              "speedup": 1.5, "equivalent": True, "switches": 3108,
+              "syncpoints": 4400, "sim_cycles": 2672}
+    point = {"label": "prev", "quick": True, "rows": [counts, fleet]}
+    expect(check_counts(key_rows([counts]), True, point, "prev") == [],
+           "equal counts must pass")
+    failures = check_counts(key_rows([dict(counts, sim_cycles=2673)]),
+                            True, point, "prev")
+    expect(len(failures) == 1 and "sim_cycles" in failures[0] and
+           "uts/16" in failures[0],
+           f"one cycle off must fail naming sim_cycles: {failures}")
+    expect(check_counts(key_rows([dict(counts, sim_cycles=2673)]), False,
+                        point, "prev") == [],
+           "a different quick flag must skip the count gate")
+
     print("check_host_perf.py --self-test passed")
     return 0
 
@@ -355,10 +404,13 @@ def main():
         else:
             trajectory = load_trajectory(args.trajectory)
             latest = trajectory["points"][-1]
+            latest_name = f"{args.trajectory}[{latest['label']}]"
             failures += check(
-                measured, key_rows(latest["rows"]),
-                f"{args.trajectory}[{latest['label']}]", args.tolerance,
-                args.throughput_tolerance)
+                measured, key_rows(latest["rows"]), latest_name,
+                args.tolerance, args.throughput_tolerance)
+            failures += check_counts(measured,
+                                     measured_doc.get("quick", False),
+                                     latest, latest_name)
 
     if failures:
         print("host-perf regression check FAILED:", file=sys.stderr)
