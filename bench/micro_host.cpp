@@ -4,18 +4,22 @@
  * data-structure costs. These measure *host* nanoseconds, not simulated
  * cycles — they bound how fast the simulator itself can run and catch
  * regressions in the hot paths (context switch, fluid-server charge,
- * NoC traversal, RNGs, task registry, allocator, machine build).
+ * NoC traversal, LLC lookup, RNGs, task registry, allocator, machine
+ * build).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bench/support.hpp"
 #include "common/rng.hpp"
 #include "mem/alloc.hpp"
+#include "mem/dram.hpp"
 #include "mem/fluid_server.hpp"
+#include "mem/llc.hpp"
 #include "mem/memory_system.hpp"
 #include "mem/noc.hpp"
 #include "runtime/task.hpp"
@@ -44,10 +48,11 @@ BM_SplittableSplit(benchmark::State &state)
 }
 BENCHMARK(BM_SplittableSplit);
 
+/** The rate-1 server every mesh link, SPM port and LLC bank charges. */
 void
 BM_FluidServerCharge(benchmark::State &state)
 {
-    FluidServer server(1);
+    UnitFluidServer server;
     Cycles t = 0;
     for (auto _ : state)
         benchmark::DoNotOptimize(server.charge(t++, 2));
@@ -71,30 +76,76 @@ BM_NocTraverse(benchmark::State &state)
 BENCHMARK(BM_NocTraverse);
 
 /**
- * Same random traffic as BM_NocTraverse, but toggling the compiled route
- * tables. Args: {compiled?}. The "walk" row is the per-hop routing walk
- * (fault-plan fallback path); the "compiled" row replays the prebuilt
- * link list. The delta is the host cost the route tables remove from
- * every remote access.
+ * Random traffic on the paper machine, toggling the compiled step
+ * tables. Args: {compiled?, banks?}. The "walk" rows take the per-hop
+ * routing walk (fault-plan fallback path); the "compiled" rows replay
+ * the precomputed X and Y steps. The delta is the host cost the step
+ * tables remove from every remote access. banks = 0 sends core to core
+ * (remote SPM); banks = 1 alternates a core-to-bank request with a
+ * bank-to-core response (every LLC access pays both).
  */
 void
 BM_NocTraverseCompiled(benchmark::State &state)
 {
     const bool compiled = state.range(0) != 0;
+    const bool banks = state.range(1) != 0;
     MachineConfig cfg;
     MeshNoc noc(cfg);
     noc.setCompiledRoutes(compiled);
     Xoshiro256StarStar rng(3);
     Cycles t = 0;
+    bool request = true;
     for (auto _ : state) {
-        CoreId src = static_cast<CoreId>(rng.nextBounded(cfg.numCores()));
-        CoreId dst = static_cast<CoreId>(rng.nextBounded(cfg.numCores()));
-        benchmark::DoNotOptimize(noc.traverse(
-            noc.coreEndpoint(src), noc.coreEndpoint(dst), t++, 4));
+        NocEndpoint core = noc.coreEndpoint(
+            static_cast<CoreId>(rng.nextBounded(cfg.numCores())));
+        NocEndpoint other =
+            banks ? noc.bankEndpoint(static_cast<uint32_t>(
+                        rng.nextBounded(cfg.llcBanks)))
+                  : noc.coreEndpoint(static_cast<CoreId>(
+                        rng.nextBounded(cfg.numCores())));
+        if (!banks || request)
+            benchmark::DoNotOptimize(noc.traverse(core, other, t++, 4));
+        else
+            benchmark::DoNotOptimize(noc.traverse(other, core, t++, 64));
+        request = !request;
     }
-    state.SetLabel(compiled ? "compiled" : "walk");
+    state.SetLabel(std::string(compiled ? "compiled" : "walk") +
+                   (banks ? " core<->bank" : " core->core"));
 }
-BENCHMARK(BM_NocTraverseCompiled)->Arg(0)->Arg(1);
+BENCHMARK(BM_NocTraverseCompiled)
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({0, 1})
+    ->Args({1, 1});
+
+/**
+ * One LLC lookup on the paper geometry (32 banks x 64 sets x 8 ways):
+ * random words over twice the cache's capacity, a quarter of them
+ * stores, so lookups mix hits with misses, LRU fills and dirty
+ * write-backs the way a DRAM-heavy kernel's do.
+ */
+void
+BM_LlcAccess(benchmark::State &state)
+{
+    MachineConfig cfg = MachineConfig::paper();
+    DramModel dram(cfg);
+    LlcModel llc(cfg, dram);
+    const uint64_t lines = 2ull * cfg.llcBanks * cfg.llcSetsPerBank *
+                           cfg.llcWays;
+    Xoshiro256StarStar rng(5);
+    Cycles t = 0;
+    for (auto _ : state) {
+        const uint64_t r = rng.next();
+        const uint64_t offset = (r % lines) * cfg.llcLineBytes;
+        benchmark::DoNotOptimize(
+            llc.access(t++, offset, 4, (r >> 60) < 4));
+    }
+    state.SetLabel(std::to_string(llc.hits() * 100 /
+                                  std::max<uint64_t>(1, llc.hits() +
+                                                            llc.misses())) +
+                   "% hits");
+}
+BENCHMARK(BM_LlcAccess);
 
 /**
  * The dominant simulated-memory operation: the issuing core loading a
@@ -198,7 +249,7 @@ BENCHMARK(BM_RangeAllocator);
  * advances by ~1 cycle and hits a sync point, so nearly every sync point
  * is a yield plus a scheduler pick. Args: {reference?, cores}. Comparing
  * the reference rows against the fast rows isolates the O(N) scan vs.
- * O(log N) indexed-heap cost per switch.
+ * O(log N) winner-tree cost per switch.
  */
 void
 BM_EngineScheduleSwitch(benchmark::State &state)

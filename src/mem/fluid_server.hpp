@@ -23,7 +23,8 @@
 namespace spmrt {
 
 /**
- * Single queueing station draining @c rate units per cycle.
+ * Single queueing station draining @c rate units per cycle (the DRAM
+ * channels, whose rate is the configured bytes per cycle).
  */
 class FluidServer
 {
@@ -41,16 +42,12 @@ class FluidServer
     Cycles
     charge(Cycles t, uint64_t units)
     {
-        // rate_ == 1 for nearly every server (links, SPM ports, LLC
-        // banks); branching past the division there is much cheaper than
-        // dividing by a runtime value, and arithmetically identical.
         if (t > anchor_) {
-            uint64_t drained =
-                rate_ == 1 ? t - anchor_ : (t - anchor_) * rate_;
+            uint64_t drained = (t - anchor_) * rate_;
             backlog_ = backlog_ > drained ? backlog_ - drained : 0;
             anchor_ = t;
         }
-        Cycles delay = rate_ == 1 ? backlog_ : backlog_ / rate_;
+        Cycles delay = backlog_ / rate_;
         backlog_ += units;
         return delay;
     }
@@ -68,6 +65,44 @@ class FluidServer
 
   private:
     uint32_t rate_;
+    Cycles anchor_ = 0;
+    uint64_t backlog_ = 0;
+};
+
+/**
+ * FluidServer at rate 1 (one unit per cycle): mesh links, SPM ports and
+ * LLC banks. The arithmetic is FluidServer's with the rate folded away,
+ * so a charge needs no multiply or divide and the state is 16 bytes.
+ */
+class UnitFluidServer
+{
+  public:
+    /** As FluidServer::charge at rate 1. */
+    Cycles
+    charge(Cycles t, uint64_t units)
+    {
+        if (t > anchor_) {
+            uint64_t drained = t - anchor_;
+            backlog_ = backlog_ > drained ? backlog_ - drained : 0;
+            anchor_ = t;
+        }
+        Cycles delay = backlog_;
+        backlog_ += units;
+        return delay;
+    }
+
+    /** Current backlog in service units (diagnostics). */
+    uint64_t backlogUnits() const { return backlog_; }
+
+    /** Forget all state. */
+    void
+    reset()
+    {
+        anchor_ = 0;
+        backlog_ = 0;
+    }
+
+  private:
     Cycles anchor_ = 0;
     uint64_t backlog_ = 0;
 };

@@ -8,14 +8,29 @@ namespace spmrt {
 LlcModel::LlcModel(const MachineConfig &cfg, DramModel &dram)
     : dram_(dram), numBanks_(cfg.llcBanks), lineBytes_(cfg.llcLineBytes),
       setsPerBank_(cfg.llcSetsPerBank), ways_(cfg.llcWays),
-      bankLatency_(cfg.llcLatency), bankOccupancy_(cfg.llcBankOccupancy)
+      bankLatency_(cfg.llcLatency), bankOccupancy_(cfg.llcBankOccupancy),
+      lineShift_(floorLog2(cfg.llcLineBytes)),
+      pow2_(isPowerOfTwo(cfg.llcBanks) && isPowerOfTwo(cfg.llcSetsPerBank))
 {
     SPMRT_ASSERT(isPowerOfTwo(lineBytes_), "LLC line size not a power of 2");
     // Bank count vs. edge placement (even split across two edges, any
     // count on one) is MachineConfig::validate()'s job; the model itself
     // stripes lines over any nonzero bank count.
     SPMRT_ASSERT(numBanks_ >= 1, "LLC needs at least one bank");
-    banks_.assign(numBanks_, FluidServer(1));
+    SPMRT_ASSERT(setsPerBank_ >= 1, "LLC needs at least one set per bank");
+    if (pow2_) {
+        bankShift_ = floorLog2(numBanks_);
+        bankMask_ = numBanks_ - 1;
+        setShift_ = floorLog2(setsPerBank_);
+        setMask_ = setsPerBank_ - 1;
+    }
+    // The compact Way stores a 32-bit tag and a 31-bit line number.
+    const uint64_t lines = cfg.dramBytes >> lineShift_;
+    SPMRT_ASSERT(lines <= (uint64_t(1) << 31) &&
+                     lines / numBanks_ / setsPerBank_ < kNoTag,
+                 "%llu DRAM lines overflow the LLC way record",
+                 static_cast<unsigned long long>(lines));
+    banks_.assign(numBanks_, UnitFluidServer{});
     tags_.assign(static_cast<size_t>(numBanks_) * setsPerBank_ * ways_,
                  Way{});
     bankAccesses_.assign(numBanks_, 0);
@@ -56,7 +71,7 @@ LlcModel::registerStats(obs::StatRegistry &registry) const
 void
 LlcModel::reset()
 {
-    for (FluidServer &bank : banks_)
+    for (UnitFluidServer &bank : banks_)
         bank.reset();
     std::fill(tags_.begin(), tags_.end(), Way{});
     std::fill(bankAccesses_.begin(), bankAccesses_.end(), 0);
@@ -70,7 +85,7 @@ LlcModel::reset()
 }
 
 Cycles
-LlcModel::fill(Cycles done, uint32_t bank, Way *ways, uint64_t tag,
+LlcModel::fill(Cycles done, uint32_t bank, Way *ways, uint32_t tag,
                uint64_t line, bool is_store)
 {
     // Miss: pick an invalid way or evict the LRU way.
@@ -78,21 +93,26 @@ LlcModel::fill(Cycles done, uint32_t bank, Way *ways, uint64_t tag,
     ++bankMisses_[bank];
     uint32_t victim = 0;
     for (uint32_t w = 0; w < ways_; ++w) {
-        if (!ways[w].valid) {
+        if (ways[w].lastUse == 0) {
             victim = w;
             break;
         }
         if (ways[w].lastUse < ways[victim].lastUse)
             victim = w;
     }
-    if (ways[victim].valid && ways[victim].dirty) {
+    // An invalid way's dirty bit is clear, so this implies validity.
+    if (ways[victim].lineDirty & 1u) {
         // Write-back occupies the DRAM bus but does not delay the fill's
         // critical path beyond the shared bus occupancy.
-        dram_.access(done, ways[victim].line * lineBytes_, lineBytes_);
+        dram_.access(done,
+                     static_cast<uint64_t>(ways[victim].lineDirty >> 1)
+                         << lineShift_,
+                     lineBytes_);
         ++writebacks_;
     }
-    Cycles filled = dram_.access(done, line * lineBytes_, lineBytes_);
-    ways[victim] = Way{tag, line, useClock_, true, is_store};
+    Cycles filled = dram_.access(done, line << lineShift_, lineBytes_);
+    ways[victim] = Way{useClock_, tag,
+                       static_cast<uint32_t>(line << 1) | (is_store ? 1u : 0u)};
     return filled;
 }
 

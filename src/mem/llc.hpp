@@ -43,7 +43,9 @@ class LlcModel
     uint32_t
     bankOf(uint64_t dram_offset) const
     {
-        return static_cast<uint32_t>((dram_offset / lineBytes_) % numBanks_);
+        const uint64_t line = dram_offset >> lineShift_;
+        return static_cast<uint32_t>(pow2_ ? line & bankMask_
+                                           : line % numBanks_);
     }
 
     /**
@@ -63,19 +65,32 @@ class LlcModel
     access(Cycles arrive, uint64_t dram_offset, uint32_t bytes,
            bool is_store)
     {
-        const uint64_t line = dram_offset / lineBytes_;
-        SPMRT_ASSERT((dram_offset % lineBytes_) + bytes <= lineBytes_,
+        const uint64_t line = dram_offset >> lineShift_;
+        SPMRT_ASSERT((dram_offset & (lineBytes_ - 1)) + bytes <= lineBytes_,
                      "LLC access straddles a line boundary");
-        const uint32_t bank = bankOf(dram_offset);
         // XOR-fold the upper address bits into the set index so regular
         // strides (e.g. the per-core 256 KB overflow stacks) don't all
         // land in one set — the index hashing any real LLC employs.
-        const uint64_t in_bank = line / numBanks_;
-        const uint64_t folded = in_bank ^ (in_bank / setsPerBank_) ^
-                                (in_bank / setsPerBank_ / setsPerBank_);
-        const uint32_t index =
-            static_cast<uint32_t>(folded % setsPerBank_);
-        const uint64_t tag = in_bank / setsPerBank_;
+        // Power-of-two bank and set counts (every preset) take the same
+        // arithmetic as shifts and masks.
+        uint32_t bank;
+        uint32_t index;
+        uint64_t in_bank;
+        if (pow2_) {
+            bank = static_cast<uint32_t>(line & bankMask_);
+            in_bank = line >> bankShift_;
+            const uint64_t folded = in_bank ^ (in_bank >> setShift_) ^
+                                    (in_bank >> (2 * setShift_));
+            index = static_cast<uint32_t>(folded & setMask_);
+        } else {
+            bank = static_cast<uint32_t>(line % numBanks_);
+            in_bank = line / numBanks_;
+            const uint64_t folded = in_bank ^ (in_bank / setsPerBank_) ^
+                                    (in_bank / setsPerBank_ / setsPerBank_);
+            index = static_cast<uint32_t>(folded % setsPerBank_);
+        }
+        const uint32_t tag = static_cast<uint32_t>(
+            pow2_ ? in_bank >> setShift_ : in_bank / setsPerBank_);
 
         // Serialize at the bank, then pay the tag/data pipeline latency.
         Cycles wait = banks_[bank].charge(arrive, bankOccupancy_);
@@ -88,11 +103,11 @@ class LlcModel
         Way *ways = set(bank, index);
         ++useClock_;
 
-        // Hit path.
+        // Hit path (an invalid way's tag is kNoTag, which no line has).
         for (uint32_t w = 0; w < ways_; ++w) {
-            if (ways[w].valid && ways[w].tag == tag) {
+            if (ways[w].tag == tag) {
                 ways[w].lastUse = useClock_;
-                ways[w].dirty = ways[w].dirty || is_store;
+                ways[w].lineDirty |= is_store ? 1u : 0u;
                 ++hits_;
                 ++bankHits_[bank];
                 return done;
@@ -137,14 +152,22 @@ class LlcModel
     void setFaultPlan(FaultPlan *plan) { fault_ = plan; }
 
   private:
+    /** Tag value of an invalid way; the constructor proves no line's
+     *  tag reaches it. */
+    static constexpr uint32_t kNoTag = ~uint32_t(0);
+
+    /**
+     * One way's tag state in 16 bytes. lastUse is 0 exactly when the
+     * way is invalid: the use clock ticks before every lookup, so a
+     * filled way always holds a positive stamp.
+     */
     struct Way
     {
-        uint64_t tag = ~0ull;
-        uint64_t line = 0; ///< full line number, for write-back address
         uint64_t lastUse = 0;
-        bool valid = false;
-        bool dirty = false;
+        uint32_t tag = kNoTag;
+        uint32_t lineDirty = 0; ///< line number << 1 | dirty bit
     };
+    static_assert(sizeof(Way) == 16, "four ways per cache line");
 
     DramModel &dram_;
     uint32_t numBanks_;
@@ -154,7 +177,16 @@ class LlcModel
     Cycles bankLatency_;
     Cycles bankOccupancy_;
 
-    std::vector<FluidServer> banks_; ///< per-bank service queues
+    // Index arithmetic: lines are always a power of two; banks and sets
+    // take the shift/mask path when both are (pow2_).
+    uint32_t lineShift_;
+    bool pow2_;
+    uint32_t bankShift_ = 0;
+    uint64_t bankMask_ = 0;
+    uint32_t setShift_ = 0;
+    uint64_t setMask_ = 0;
+
+    std::vector<UnitFluidServer> banks_; ///< per-bank service queues
     std::vector<Way> tags_;        ///< [bank][set][way] flattened
     std::vector<uint64_t> bankAccesses_;
     std::vector<uint64_t> bankHits_;
@@ -174,7 +206,7 @@ class LlcModel
     }
 
     /** Miss path: victim selection, write-back, DRAM line fill. */
-    Cycles fill(Cycles done, uint32_t bank, Way *ways, uint64_t tag,
+    Cycles fill(Cycles done, uint32_t bank, Way *ways, uint32_t tag,
                 uint64_t line, bool is_store);
 };
 

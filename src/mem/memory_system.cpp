@@ -18,7 +18,7 @@ MemorySystem::MemorySystem(const MachineConfig &cfg)
       dramData_(cfg.dramBytes)
 {
     spmData_.assign(static_cast<size_t>(cfg.numCores()) * cfg.spmBytes, 0);
-    spmPorts_.assign(cfg.numCores(), FluidServer(1));
+    spmPorts_.assign(cfg.numCores(), UnitFluidServer{});
     storeDrain_.assign(cfg.numCores(), 0);
     invalidateDecodeCache(); // snap the precomputed decode constants
 }

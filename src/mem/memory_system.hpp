@@ -352,7 +352,7 @@ class MemorySystem
 
     HostMapping dramData_;         ///< DRAM image, zero-filled on touch
     std::vector<uint8_t> spmData_; ///< all cores' SPMs, contiguous
-    std::vector<FluidServer> spmPorts_;
+    std::vector<UnitFluidServer> spmPorts_;
     std::vector<Cycles> storeDrain_;
     MemStats stats_;
     ConcurrencyChecker *checker_ = nullptr;

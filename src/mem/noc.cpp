@@ -12,13 +12,7 @@ MeshNoc::MeshNoc(const MachineConfig &cfg) : cfg_(cfg)
     links_.assign(static_cast<size_t>(cfg_.meshCols) * cfg_.meshRows *
                       kNumDirs,
                   LinkState{});
-
-    // Route table over all endpoint nodes: the core array plus the two
-    // virtual LLC rows (y = -1 and y = meshRows). Routes are compiled
-    // lazily on first use; a 16x8 mesh needs 160^2 entries (~200 KiB).
-    size_t num_nodes = static_cast<size_t>(cfg_.meshCols) *
-                       (static_cast<size_t>(cfg_.meshRows) + 2);
-    routes_.assign(num_nodes * num_nodes, Route{});
+    buildStepTables();
 }
 
 void
@@ -81,7 +75,7 @@ MeshNoc::reset()
     packets_ = 0;
     compiledTraversals_ = 0;
     walkedTraversals_ = 0;
-    // Compiled routes are pure topology; they survive a reset.
+    // The step tables are pure topology; they survive a reset.
 }
 
 Cycles
@@ -97,59 +91,78 @@ MeshNoc::hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits)
 }
 
 void
-MeshNoc::buildRoute(Route &route, uint32_t x, int32_t y,
-                    const NocEndpoint &dst)
+MeshNoc::buildStepTables()
 {
-    route.offset = static_cast<uint32_t>(routeLinks_.size());
+    const uint32_t cols = cfg_.meshCols;
+    const int32_t rows = static_cast<int32_t>(cfg_.meshRows);
 
-    // --- X dimension first (dimension-ordered routing), using ruche
-    // (express) channels for long straights when configured.
-    while (x != dst.x) {
-        uint32_t dist = x < dst.x ? dst.x - x : x - dst.x;
-        bool east = x < dst.x;
-        if (cfg_.rucheX > 1 && dist >= cfg_.rucheX) {
-            routeLinks_.push_back(static_cast<uint32_t>(
-                linkIndex(x, static_cast<uint32_t>(y),
-                          east ? kRucheEast : kRucheWest)));
-            x = east ? x + cfg_.rucheX : x - cfg_.rucheX;
-        } else {
-            routeLinks_.push_back(static_cast<uint32_t>(linkIndex(
-                x, static_cast<uint32_t>(y), east ? kEast : kWest)));
-            x = east ? x + 1 : x - 1;
+    // --- X hops (dimension-ordered routing goes X first), using ruche
+    // (express) channels for long straights when configured. A link out
+    // of node (x, y) has index (y * cols + x) * kNumDirs + dir, so the
+    // step x * kNumDirs + dir plus the row base y * cols * kNumDirs
+    // names it.
+    xSteps_.assign(static_cast<size_t>(cols) * cols, StepRange{});
+    for (uint32_t sx = 0; sx < cols; ++sx) {
+        for (uint32_t dx = 0; dx < cols; ++dx) {
+            StepRange &range = xSteps_[static_cast<size_t>(sx) * cols + dx];
+            range.offset = static_cast<uint32_t>(steps_.size());
+            uint32_t x = sx;
+            while (x != dx) {
+                uint32_t dist = x < dx ? dx - x : x - dx;
+                bool east = x < dx;
+                if (cfg_.rucheX > 1 && dist >= cfg_.rucheX) {
+                    steps_.push_back(x * kNumDirs +
+                                     (east ? kRucheEast : kRucheWest));
+                    x = east ? x + cfg_.rucheX : x - cfg_.rucheX;
+                } else {
+                    steps_.push_back(x * kNumDirs + (east ? kEast : kWest));
+                    x = east ? x + 1 : x - 1;
+                }
+            }
+            range.count = static_cast<uint32_t>(steps_.size()) - range.offset;
         }
     }
 
-    // --- Then the Y dimension, possibly exiting the core array at the top
-    // (y = -1) or bottom (y = meshRows) to reach an LLC bank. Y express
-    // links exist only between core-array rows, so the hop is taken only
-    // when the landing row stays inside the array; the exit hop toward an
-    // LLC row is always a single link.
-    while (y != dst.y) {
-        bool north = y > dst.y;
-        uint32_t dist =
-            static_cast<uint32_t>(north ? y - dst.y : dst.y - y);
-        int32_t landing = north ? y - static_cast<int32_t>(cfg_.rucheY)
-                                : y + static_cast<int32_t>(cfg_.rucheY);
-        if (cfg_.rucheY > 1 && dist >= cfg_.rucheY && landing >= 0 &&
-            landing < static_cast<int32_t>(cfg_.meshRows)) {
-            routeLinks_.push_back(static_cast<uint32_t>(
-                linkIndex(x, static_cast<uint32_t>(y),
-                          north ? kRucheNorth : kRucheSouth)));
-            y = landing;
-            continue;
+    // --- Then the Y hops, from a core row to any endpoint row, possibly
+    // exiting the core array at the top (y = -1) or bottom (y =
+    // meshRows) to reach an LLC bank. Y express links exist only between
+    // core-array rows, so the hop is taken only when the landing row
+    // stays inside the array; the exit hop toward an LLC row is always a
+    // single link, charged on the edge core node's N/S link. The step
+    // row * cols * kNumDirs + dir plus the column base x * kNumDirs
+    // names the link.
+    ySteps_.assign(static_cast<size_t>(rows) * (rows + 2), StepRange{});
+    for (int32_t sy = 0; sy < rows; ++sy) {
+        for (int32_t dy = -1; dy <= rows; ++dy) {
+            StepRange &range = ySteps_[static_cast<size_t>(sy) * (rows + 2) +
+                                       static_cast<size_t>(dy + 1)];
+            range.offset = static_cast<uint32_t>(steps_.size());
+            int32_t y = sy;
+            while (y != dy) {
+                bool north = y > dy;
+                uint32_t dist = static_cast<uint32_t>(north ? y - dy : dy - y);
+                int32_t landing = north
+                                      ? y - static_cast<int32_t>(cfg_.rucheY)
+                                      : y + static_cast<int32_t>(cfg_.rucheY);
+                uint32_t link_row;
+                uint32_t dir;
+                if (cfg_.rucheY > 1 && dist >= cfg_.rucheY && landing >= 0 &&
+                    landing < rows) {
+                    link_row = static_cast<uint32_t>(y);
+                    dir = north ? kRucheNorth : kRucheSouth;
+                    y = landing;
+                } else {
+                    link_row = static_cast<uint32_t>(
+                        north ? (y > 0 ? y : 0)
+                              : (y < rows - 1 ? y : rows - 1));
+                    dir = north ? kNorth : kSouth;
+                    y += north ? -1 : 1;
+                }
+                steps_.push_back(link_row * cols * kNumDirs + dir);
+            }
+            range.count = static_cast<uint32_t>(steps_.size()) - range.offset;
         }
-        // The exit hop is charged on the edge core node's N/S link.
-        uint32_t link_row = static_cast<uint32_t>(
-            north ? (y > 0 ? y : 0)
-                  : (y < static_cast<int32_t>(cfg_.meshRows) - 1
-                         ? y
-                         : static_cast<int32_t>(cfg_.meshRows) - 1));
-        routeLinks_.push_back(static_cast<uint32_t>(
-            linkIndex(x, link_row, north ? kNorth : kSouth)));
-        y += north ? -1 : 1;
     }
-
-    route.hops = static_cast<uint16_t>(routeLinks_.size() - route.offset);
 }
 
 Cycles
@@ -159,8 +172,8 @@ MeshNoc::traverseWalk(uint32_t x, int32_t y, const NocEndpoint &dst,
     ++walkedTraversals_;
     Cycles t = start;
 
-    // Same loops as buildRoute(), but charging each hop as it is chosen
-    // and querying the fault plan per hop.
+    // The routing decisions buildStepTables() precomputes, taken hop by
+    // hop here so each hop can query the fault plan.
     while (x != dst.x) {
         uint32_t dist = x < dst.x ? dst.x - x : x - dst.x;
         bool east = x < dst.x;
@@ -223,23 +236,30 @@ MeshNoc::traverse(const NocEndpoint &src, const NocEndpoint &dst,
         return traverseWalk(x, y, dst, start, flits);
 
     ++compiledTraversals_;
-    size_t num_nodes = static_cast<size_t>(cfg_.meshCols) *
-                       (static_cast<size_t>(cfg_.meshRows) + 2);
-    Route &r = routes_[static_cast<size_t>(nodeIndex(x, y)) * num_nodes +
-                       nodeIndex(dst.x, dst.y)];
-    if (r.offset == kRouteUnbuilt)
-        buildRoute(r, x, y, dst);
+    const StepRange &xr =
+        xSteps_[static_cast<size_t>(x) * cfg_.meshCols + dst.x];
+    const StepRange &yr =
+        ySteps_[static_cast<size_t>(y) * (cfg_.meshRows + 2) +
+                static_cast<size_t>(dst.y + 1)];
+    const uint32_t *xs = steps_.data() + xr.offset;
+    const uint32_t *ys = steps_.data() + yr.offset;
+    LinkState *row = links_.data() +
+                     static_cast<size_t>(y) * cfg_.meshCols * kNumDirs;
+    LinkState *column = links_.data() + static_cast<size_t>(dst.x) * kNumDirs;
 
     Cycles t = start;
-    const uint32_t *link_ids = routeLinks_.data() + r.offset;
-    for (uint16_t i = 0; i < r.hops; ++i) {
-        LinkState &state = links_[link_ids[i]];
+    auto charge = [&](LinkState &state) {
         Cycles wait = state.server.charge(t, flits);
         state.flits += flits;
         state.waitCycles += wait;
         t += wait + cfg_.linkLatency;
-    }
-    linkCyclesUsed_ += static_cast<uint64_t>(flits) * r.hops;
+    };
+    for (uint32_t i = 0; i < xr.count; ++i)
+        charge(row[xs[i]]);
+    for (uint32_t i = 0; i < yr.count; ++i)
+        charge(column[ys[i]]);
+    linkCyclesUsed_ +=
+        static_cast<uint64_t>(flits) * (xr.count + yr.count);
 
     // Tail serialization: the body flits arrive one per cycle behind the
     // head.

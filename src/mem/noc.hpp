@@ -57,14 +57,18 @@ class MeshNoc
      * Route one packet from @p src to @p dst, reserving link occupancy.
      *
      * The hop sequence of a packet is a pure function of (src, dst) —
-     * X-Y routing never consults time or occupancy — so the common case
-     * walks a compiled per-(src,dst) table of link indices, touching only
-     * the live state (fluid backlog, flit/wait counters) per hop. The
-     * timing is identical to the uncached per-hop walk by construction:
-     * the same links are charged the same flits in the same order.
-     * Whenever the installed FaultPlan carries link-delay windows (or
-     * compiled routes are disabled), the uncached walk is taken instead
-     * so per-hop fault queries are never skipped.
+     * X-Y routing never consults time or occupancy — and it splits by
+     * dimension: the X hops depend only on (src x, dst x) and run along
+     * the source row, the Y hops only on (src row, dst row) and run
+     * along the destination column. The common case therefore replays
+     * two precomputed step lists, adding the row (or column) base to
+     * each step to get the link index, and touches only the live state
+     * (fluid backlog, flit/wait counters) per hop. The timing is
+     * identical to the per-hop walk by construction: the same links are
+     * charged the same flits in the same order. Whenever the installed
+     * FaultPlan carries link-delay windows (or compiled routes are
+     * disabled), the walk is taken instead so per-hop fault queries are
+     * never skipped.
      *
      * @param src source endpoint.
      * @param dst destination endpoint.
@@ -75,13 +79,13 @@ class MeshNoc
     Cycles traverse(const NocEndpoint &src, const NocEndpoint &dst,
                     Cycles start, uint32_t payload_bytes);
 
-    /** Enable/disable the compiled route tables (testing; default on). */
+    /** Enable/disable the compiled step tables (testing; default on). */
     void setCompiledRoutes(bool on) { compiledEnabled_ = on; }
 
-    /** Whether compiled route tables are enabled. */
+    /** Whether the compiled step tables are enabled. */
     bool compiledRoutesEnabled() const { return compiledEnabled_; }
 
-    /** Packets routed through the compiled tables (diagnostics). */
+    /** Packets routed through the step tables (diagnostics). */
     uint64_t compiledTraversals() const { return compiledTraversals_; }
 
     /** Packets routed through the uncached per-hop walk (diagnostics:
@@ -201,16 +205,17 @@ class MeshNoc
     }
 
     /**
-     * Live state of one mesh link. The fluid server and both cumulative
-     * counters are fused into one struct (40 bytes) so charging a hop
-     * touches a single cache line instead of three parallel arrays.
+     * Live state of one mesh link: its rate-1 fluid server and both
+     * cumulative counters in one 32-byte record, aligned so two links
+     * share a cache line and no link straddles two.
      */
-    struct LinkState
+    struct alignas(32) LinkState
     {
-        FluidServer server{1};
+        UnitFluidServer server;
         uint64_t flits = 0;      ///< cumulative flits carried
         uint64_t waitCycles = 0; ///< cumulative queueing wait
     };
+    static_assert(sizeof(LinkState) == 32, "a link must fill half a line");
 
     /** State of the @p dir link leaving node (x, y). */
     LinkState &
@@ -222,34 +227,31 @@ class MeshNoc
     /** Charge one hop across the @p dir link out of (x, y). */
     Cycles hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits);
 
-    /** A compiled (src, dst) route: a slice of routeLinks_. */
-    struct Route
+    /** The hops one dimension contributes to a route: a slice of
+     *  steps_. */
+    struct StepRange
     {
-        uint32_t offset = kRouteUnbuilt; ///< first link in routeLinks_
-        uint16_t hops = 0;               ///< number of links on the path
+        uint32_t offset = 0; ///< first step in steps_
+        uint32_t count = 0;  ///< number of hops
     };
 
-    static constexpr uint32_t kRouteUnbuilt = ~uint32_t(0);
+    /** Build both dimensions' step tables (constructor). */
+    void buildStepTables();
 
-    /** Endpoint y spans [-1, meshRows]; bias into [0, meshRows + 1]. */
-    uint32_t
-    nodeIndex(uint32_t x, int32_t y) const
-    {
-        return static_cast<uint32_t>(y + 1) * cfg_.meshCols + x;
-    }
-
-    /** Compile the hop sequence for one route (lazy, on first use). */
-    void buildRoute(Route &route, uint32_t x, int32_t y,
-                    const NocEndpoint &dst);
-
-    /** The original uncached per-hop walk (fault-window fallback). */
+    /** The per-hop routing walk (fault-window fallback and the oracle
+     *  the step tables are tested against). */
     Cycles traverseWalk(uint32_t x, int32_t y, const NocEndpoint &dst,
                         Cycles start, uint32_t flits);
 
     MachineConfig cfg_;
     std::vector<LinkState> links_;
-    std::vector<Route> routes_;        ///< per-(src,dst) node pair
-    std::vector<uint32_t> routeLinks_; ///< shared pool of link indices
+    /// X hops by [src x][dst x]; a step is the link index minus the
+    /// source row's base.
+    std::vector<StepRange> xSteps_;
+    /// Y hops by [src core row][dst endpoint row + 1]; a step is the link
+    /// index minus the destination column's base.
+    std::vector<StepRange> ySteps_;
+    std::vector<uint32_t> steps_; ///< shared pool of both tables' steps
     uint64_t linkCyclesUsed_ = 0;
     uint64_t packets_ = 0;
     uint64_t compiledTraversals_ = 0;

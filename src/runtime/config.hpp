@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/log.hpp"
+
 namespace spmrt {
 
 /**
@@ -183,6 +185,27 @@ struct RuntimeConfig
         if (!roDuplication)
             label += "/no-rodup";
         return label;
+    }
+
+    /**
+     * Every field, in declaration order: the runtime's part of a fleet
+     * job's cache and quarantine key (FleetServer::specKeyFor). Two
+     * configs that differ in any field must not share a key, so a new
+     * field belongs here too.
+     */
+    std::string
+    key() const
+    {
+        return log::format(
+            "ss%d/qs%d/rd%d/ov%d/pt%d/qb%u/ur%u/ds%u/rs%u/bo%u:%u/s%llu/"
+            "wd%llu:%llu/a%u/vp%u/dl%d",
+            stackInSpm, queueInSpm, roDuplication, swOverflowCheck,
+            queuePointerTable, queueBytes, userSpmReserve, dramStackBytes,
+            regSaveWords, backoffMin, backoffMax,
+            static_cast<unsigned long long>(seed),
+            static_cast<unsigned long long>(watchdogCycles),
+            static_cast<unsigned long long>(watchdogSwitches), activeCores,
+            static_cast<unsigned>(victimPolicy), workDealing);
     }
 };
 

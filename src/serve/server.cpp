@@ -101,17 +101,15 @@ FleetServer::specKeyFor(const JobRequest &req) const
 {
     if (req.cacheKey.empty())
         return "";
-    // The machine is its full geometry string: two configs differing in
-    // any timed parameter (ruche factors, LLC placement, DRAM channels,
-    // window stride) must never share a digest cache entry.
+    // The machine is its full geometry string and the runtime every
+    // RuntimeConfig field: two configs differing in any timed parameter
+    // (ruche factors, LLC placement, DRAM channels, window stride, queue
+    // placement, victim policy, backoff bounds, ...) must never share a
+    // digest cache or quarantine entry.
     return log::format(
-        "%s|m:%s|rt:%s/a%u/wd%llu:%llu/s%llu|"
-        "sched:%llu/%llu|fault:%llu/%llu|ck:%d|st:%d",
+        "%s|m:%s|rt:%s|sched:%llu/%llu|fault:%llu/%llu|ck:%d|st:%d",
         req.cacheKey.c_str(), req.machine.geometry().c_str(),
-        req.runtime.name().c_str(), req.runtime.activeCores,
-        static_cast<unsigned long long>(req.runtime.watchdogCycles),
-        static_cast<unsigned long long>(req.runtime.watchdogSwitches),
-        static_cast<unsigned long long>(req.runtime.seed),
+        req.runtime.key().c_str(),
         static_cast<unsigned long long>(req.scheduleSeed),
         static_cast<unsigned long long>(req.scheduleWindow),
         static_cast<unsigned long long>(req.faultSeed),

@@ -97,27 +97,33 @@ Core::write(Addr addr, const void *in, uint32_t bytes)
 
 // ---- Remote-op capture and commit ----------------------------------------
 
-void
-Core::enqueueOp(CapturedOp &&op)
+Core::CapturedOp &
+Core::enqueueOp(CapturedOp::Kind kind, Addr addr, uint32_t bytes)
 {
-    const bool was_empty = capturedOps_.empty();
-    const Cycles commit = op.issue + commitDelta_;
-    capturedOps_.push_back(std::move(op));
-    if (was_empty)
-        engine_.scheduleRemoteOp(id_, commit);
+    if (opCount_ == opRing_.size()) {
+        // Full: unroll into a ring twice the size, oldest op first.
+        std::vector<CapturedOp> grown(opRing_.size() * 2);
+        for (uint32_t i = 0; i < opCount_; ++i)
+            grown[i] = std::move(
+                opRing_[(opHead_ + i) & (opRing_.size() - 1)]);
+        opRing_ = std::move(grown);
+        opHead_ = 0;
+    }
+    CapturedOp &op = opRing_[(opHead_ + opCount_) & (opRing_.size() - 1)];
+    op.kind = kind;
+    op.issue = now();
+    op.addr = addr;
+    op.bytes = bytes;
+    if (opCount_++ == 0)
+        engine_.scheduleRemoteOp(id_, op.issue + commitDelta_);
+    return op;
 }
 
 void
 Core::captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
                       uint32_t bytes)
 {
-    CapturedOp op;
-    op.kind = kind;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
-    op.dst = dst;
-    enqueueOp(std::move(op));
+    enqueueOp(kind, addr, bytes).dst = dst;
     // Parked until the commit computes the completion time; the guest
     // resumes with *dst filled and the clock advanced to the done time.
     engine_.block(id_, Engine::ParkKind::Commit);
@@ -129,15 +135,10 @@ Core::captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
 void
 Core::captureAmo(Addr addr, AmoOp amo_op, uint32_t operand, void *dst)
 {
-    CapturedOp op;
-    op.kind = CapturedOp::Amo;
+    CapturedOp &op = enqueueOp(CapturedOp::Amo, addr, sizeof(uint32_t));
     op.amoOp = amo_op;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = sizeof(uint32_t);
     op.amoOperand = operand;
     op.dst = dst;
-    enqueueOp(std::move(op));
     engine_.block(id_, Engine::ParkKind::Commit);
     engine_.syncPoint(id_); // completion gate, see captureBlocking()
 }
@@ -149,13 +150,7 @@ Core::capturePostedStore(CapturedOp::Kind kind, Addr addr,
     SPMRT_ASSERT(bytes <= sizeof(uint64_t),
                  "scalar store of %u bytes exceeds the inline payload",
                  bytes);
-    CapturedOp op;
-    op.kind = kind;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
-    std::memcpy(&op.value, src, bytes);
-    enqueueOp(std::move(op));
+    std::memcpy(&enqueueOp(kind, addr, bytes).value, src, bytes);
     ++pendingPosted_;
     // The posted issue cost: storeRemote returns start + 1 regardless of
     // memory state, so the core charges it here and runs on.
@@ -165,14 +160,9 @@ Core::capturePostedStore(CapturedOp::Kind kind, Addr addr,
 void
 Core::capturePostedBurst(Addr addr, const void *src, uint32_t bytes)
 {
-    CapturedOp op;
-    op.kind = CapturedOp::StoreBurst;
-    op.issue = now();
-    op.addr = addr;
-    op.bytes = bytes;
     const auto *first = static_cast<const uint8_t *>(src);
-    op.payload.assign(first, first + bytes);
-    enqueueOp(std::move(op));
+    enqueueOp(CapturedOp::StoreBurst, addr, bytes)
+        .payload.assign(first, first + bytes);
     ++pendingPosted_;
     // One issue slot per chunk (BurstResult::lastIssue is issue + chunks
     // on every path), charged here so the core can run on.
@@ -182,10 +172,11 @@ Core::capturePostedBurst(Addr addr, const void *src, uint32_t bytes)
 Cycles
 Core::executeHeadOp()
 {
-    SPMRT_ASSERT(!capturedOps_.empty(),
-                 "core %u has no captured op to commit", id_);
-    CapturedOp op = std::move(capturedOps_.front());
-    capturedOps_.pop_front();
+    SPMRT_ASSERT(opCount_ != 0, "core %u has no captured op to commit",
+                 id_);
+    // The slot stays valid through the commit: only this core's guest
+    // code captures into the ring, and it cannot run until we return.
+    const CapturedOp &op = opRing_[opHead_];
     // Checker hooks fire here, at the commit: this is where the op's
     // effect lands in the memory system, so the checker observes it in
     // true effect order (see Core::load). The guest's task context
@@ -248,8 +239,9 @@ Core::executeHeadOp()
         break;
       }
     }
-    return capturedOps_.empty() ? Engine::kNoPendingOp
-                                : capturedOps_.front().issue + commitDelta_;
+    opHead_ = (opHead_ + 1) & (static_cast<uint32_t>(opRing_.size()) - 1);
+    return --opCount_ == 0 ? Engine::kNoPendingOp
+                           : opRing_[opHead_].issue + commitDelta_;
 }
 
 void

@@ -13,7 +13,6 @@
 #define SPMRT_SIM_CORE_HPP
 
 #include <cstring>
-#include <deque>
 #include <vector>
 
 #include "common/log.hpp"
@@ -397,7 +396,9 @@ class Core : public CoreOpSink
      * for the engine to commit it in global (commit time, core id)
      * order. Blocking kinds keep the issuing core parked, so their
      * guest-owned destination buffer (dst) stays alive; posted-store
-     * payloads are copied because the issuing core runs on.
+     * payloads are copied because the issuing core runs on. Slots are
+     * reused in place, so each kind sets every field it reads and a
+     * burst payload keeps its capacity from one use to the next.
      */
     struct CapturedOp
     {
@@ -422,8 +423,13 @@ class Core : public CoreOpSink
         std::vector<uint8_t> payload;
     };
 
-    /** Append @p op to the FIFO; announce the head when it is new. */
-    void enqueueOp(CapturedOp &&op);
+    /**
+     * Claim the FIFO's next slot for a @p kind op issued now, announce
+     * the head when it is new, and return the slot for the caller to
+     * fill in the kind's remaining fields.
+     */
+    CapturedOp &enqueueOp(CapturedOp::Kind kind, Addr addr,
+                          uint32_t bytes);
 
     /** Capture a blocking op and park until the commit completes it. */
     void captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
@@ -448,7 +454,11 @@ class Core : public CoreOpSink
     CoreStats stats_;
     FaultPlan *fault_ = nullptr;
     obs::Tracer *tracer_ = nullptr;
-    std::deque<CapturedOp> capturedOps_; ///< issue-order commit FIFO
+    // Issue-order commit FIFO: a ring of reused slots whose size is a
+    // power of two; it doubles when a push finds it full.
+    std::vector<CapturedOp> opRing_ = std::vector<CapturedOp>(4);
+    uint32_t opHead_ = 0;  ///< ring index of the oldest captured op
+    uint32_t opCount_ = 0; ///< captured ops not yet committed
     uint32_t pendingPosted_ = 0; ///< captured stores not yet committed
     bool fenceWaiting_ = false;  ///< fence() parked on pendingPosted_
 };

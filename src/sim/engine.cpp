@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/env.hpp"
@@ -10,7 +9,7 @@ namespace spmrt {
 namespace {
 
 /**
- * Compile-time default is the fast indexed-heap scheduler; the
+ * Compile-time default is the fast winner-tree scheduler; the
  * SPMRT_ENGINE_REFERENCE CMake option flips the default, and the
  * same-named environment variable overrides either at startup so one
  * binary can serve as its own oracle.
@@ -35,14 +34,16 @@ Engine::Engine(uint32_t num_cores, size_t host_stack_bytes)
     slots_ = std::make_unique<Slot[]>(num_cores);
     for (uint32_t i = 0; i < num_cores; ++i)
         slots_[i].id = i;
-    // Reserve enough id bits in the packed heap key for every core id.
+    // Reserve enough id bits in the packed key for every core id. The
+    // largest time stops one short of the all-ones pattern, so no real
+    // key can equal WinnerTree::kAbsent.
     idShift_ = 1;
     while ((1u << idShift_) < num_cores)
         ++idShift_;
-    idMask_ = (HeapKey(1) << idShift_) - 1;
-    maxPackTime_ = ~HeapKey(0) >> idShift_;
-    heap_.reserve(num_cores);
-    heapPos_.assign(num_cores, kNoHeapPos);
+    idMask_ = (PackedKey(1) << idShift_) - 1;
+    maxPackTime_ = (~PackedKey(0) >> idShift_) - 1;
+    ready_.reset(num_cores);
+    commits_.reset(num_cores);
 }
 
 void
@@ -78,7 +79,7 @@ Engine::finishCurrent(Slot &slot)
         GuestContext::switchTo(slot.ctx, schedCtx_);
         return; // resumed by a later run()
     }
-    heapErase(slot.id);
+    ready_.erase(slot.id);
     if (live_ == 0) {
         // Last core out ends the run: hand control back to run().
         GuestContext::switchTo(slot.ctx, schedCtx_);
@@ -114,14 +115,12 @@ Engine::run()
         return;
     }
 
-    // Build the ready-heap over runnable cores. Insertion in id order
-    // keeps the build deterministic (the key already embeds the id
-    // tie-break, so any insertion order yields the same argmin).
-    heap_.clear();
-    std::fill(heapPos_.begin(), heapPos_.end(), kNoHeapPos);
+    // Build the ready tree over runnable cores (the key embeds the id
+    // tie-break, so the argmin does not depend on insertion order).
+    ready_.clear();
     for (uint32_t i = 0; i < numCores_; ++i) {
         if (!slots_[i].finished && !slots_[i].blocked)
-            heapInsert(i, slots_[i].time);
+            readySet(i, slots_[i].time);
     }
 
     // Dispatch chains run guest-to-guest; control only returns here once
@@ -144,7 +143,7 @@ void
 Engine::runReference()
 {
     // The original linear-scan scheduler, kept as the equivalence oracle
-    // for the indexed-heap fast path (now including the remote-op commit
+    // for the winner-tree fast path (now including the remote-op commit
     // queue: ops commit exactly when their key is globally next).
     while (live_ > 0) {
         // Deterministic argmin over unfinished, unblocked cores; ties
@@ -161,7 +160,7 @@ Engine::runReference()
         // earliest gate is globally next (ops precede gates at equal
         // times); executing it may wake a blocked core, so re-scan.
         if (next == nullptr || cachedEventMin_ <= next->time) {
-            if (!events_.empty()) {
+            if (!commits_.empty()) {
                 executeOneEvent();
                 continue;
             }
@@ -200,9 +199,9 @@ Engine::runReference()
 Engine::Slot *
 Engine::pickNext()
 {
-    SPMRT_ASSERT(!heap_.empty(), "deadlock: all %u live cores are blocked",
+    SPMRT_ASSERT(!ready_.empty(), "deadlock: all %u live cores are blocked",
                  live_);
-    CoreId next_id = keyId(heap_[0]);
+    CoreId next_id = keyId(ready_.min());
     if (schedPerturb_) {
         collectWindowCandidates();
         if (candidateIds_.size() > 1)
@@ -217,10 +216,10 @@ Engine::dispatchFrom(GuestContext &from)
 {
     // Commit every remote op whose key precedes the earliest gate (ops
     // precede gates at equal times). Executions can wake blocked cores,
-    // which reshapes the heap, so re-check the root each round; when all
-    // live cores are blocked the queue is the only way forward.
-    while (!events_.empty() &&
-           (heap_.empty() || cachedEventMin_ <= keyTime(heap_[0])))
+    // which changes the ready root, so re-check it each round. When all
+    // live cores are blocked the root is kAbsent, whose time is later
+    // than any commit, so the queue is the only way forward.
+    while (!commits_.empty() && cachedEventMin_ <= keyTime(ready_.min()))
         executeOneEvent();
     Slot *next = pickNext();
     if (interruptDue(next->time) && checkInterrupts(next->time)) {
@@ -232,7 +231,7 @@ Engine::dispatchFrom(GuestContext &from)
             GuestContext::switchTo(from, schedCtx_);
         return;
     }
-    cachedOtherMin_ = heapMinTimeExcluding(next->id);
+    cachedOtherMin_ = readyMinTimeExcluding(next->id);
     // Mirrors the reference scheduler: one event per dispatch, so a trace
     // taken under either scheduler shows the same timeline.
     if (obs::Tracer *t = tracer())
@@ -271,7 +270,7 @@ Engine::syncPoint(CoreId id)
                 return;
             }
             foldHighWater(slot.time);
-            heapIncreaseKey(id, slot.time);
+            readySet(id, slot.time);
             dispatchFrom(slot.ctx);
         }
     }
@@ -305,7 +304,7 @@ Engine::yield(CoreId id)
         return;
     }
     foldHighWater(slot.time);
-    heapIncreaseKey(id, slot.time);
+    readySet(id, slot.time);
     dispatchFrom(slot.ctx);
 }
 
@@ -329,7 +328,7 @@ Engine::block(CoreId id, ParkKind kind)
         GuestContext::switchTo(slot.ctx, schedCtx_);
     } else {
         foldHighWater(slot.time);
-        heapErase(id);
+        ready_.erase(id);
         dispatchFrom(slot.ctx);
     }
     SPMRT_ASSERT(!slot.blocked, "blocked core %u resumed while parked", id);
@@ -354,7 +353,7 @@ Engine::unblock(CoreId id, Cycles t)
         slot.time = t;
     foldHighWater(slot.time);
     if (!referenceMode_) {
-        heapInsert(id, slot.time);
+        readySet(id, slot.time);
         // The woken core joins the running core's "others"; min-fold
         // keeps the syncPoint cache exact.
         if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
@@ -374,7 +373,7 @@ Engine::commitWake(CoreId id, Cycles t)
         slot.time = t;
     foldHighWater(slot.time);
     if (!referenceMode_) {
-        heapInsert(id, slot.time);
+        readySet(id, slot.time);
         if (running_ != kInvalidCore && slot.time < cachedOtherMin_)
             cachedOtherMin_ = slot.time;
     }
@@ -386,10 +385,10 @@ Engine::foreignClockChange(Slot &slot)
     foldHighWater(slot.time);
     if (referenceMode_)
         return;
-    if (heapPos_[slot.id] != kNoHeapPos)
-        heapIncreaseKey(slot.id, slot.time);
+    if (ready_.leaf(slot.id) != WinnerTree::kAbsent)
+        readySet(slot.id, slot.time);
     if (running_ != kInvalidCore)
-        cachedOtherMin_ = heapMinTimeExcluding(running_);
+        cachedOtherMin_ = readyMinTimeExcluding(running_);
 }
 
 // ---- Remote-op commit queue ----------------------------------------------
@@ -397,38 +396,35 @@ Engine::foreignClockChange(Slot &slot)
 void
 Engine::scheduleRemoteOp(CoreId issuer, Cycles commit)
 {
-    events_.push_back(heapKey(issuer, commit));
-    std::push_heap(events_.begin(), events_.end(),
-                   std::greater<HeapKey>());
-    cachedEventMin_ = keyTime(events_[0]);
+    SPMRT_ASSERT(commits_.leaf(issuer) == WinnerTree::kAbsent,
+                 "core %u already has a pending remote op", issuer);
+    commits_.set(issuer, packKey(issuer, commit));
+    cachedEventMin_ = keyTime(commits_.min());
 }
 
 void
 Engine::executeOneEvent()
 {
-    SPMRT_ASSERT(!events_.empty(), "no pending remote op to execute");
-    std::pop_heap(events_.begin(), events_.end(), std::greater<HeapKey>());
-    const CoreId issuer = keyId(events_.back());
-    events_.pop_back();
+    SPMRT_ASSERT(!commits_.empty(), "no pending remote op to execute");
+    const CoreId issuer = keyId(commits_.min());
     SPMRT_ASSERT(issuer < opSinks_.size() && opSinks_[issuer] != nullptr,
                  "remote op scheduled by core %u without a sink", issuer);
     // The sink performs the memory-system call (with the captured issue
     // time) and wakes the issuer if the op was blocking; no context
     // switch happens here, so events drain inline on whichever path
-    // noticed them.
+    // noticed them. No guest code runs during the call, so the queue
+    // is unchanged until the issuer's leaf is rewritten below.
     const Cycles next = opSinks_[issuer]->executeHeadOp();
-    if (next != kNoPendingOp) {
-        events_.push_back(heapKey(issuer, next));
-        std::push_heap(events_.begin(), events_.end(),
-                       std::greater<HeapKey>());
-    }
-    cachedEventMin_ = events_.empty() ? kNoOtherCore : keyTime(events_[0]);
+    commits_.set(issuer, next == kNoPendingOp ? WinnerTree::kAbsent
+                                              : packKey(issuer, next));
+    cachedEventMin_ =
+        commits_.empty() ? kNoOtherCore : keyTime(commits_.min());
 }
 
 void
 Engine::drainAllEvents()
 {
-    while (!events_.empty())
+    while (!commits_.empty())
         executeOneEvent();
 }
 
@@ -446,136 +442,22 @@ Engine::minOtherTime(CoreId self) const
     return min_time;
 }
 
-// ---- Indexed 4-ary min-heap ---------------------------------------------
-
-void
-Engine::heapSiftUp(uint32_t pos)
-{
-    HeapKey entry = heap_[pos];
-    while (pos > 0) {
-        uint32_t parent = (pos - 1) / 4;
-        if (entry >= heap_[parent])
-            break;
-        heap_[pos] = heap_[parent];
-        heapPos_[keyId(heap_[pos])] = pos;
-        pos = parent;
-    }
-    heap_[pos] = entry;
-    heapPos_[keyId(entry)] = pos;
-}
-
-void
-Engine::heapSiftDown(uint32_t pos)
-{
-    HeapKey entry = heap_[pos];
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
-    while (true) {
-        uint32_t first = pos * 4 + 1;
-        if (first >= size)
-            break;
-        uint32_t last = std::min(first + 4, size);
-        uint32_t best = first;
-        HeapKey best_key = heap_[first];
-        for (uint32_t child = first + 1; child < last; ++child) {
-            // Conditional-select form: child order is effectively
-            // random, so a branch here mispredicts ~half the time; the
-            // packed single-word keys make cmov selection cheap.
-            HeapKey key = heap_[child];
-            bool less = key < best_key;
-            best = less ? child : best;
-            best_key = less ? key : best_key;
-        }
-        if (best_key >= entry)
-            break;
-        heap_[pos] = best_key;
-        heapPos_[keyId(best_key)] = pos;
-        pos = best;
-    }
-    heap_[pos] = entry;
-    heapPos_[keyId(entry)] = pos;
-}
-
-void
-Engine::heapInsert(CoreId id, Cycles t)
-{
-    SPMRT_ASSERT(heapPos_[id] == kNoHeapPos,
-                 "core %u already in the ready heap", id);
-    heap_.push_back(heapKey(id, t));
-    heapSiftUp(static_cast<uint32_t>(heap_.size()) - 1);
-}
-
-void
-Engine::heapErase(CoreId id)
-{
-    uint32_t pos = heapPos_[id];
-    SPMRT_ASSERT(pos != kNoHeapPos, "core %u not in the ready heap", id);
-    heapPos_[id] = kNoHeapPos;
-    uint32_t last = static_cast<uint32_t>(heap_.size()) - 1;
-    HeapKey moved = heap_[last];
-    heap_.pop_back();
-    if (pos != last) {
-        // The displaced entry may need to move either way.
-        heap_[pos] = moved;
-        heapPos_[keyId(moved)] = pos;
-        heapSiftDown(pos);
-        if (heapPos_[keyId(moved)] == pos)
-            heapSiftUp(pos);
-    }
-}
-
-void
-Engine::heapIncreaseKey(CoreId id, Cycles t)
-{
-    uint32_t pos = heapPos_[id];
-    SPMRT_ASSERT(pos != kNoHeapPos, "core %u not in the ready heap", id);
-    heap_[pos] = heapKey(id, t);
-    heapSiftDown(pos); // clocks only move forward
-}
-
-Cycles
-Engine::heapMinTimeExcluding(CoreId self) const
-{
-    if (heap_.empty())
-        return kNoOtherCore;
-    if (keyId(heap_[0]) != self)
-        return keyTime(heap_[0]);
-    // The excluded core sits at the root; its replacement minimum is the
-    // least of the root's (at most four) children.
-    HeapKey min_key = ~HeapKey(0);
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
-    const uint32_t last = std::min<uint32_t>(5, size);
-    for (uint32_t child = 1; child < last; ++child) {
-        if (heap_[child] < min_key)
-            min_key = heap_[child];
-    }
-    return min_key == ~HeapKey(0) ? kNoOtherCore : keyTime(min_key);
-}
+// ---- Perturbation candidates -------------------------------------------
 
 void
 Engine::collectWindowCandidates()
 {
-    // Bounded descent: every entry within the window of the root's time,
-    // pruning subtrees whose root already exceeds it (children are never
-    // earlier than their parent). Candidates are sorted ascending so the
-    // RNG consumes exactly the same index stream as the reference
-    // scheduler's id-ordered scan.
+    // Every runnable core within the window of the root's time, in id
+    // order: the same set and order as the reference scheduler's scan,
+    // so the RNG consumes exactly the same index stream.
     candidateIds_.clear();
-    descentStack_.clear();
-    const Cycles min_time = keyTime(heap_[0]);
-    descentStack_.push_back(0);
-    const uint32_t size = static_cast<uint32_t>(heap_.size());
-    while (!descentStack_.empty()) {
-        uint32_t pos = descentStack_.back();
-        descentStack_.pop_back();
-        if (keyTime(heap_[pos]) - min_time > schedWindow_)
-            continue;
-        candidateIds_.push_back(keyId(heap_[pos]));
-        uint32_t first = pos * 4 + 1;
-        uint32_t last = std::min(first + 4, size);
-        for (uint32_t child = first; child < last; ++child)
-            descentStack_.push_back(child);
+    const Cycles min_time = keyTime(ready_.min());
+    for (CoreId i = 0; i < numCores_; ++i) {
+        const PackedKey key = ready_.leaf(i);
+        if (key != WinnerTree::kAbsent &&
+            keyTime(key) - min_time <= schedWindow_)
+            candidateIds_.push_back(i);
     }
-    std::sort(candidateIds_.begin(), candidateIds_.end());
 }
 
 // ---- Interrupts (watchdog, cycle limit, cancel flag) ---------------------

@@ -14,10 +14,11 @@
  * id), the entire simulation — including lock acquisition order and steal
  * interleavings — is reproducible run-to-run.
  *
- * The argmin is maintained in a 4-ary indexed min-heap keyed by
- * (time, id), so the tie-break is structural: picking the next core is an
- * O(1) root read and every clock mutation is an O(log N) sift instead of
- * the historical O(N) scan per context switch. Two fast paths ride on it:
+ * The argmin is maintained in a winner tree with one leaf per core keyed
+ * by (time, id), so the tie-break is structural: picking the next core is
+ * an O(1) root read and every clock mutation is an O(log N) path replay
+ * instead of the historical O(N) scan per context switch. Two fast paths
+ * ride on it:
  *
  *  - syncPoint keeps the minimum clock among *other* runnable cores cached
  *    (exact, maintained incrementally), so the common case — the running
@@ -62,6 +63,7 @@
 #include "obs/trace.hpp"
 #include "sim/abort.hpp"
 #include "sim/context.hpp"
+#include "sim/winner_tree.hpp"
 
 namespace spmrt {
 
@@ -136,7 +138,7 @@ class Engine
         slot.time += dt;
         // Only the running core advances itself on the hot path; any
         // other clock change (phase barriers, tests) must be reflected
-        // in the heap and the high-water mark immediately.
+        // in the ready tree and the high-water mark immediately.
         if (id != running_)
             foreignClockChange(slot);
     }
@@ -246,7 +248,7 @@ class Engine
     /**
      * @name Scheduler selection
      *
-     * The indexed-heap scheduler is the default. The original O(N)
+     * The winner-tree scheduler is the default. The original O(N)
      * linear-scan scheduler is kept, selectable at runtime, as the
      * equivalence oracle: same argmin, same tie-break, same RNG
      * consumption under perturbation, so results, cycle counts, and
@@ -306,7 +308,8 @@ class Engine
     bool
     remoteInlineOk(CoreId id, Cycles commit)
     {
-        if (!events_.empty() && events_[0] < heapKey(id, commit))
+        // An empty queue's root is kAbsent, which no real key exceeds.
+        if (commits_.min() < packKey(id, commit))
             return false;
         Cycles other =
             referenceMode_ ? minOtherTime(id) : cachedOtherMin_;
@@ -453,17 +456,17 @@ class Engine
     };
 
     /**
-     * Heap entry: (time, id) packed into one word as
+     * Winner-tree key: (time, id) packed into one word as
      * (time << idShift_) | id, so the lexicographic (time, id) compare —
      * lowest wins, ties favor lower id — is a single branch-free integer
-     * compare and four children share a cache line. The packing is exact
-     * while time < 2^(64 - idShift_); with id widths of ≤16 bits that is
-     * ~2.8e14 simulated cycles, far beyond any run, and heapKey asserts
-     * it.
+     * compare. The packing is exact while time < 2^(64 - idShift_) - 1;
+     * with id widths of ≤16 bits that is ~2.8e14 simulated cycles, far
+     * beyond any run, and packKey asserts it. The bound also keeps every
+     * real key below WinnerTree::kAbsent, whose keyTime() is therefore
+     * later than any real time.
      */
-    using HeapKey = uint64_t;
+    using PackedKey = WinnerTree::Key;
 
-    static constexpr uint32_t kNoHeapPos = ~uint32_t(0);
     static constexpr Cycles kNoOtherCore =
         std::numeric_limits<Cycles>::max();
 
@@ -535,11 +538,10 @@ class Engine
 
     /** @name Remote-op commit queue internals
      *
-     * events_ is a binary min-heap of packed (commit time, issuer id)
-     * keys with at most one entry per issuer (its FIFO head), so no
-     * positional index is needed: the only operations are push, pop-min,
-     * and push-next-head. cachedEventMin_ mirrors the root's time
-     * (kNoOtherCore when empty) for the syncPoint fast-path compare.
+     * commits_ is a winner tree holding each issuer's FIFO head as a
+     * packed (commit time, issuer id) key at the issuer's leaf (at most
+     * one pending entry per issuer). cachedEventMin_ mirrors the root's
+     * time (kNoOtherCore when empty) for the syncPoint fast-path compare.
      * @{
      */
 
@@ -580,45 +582,48 @@ class Engine
     void finishCurrent(Slot &slot);
 
     /**
-     * Pick the next core to run (heap root, or a seeded within-window
-     * candidate under perturbation), run the watchdog check, and switch
-     * from @p from into it. Called with all heap keys fresh.
+     * Pick the next core to run (ready-tree root, or a seeded
+     * within-window candidate under perturbation), run the watchdog
+     * check, and switch from @p from into it. Called with all ready keys
+     * fresh.
      */
     void dispatchFrom(GuestContext &from);
 
     /** Next core per the strict or perturbed policy (asserts progress). */
     Slot *pickNext();
 
-    /** @name Indexed 4-ary min-heap over runnable cores
+    /** @name Packed (time, id) keys of both winner trees
      *  @{ */
-    HeapKey
-    heapKey(CoreId id, Cycles t) const
+    PackedKey
+    packKey(CoreId id, Cycles t) const
     {
         SPMRT_ASSERT(t <= maxPackTime_,
-                     "clock %llu overflows the packed heap key",
+                     "clock %llu overflows the packed (time, id) key",
                      static_cast<unsigned long long>(t));
-        return (static_cast<HeapKey>(t) << idShift_) | id;
+        return (static_cast<PackedKey>(t) << idShift_) | id;
     }
 
-    CoreId keyId(HeapKey key) const
+    CoreId keyId(PackedKey key) const
     {
         return static_cast<CoreId>(key & idMask_);
     }
 
-    Cycles keyTime(HeapKey key) const { return key >> idShift_; }
+    Cycles keyTime(PackedKey key) const { return key >> idShift_; }
 
-    void heapSiftUp(uint32_t pos);
-    void heapSiftDown(uint32_t pos);
-    void heapInsert(CoreId id, Cycles t);
-    void heapErase(CoreId id);
-    void heapIncreaseKey(CoreId id, Cycles t);
+    /** Queue (or requeue) runnable core @p id at clock @p t. */
+    void readySet(CoreId id, Cycles t) { ready_.set(id, packKey(id, t)); }
 
-    /** Min time over heap entries excluding @p self; kNoOtherCore when
-     *  none. O(arity): self can only occlude the root. */
-    Cycles heapMinTimeExcluding(CoreId self) const;
+    /** Min time over runnable cores excluding @p self; kNoOtherCore when
+     *  none. */
+    Cycles
+    readyMinTimeExcluding(CoreId self) const
+    {
+        const PackedKey key = ready_.minExcluding(self);
+        return key == WinnerTree::kAbsent ? kNoOtherCore : keyTime(key);
+    }
 
-    /** Ids within @p window of the root's time, ascending (DFS with
-     *  subtree pruning; fills candidateIds_). */
+    /** Ids within @p window of the root's time, ascending (an id-ordered
+     *  leaf scan; fills candidateIds_). */
     void collectWindowCandidates();
     /** @} */
 
@@ -633,16 +638,15 @@ class Engine
     bool referenceMode_;
 
     // Remote-op commit queue (see the public @name block).
-    std::vector<HeapKey> events_;     ///< min-heap, one entry per issuer
+    WinnerTree commits_; ///< issuer id -> packed (commit time, id) head
     std::vector<CoreOpSink *> opSinks_;
     Cycles cachedEventMin_ = kNoOtherCore;
 
-    // Indexed-heap scheduler state.
-    std::vector<HeapKey> heap_;      ///< runnable cores, packed (time, id)
-    std::vector<uint32_t> heapPos_;  ///< core id -> heap index or kNoHeapPos
-    uint32_t idShift_ = 0;           ///< bits reserved for the id field
-    HeapKey idMask_ = 0;             ///< low idShift_ bits
-    Cycles maxPackTime_ = 0;         ///< largest packable clock value
+    // Winner-tree scheduler state.
+    WinnerTree ready_;       ///< core id -> packed (time, id) if runnable
+    uint32_t idShift_ = 0;   ///< bits reserved for the id field
+    PackedKey idMask_ = 0;   ///< low idShift_ bits
+    Cycles maxPackTime_ = 0; ///< largest packable clock value
     /**
      * Exact minimum clock among runnable cores other than running_,
      * recomputed at every dispatch and min-folded on unblock. Exactness
@@ -678,8 +682,7 @@ class Engine
     Cycles schedWindow_ = 0;
     Xoshiro256StarStar schedRng_;
     std::vector<Slot *> schedCandidates_; ///< scratch (reference scan)
-    std::vector<CoreId> candidateIds_;    ///< scratch (heap descent)
-    std::vector<uint32_t> descentStack_;  ///< scratch (heap descent)
+    std::vector<CoreId> candidateIds_;    ///< scratch (leaf scan)
 };
 
 } // namespace spmrt

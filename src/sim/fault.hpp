@@ -203,11 +203,11 @@ class FaultPlan
 
     /**
      * True when the plan carries any link-delay windows. The NoC consults
-     * this per packet to decide between the compiled route tables (which
-     * never query per-hop faults) and the uncached per-hop walk (which
-     * does); a plan with link windows — even ones whose time windows have
-     * already passed — conservatively forces the walk, so fault timing can
-     * never be skipped by the route cache.
+     * this per packet to decide between the compiled step tables (which
+     * never query per-hop faults) and the per-hop walk (which does); a
+     * plan with link windows — even ones whose time windows have already
+     * passed — conservatively forces the walk, so fault timing can never
+     * be skipped by the step tables.
      */
     bool hasLinkDelays() const { return !linkDelays_.empty(); }
 

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "mem/address_map.hpp"
 #include "mem/alloc.hpp"
 #include "mem/dram.hpp"
@@ -217,6 +218,146 @@ TEST(Llc, OddBankCountOnOneEdgeStripes)
         llc.access(0, offset, 4, false);
     }
     EXPECT_EQ(llc.misses(), 10u);
+}
+
+/**
+ * The LLC timing model in its division-based form with a full-width way
+ * record (separate tag, line, valid and dirty fields): the oracle for
+ * LlcModel's shift/mask indexing and its 16-byte ways. Fault hooks and
+ * per-bank counters are left out; the returned times and the hit, miss
+ * and write-back totals are what must agree.
+ */
+class DivisionLlc
+{
+  public:
+    DivisionLlc(const MachineConfig &cfg, DramModel &dram)
+        : dram_(dram), numBanks_(cfg.llcBanks), lineBytes_(cfg.llcLineBytes),
+          sets_(cfg.llcSetsPerBank), ways_(cfg.llcWays),
+          latency_(cfg.llcLatency), occupancy_(cfg.llcBankOccupancy),
+          banks_(cfg.llcBanks, FluidServer(1)),
+          tags_(static_cast<size_t>(cfg.llcBanks) * sets_ * ways_)
+    {
+    }
+
+    uint32_t
+    bankOf(uint64_t dram_offset) const
+    {
+        return static_cast<uint32_t>((dram_offset / lineBytes_) % numBanks_);
+    }
+
+    Cycles
+    access(Cycles arrive, uint64_t dram_offset, bool is_store)
+    {
+        const uint64_t line = dram_offset / lineBytes_;
+        const uint32_t bank = bankOf(dram_offset);
+        const uint64_t in_bank = line / numBanks_;
+        const uint64_t folded =
+            in_bank ^ (in_bank / sets_) ^ (in_bank / sets_ / sets_);
+        const auto index = static_cast<uint32_t>(folded % sets_);
+        const uint64_t tag = in_bank / sets_;
+        Cycles wait = banks_[bank].charge(arrive, occupancy_);
+        Cycles done = arrive + wait + latency_;
+        Way *ways = &tags_[(static_cast<size_t>(bank) * sets_ + index) *
+                           ways_];
+        ++useClock_;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (ways[w].valid && ways[w].tag == tag) {
+                ways[w].lastUse = useClock_;
+                ways[w].dirty = ways[w].dirty || is_store;
+                ++hits;
+                return done;
+            }
+        }
+        ++misses;
+        uint32_t victim = 0;
+        for (uint32_t w = 0; w < ways_; ++w) {
+            if (!ways[w].valid) {
+                victim = w;
+                break;
+            }
+            if (ways[w].lastUse < ways[victim].lastUse)
+                victim = w;
+        }
+        if (ways[victim].valid && ways[victim].dirty) {
+            dram_.access(done, ways[victim].line * lineBytes_, lineBytes_);
+            ++writebacks;
+        }
+        Cycles filled = dram_.access(done, line * lineBytes_, lineBytes_);
+        ways[victim] = Way{tag, line, useClock_, true, is_store};
+        return filled;
+    }
+
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t writebacks = 0;
+
+  private:
+    struct Way
+    {
+        uint64_t tag = ~0ull;
+        uint64_t line = 0;
+        uint64_t lastUse = 0;
+        bool valid = false;
+        bool dirty = false;
+    };
+
+    DramModel &dram_;
+    uint32_t numBanks_, lineBytes_, sets_, ways_;
+    Cycles latency_, occupancy_;
+    std::vector<FluidServer> banks_;
+    std::vector<Way> tags_;
+    uint64_t useClock_ = 0;
+};
+
+TEST(Llc, MatchesDivisionModelOnEveryGeometry)
+{
+    struct Shape
+    {
+        uint32_t banks, sets, ways;
+    };
+    const Shape shapes[] = {
+        {24, 48, 8}, // neither count a power of two
+        {5, 32, 8},  // the one-edge 5-bank machine above
+        {8, 24, 4},  // power-of-two banks, odd sets
+        {32, 64, 8}, // the paper machine: the shift/mask path
+        {4, 1, 2},   // one set per bank
+    };
+    for (const Shape &s : shapes) {
+        MachineConfig cfg = MachineConfig::small();
+        cfg.llcBanks = s.banks;
+        cfg.llcSetsPerBank = s.sets;
+        cfg.llcWays = s.ways;
+        SCOPED_TRACE(cfg.geometry() + " sets " + std::to_string(s.sets));
+        DramModel dram(cfg);
+        DramModel oracle_dram(cfg);
+        LlcModel llc(cfg, dram);
+        DivisionLlc oracle(cfg, oracle_dram);
+
+        // Random words over four times the cache's capacity (misses,
+        // evictions and dirty write-backs), plus a 256 KiB stride like
+        // the per-core overflow stacks (the XOR fold's reason to exist).
+        const uint64_t lines =
+            4ull * s.banks * s.sets * s.ways;
+        Xoshiro256StarStar rng(s.banks * 131 + s.sets);
+        Cycles t = 0;
+        for (int i = 0; i < 20000; ++i) {
+            uint64_t line = i % 4 == 3 ? (i / 4 % 64) * (256 * 1024 / 64)
+                                       : rng.nextBounded(lines);
+            uint64_t offset = line * cfg.llcLineBytes +
+                              4 * rng.nextBounded(cfg.llcLineBytes / 4);
+            bool store = rng.nextBounded(3) == 0;
+            t += rng.nextBounded(4);
+            ASSERT_EQ(llc.bankOf(offset), oracle.bankOf(offset));
+            ASSERT_EQ(llc.access(t, offset, 4, store),
+                      oracle.access(t, offset, store))
+                << "access " << i << " at offset " << offset;
+        }
+        EXPECT_EQ(llc.hits(), oracle.hits);
+        EXPECT_EQ(llc.misses(), oracle.misses);
+        EXPECT_EQ(llc.writebacks(), oracle.writebacks);
+        EXPECT_GT(llc.hits(), 0u);
+        EXPECT_GT(llc.writebacks(), 0u);
+    }
 }
 
 TEST(Dram, BandwidthServerQueues)

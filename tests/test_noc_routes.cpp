@@ -1,11 +1,11 @@
 /**
  * @file
- * Property tests for the compiled NoC route tables.
+ * Property tests for the compiled NoC step tables.
  *
  * The contract is that compiled traversal is a pure host optimization:
  * for any (src, dst, time, payload) sequence, a MeshNoc with compiled
  * routes produces delivery times and link statistics identical to one
- * forced onto the uncached per-hop walk, because both charge the same
+ * forced onto the per-hop walk, because both charge the same
  * links the same flits in the same order. Whenever a FaultPlan carries
  * link-delay windows the compiled instance must itself fall back to the
  * walk, so injected timing is never skipped — including for packets
@@ -75,6 +75,16 @@ makeTraffic(uint64_t seed, size_t num_endpoints, size_t count)
     return traffic;
 }
 
+/** Both instances charged the same links the same flits and waits. */
+void
+expectSameLinkState(const MeshNoc &compiled, const MeshNoc &walked)
+{
+    EXPECT_EQ(compiled.linkCyclesUsed(), walked.linkCyclesUsed());
+    EXPECT_EQ(compiled.packetsRouted(), walked.packetsRouted());
+    EXPECT_EQ(compiled.linkFlits(), walked.linkFlits());
+    EXPECT_EQ(compiled.linkWaitCycles(), walked.linkWaitCycles());
+}
+
 /**
  * Drive identical traffic through a compiled and a walk-forced MeshNoc
  * (same optional fault plan on both) and require identical delivery
@@ -103,10 +113,35 @@ expectEquivalent(const MachineConfig &cfg, uint64_t seed, FaultPlan *plan)
                                    p.payload);
         ASSERT_EQ(a, b) << "delivery time diverged (seed " << seed << ")";
     }
-    EXPECT_EQ(compiled.linkCyclesUsed(), walked.linkCyclesUsed());
-    EXPECT_EQ(compiled.packetsRouted(), walked.packetsRouted());
-    EXPECT_EQ(compiled.linkFlits(), walked.linkFlits());
-    EXPECT_EQ(compiled.linkWaitCycles(), walked.linkWaitCycles());
+    expectSameLinkState(compiled, walked);
+}
+
+/**
+ * Every core to every LLC bank and back — the request and response legs
+ * of each DRAM access — on a compiled and a walk-forced MeshNoc,
+ * requiring identical delivery times and link statistics.
+ */
+void
+expectBankSweepEquivalent(const MachineConfig &cfg)
+{
+    MeshNoc compiled(cfg);
+    MeshNoc walked(cfg);
+    walked.setCompiledRoutes(false);
+    Cycles t = 0;
+    for (CoreId id = 0; id < cfg.numCores(); ++id) {
+        const NocEndpoint core = compiled.coreEndpoint(id);
+        for (uint32_t bank = 0; bank < cfg.llcBanks; ++bank) {
+            const NocEndpoint llc = compiled.bankEndpoint(bank);
+            ASSERT_EQ(compiled.traverse(core, llc, t, 4),
+                      walked.traverse(core, llc, t, 4))
+                << "core " << id << " -> bank " << bank;
+            ASSERT_EQ(compiled.traverse(llc, core, t + 1, 64),
+                      walked.traverse(llc, core, t + 1, 64))
+                << "bank " << bank << " -> core " << id;
+            t += bank % 2; // same-cycle pairs build backlog
+        }
+    }
+    expectSameLinkState(compiled, walked);
 }
 
 TEST(NocRoutes, CompiledMatchesWalkAcrossSeeds)
@@ -161,6 +196,30 @@ TEST(NocRoutes, CompiledMatchesWalkAcrossGeometries)
 TEST(NocRoutes, CompiledMatchesWalkOn1024Cores)
 {
     expectEquivalent(MachineConfig::big1024(), 31, nullptr);
+}
+
+TEST(NocRoutes, CoreBankSweepsMatchWalkOnEveryPreset)
+{
+    // Random traffic samples core<->bank pairs; this covers every one,
+    // on every preset and on Y-ruched and one-edge LLC shapes.
+    MachineConfig top = MachineConfig::small();
+    top.llcPlacement = LlcPlacement::Top;
+    top.llcBanks = 5;
+    top.validate();
+    MachineConfig bottom_ruche_y = MachineConfig::small();
+    bottom_ruche_y.llcPlacement = LlcPlacement::Bottom;
+    bottom_ruche_y.rucheY = 2;
+    bottom_ruche_y.validate();
+    const MachineConfig configs[] = {
+        MachineConfig::tiny(),   MachineConfig::small(),
+        MachineConfig::paper(),  MachineConfig::big256(),
+        MachineConfig::big1024(), top,
+        bottom_ruche_y,
+    };
+    for (const MachineConfig &cfg : configs) {
+        SCOPED_TRACE(cfg.geometry());
+        expectBankSweepEquivalent(cfg);
+    }
 }
 
 TEST(NocRoutes, RucheYFaultWindowsStillMatchWalk)

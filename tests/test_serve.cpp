@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <iterator>
 #include <map>
@@ -264,6 +265,66 @@ TEST(Fleet, DuplicatesServedFromCacheByteIdentical)
     EXPECT_EQ(fresh.status, JobStatus::Ok) << fresh.error;
     EXPECT_EQ(fresh.digest, first.digest);
     EXPECT_EQ(fresh.cycles, first.cycles);
+}
+
+TEST(Fleet, RuntimeTwinOfACachedJobSimulates)
+{
+    // The spec key holds every RuntimeConfig field, so a twin of a
+    // cached job that differs in any one field must run, not return the
+    // cached entry. One edit per field, in declaration order.
+    const std::vector<std::pair<std::string,
+                                std::function<void(RuntimeConfig &)>>>
+        edits = {
+            {"stackInSpm", [](RuntimeConfig &rt) { rt.stackInSpm = false; }},
+            {"queueInSpm", [](RuntimeConfig &rt) { rt.queueInSpm = false; }},
+            {"roDuplication",
+             [](RuntimeConfig &rt) { rt.roDuplication = false; }},
+            {"swOverflowCheck",
+             [](RuntimeConfig &rt) { rt.swOverflowCheck = true; }},
+            {"queuePointerTable",
+             [](RuntimeConfig &rt) { rt.queuePointerTable = true; }},
+            {"queueBytes", [](RuntimeConfig &rt) { rt.queueBytes = 256; }},
+            {"userSpmReserve",
+             [](RuntimeConfig &rt) { rt.userSpmReserve = 64; }},
+            {"dramStackBytes",
+             [](RuntimeConfig &rt) { rt.dramStackBytes = 128 * 1024; }},
+            {"regSaveWords", [](RuntimeConfig &rt) { rt.regSaveWords = 5; }},
+            {"backoffMin", [](RuntimeConfig &rt) { rt.backoffMin = 8; }},
+            {"backoffMax", [](RuntimeConfig &rt) { rt.backoffMax = 128; }},
+            {"seed", [](RuntimeConfig &rt) { rt.seed += 1; }},
+            {"watchdogCycles",
+             [](RuntimeConfig &rt) { rt.watchdogCycles += 1; }},
+            {"watchdogSwitches",
+             [](RuntimeConfig &rt) { rt.watchdogSwitches = 1'000'000'000; }},
+            {"activeCores", [](RuntimeConfig &rt) { rt.activeCores = 4; }},
+            {"victimPolicy",
+             [](RuntimeConfig &rt) {
+                 rt.victimPolicy = VictimPolicy::Nearest;
+             }},
+            {"workDealing", [](RuntimeConfig &rt) { rt.workDealing = true; }},
+        };
+    FleetConfig cfg;
+    cfg.workers = 1;
+    FleetServer server(cfg);
+    const FleetWorkload spec{"fib", 9, 0, 0.0};
+    JobReport first = server.wait(server.submit(makeWorkloadRequest(spec)));
+    ASSERT_EQ(first.status, JobStatus::Ok) << first.error;
+    ASSERT_EQ(server.wait(server.submit(makeWorkloadRequest(spec))).status,
+              JobStatus::CacheHit);
+
+    std::set<std::string> keys = {RuntimeConfig{}.key()};
+    for (const auto &[field, edit] : edits) {
+        JobRequest twin = makeWorkloadRequest(spec);
+        edit(twin.runtime);
+        keys.insert(twin.runtime.key());
+        JobReport report = server.wait(server.submit(std::move(twin)));
+        EXPECT_EQ(report.status, JobStatus::Ok)
+            << field << ": " << report.error;
+        EXPECT_FALSE(report.fromCache) << field;
+        EXPECT_EQ(report.digest, first.digest) << field;
+    }
+    EXPECT_EQ(keys.size(), edits.size() + 1)
+        << "two edits produced the same runtime key";
 }
 
 TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)

@@ -6,13 +6,91 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
+#include "sim/winner_tree.hpp"
 
 namespace spmrt {
 namespace {
+
+/** Brute-force minimum of @p leaves, skipping index @p skip. */
+WinnerTree::Key
+bruteMin(const std::vector<WinnerTree::Key> &leaves, size_t skip = ~size_t(0))
+{
+    WinnerTree::Key best = WinnerTree::kAbsent;
+    for (size_t i = 0; i < leaves.size(); ++i) {
+        if (i != skip)
+            best = std::min(best, leaves[i]);
+    }
+    return best;
+}
+
+TEST(WinnerTree, MatchesBruteForceArgminUnderRandomEdits)
+{
+    // Keys pack (time, id) as the engine's do. Clocks start equal and
+    // move by 0-2 per step, so ties are the common case and the id bits
+    // must break them exactly as a scan in id order would.
+    constexpr WinnerTree::Key kAbsent = WinnerTree::kAbsent;
+    for (uint32_t n : {1u, 3u, 16u, 128u, 1000u}) {
+        SCOPED_TRACE(n);
+        const unsigned shift = std::max(1u, ceilLog2(n));
+        auto key = [shift](uint64_t t, uint32_t id) {
+            return (t << shift) | id;
+        };
+        Xoshiro256StarStar rng(0x7ee0 + n);
+        WinnerTree tree;
+        tree.reset(n);
+        EXPECT_TRUE(tree.empty());
+        EXPECT_EQ(tree.minExcluding(0), kAbsent);
+
+        std::vector<WinnerTree::Key> leaves(n, kAbsent);
+        std::vector<uint64_t> clock(n, 0);
+        for (int step = 0; step < 4000; ++step) {
+            const auto id = static_cast<uint32_t>(rng.nextBounded(n));
+            switch (rng.nextBounded(3)) {
+              case 0: // insert, or requeue at the current clock
+                leaves[id] = key(clock[id], id);
+                break;
+              case 1: // erase
+                leaves[id] = kAbsent;
+                break;
+              default: // increase (a no-op key change when absent)
+                clock[id] += rng.nextBounded(3);
+                if (leaves[id] != kAbsent)
+                    leaves[id] = key(clock[id], id);
+                break;
+            }
+            tree.set(id, leaves[id]);
+            ASSERT_EQ(tree.min(), bruteMin(leaves)) << "step " << step;
+            ASSERT_EQ(tree.empty(), bruteMin(leaves) == kAbsent);
+            const auto probe = static_cast<uint32_t>(rng.nextBounded(n));
+            ASSERT_EQ(tree.leaf(probe), leaves[probe]);
+            ASSERT_EQ(tree.minExcluding(probe), bruteMin(leaves, probe))
+                << "step " << step << " excluding " << probe;
+            // Excluding the winner itself yields the runner-up.
+            if (!tree.empty()) {
+                const auto winner =
+                    static_cast<uint32_t>(tree.min() & ((1u << shift) - 1));
+                ASSERT_EQ(tree.minExcluding(winner),
+                          bruteMin(leaves, winner));
+            }
+        }
+
+        for (uint32_t i = 0; i < n; ++i)
+            tree.erase(i);
+        EXPECT_TRUE(tree.empty());
+        EXPECT_EQ(tree.minExcluding(n - 1), kAbsent);
+        tree.set(n - 1, key(5, n - 1));
+        tree.clear();
+        EXPECT_TRUE(tree.empty());
+        EXPECT_EQ(tree.leaf(n - 1), kAbsent);
+    }
+}
 
 TEST(Engine, RunsAllBodies)
 {
