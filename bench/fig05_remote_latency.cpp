@@ -102,7 +102,6 @@ main(int argc, char **argv)
     // The figure itself: a normalized latency grid in mesh layout
     // (Heatmap cells are integers, so normalized values are permille).
     obs::Heatmap grid;
-    grid.title = "fig05_normalized_latency_permille";
     grid.labelColumn = "row";
     for (uint32_t x = 0; x < cfg.meshCols; ++x)
         grid.columns.push_back(log::format("x%02u", x));

@@ -3,7 +3,7 @@
  * Host-performance trajectory bench: how fast the simulator itself runs.
  *
  * Runs fib/cilksort/uts/nqueens under the work-stealing runtime at 16 and
- * 128 cores, once with the indexed-heap scheduler and once with the
+ * 128 cores, once with the winner-tree scheduler and once with the
  * linear-scan reference scheduler, and records host wall-clock, context
  * switches, sync points, and simulated cycles. Results go to
  * BENCH_host_perf.json (schema documented in EXPERIMENTS.md) so every PR

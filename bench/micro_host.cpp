@@ -136,7 +136,7 @@ BM_LlcAccess(benchmark::State &state)
     Cycles t = 0;
     for (auto _ : state) {
         const uint64_t r = rng.next();
-        const uint64_t offset = (r % lines) * cfg.llcLineBytes;
+        const uint64_t offset = (r % lines) * MachineConfig::kLlcLineBytes;
         benchmark::DoNotOptimize(
             llc.access(t++, offset, 4, (r >> 60) < 4));
     }

@@ -7,7 +7,8 @@
  * place) instead of re-implemented per call site:
  *
  *  - SPMRT_BENCH_QUICK       bool  shrink bench inputs for smoke runs
- *  - SPMRT_ENGINE_REFERENCE  bool  default to the linear-scan scheduler
+ *  - SPMRT_ENGINE_REFERENCE  bool  start every Engine on the linear-scan
+ *                                  reference scheduler
  *  - SPMRT_TRACE_OUT         str   arm telemetry and write a Chrome trace
  *  - SPMRT_MACHINE           str   machine-geometry spec override; parsed
  *                                  by MachineConfig::fromSpec (fatal on a
@@ -20,7 +21,6 @@
 #ifndef SPMRT_COMMON_ENV_HPP
 #define SPMRT_COMMON_ENV_HPP
 
-#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -39,18 +39,6 @@ boolValue(const char *name, bool fallback = false)
     if (value == nullptr)
         return fallback;
     return value[0] == '1';
-}
-
-/** Integer knob: unset or unparsable -> @p fallback. */
-inline int64_t
-intValue(const char *name, int64_t fallback = 0)
-{
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    char *end = nullptr;
-    long long parsed = std::strtoll(value, &end, 0);
-    return (end == value) ? fallback : static_cast<int64_t>(parsed);
 }
 
 /** String knob: unset -> @p fallback (empty by default). */

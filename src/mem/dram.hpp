@@ -30,8 +30,7 @@ class DramModel
 {
   public:
     explicit DramModel(const MachineConfig &cfg)
-        : latency_(cfg.dramLatency), bytesPerCycle_(cfg.dramBytesPerCycle),
-          lineBytes_(cfg.llcLineBytes),
+        : bytesPerCycle_(cfg.dramBytesPerCycle),
           channels_(cfg.dramChannels == 0 ? 1 : cfg.dramChannels,
                     FluidServer(cfg.dramBytesPerCycle)),
           channelBytes_(channels_.size(), 0)
@@ -54,7 +53,7 @@ class DramModel
         ++transfers_;
         bytesMoved_ += bytes;
         channelBytes_[channel] += bytes;
-        return start + wait + occupancy + latency_;
+        return start + wait + occupancy + MachineConfig::kDramLatency;
     }
 
     /** Number of independent channels. */
@@ -68,8 +67,8 @@ class DramModel
     uint32_t
     channelOf(uint64_t line_offset) const
     {
-        return static_cast<uint32_t>((line_offset / lineBytes_) %
-                                     channels_.size());
+        return static_cast<uint32_t>(
+            (line_offset / MachineConfig::kLlcLineBytes) % channels_.size());
     }
 
     /** Bytes transferred through channel @p channel (diagnostics; shows
@@ -107,9 +106,7 @@ class DramModel
     }
 
   private:
-    Cycles latency_;
     uint32_t bytesPerCycle_;
-    uint32_t lineBytes_;
     std::vector<FluidServer> channels_;
     std::vector<uint64_t> channelBytes_;
     uint64_t bytesMoved_ = 0;

@@ -6,13 +6,10 @@
 namespace spmrt {
 
 LlcModel::LlcModel(const MachineConfig &cfg, DramModel &dram)
-    : dram_(dram), numBanks_(cfg.llcBanks), lineBytes_(cfg.llcLineBytes),
+    : dram_(dram), numBanks_(cfg.llcBanks),
       setsPerBank_(cfg.llcSetsPerBank), ways_(cfg.llcWays),
-      bankLatency_(cfg.llcLatency), bankOccupancy_(cfg.llcBankOccupancy),
-      lineShift_(floorLog2(cfg.llcLineBytes)),
       pow2_(isPowerOfTwo(cfg.llcBanks) && isPowerOfTwo(cfg.llcSetsPerBank))
 {
-    SPMRT_ASSERT(isPowerOfTwo(lineBytes_), "LLC line size not a power of 2");
     // Bank count vs. edge placement (even split across two edges, any
     // count on one) is MachineConfig::validate()'s job; the model itself
     // stripes lines over any nonzero bank count.
@@ -25,7 +22,7 @@ LlcModel::LlcModel(const MachineConfig &cfg, DramModel &dram)
         setMask_ = setsPerBank_ - 1;
     }
     // The compact Way stores a 32-bit tag and a 31-bit line number.
-    const uint64_t lines = cfg.dramBytes >> lineShift_;
+    const uint64_t lines = cfg.dramBytes >> kLineShift;
     SPMRT_ASSERT(lines <= (uint64_t(1) << 31) &&
                      lines / numBanks_ / setsPerBank_ < kNoTag,
                  "%llu DRAM lines overflow the LLC way record",
@@ -43,7 +40,6 @@ obs::Heatmap
 LlcModel::bankHeatmap() const
 {
     obs::Heatmap map;
-    map.title = "llc_banks";
     map.labelColumn = "bank";
     map.columns = {"accesses", "hits", "misses", "wait_cycles"};
     for (uint32_t b = 0; b < numBanks_; ++b)
@@ -106,11 +102,12 @@ LlcModel::fill(Cycles done, uint32_t bank, Way *ways, uint32_t tag,
         // critical path beyond the shared bus occupancy.
         dram_.access(done,
                      static_cast<uint64_t>(ways[victim].lineDirty >> 1)
-                         << lineShift_,
-                     lineBytes_);
+                         << kLineShift,
+                     MachineConfig::kLlcLineBytes);
         ++writebacks_;
     }
-    Cycles filled = dram_.access(done, line << lineShift_, lineBytes_);
+    Cycles filled =
+        dram_.access(done, line << kLineShift, MachineConfig::kLlcLineBytes);
     ways[victim] = Way{useClock_, tag,
                        static_cast<uint32_t>(line << 1) | (is_store ? 1u : 0u)};
     return filled;

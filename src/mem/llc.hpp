@@ -43,7 +43,7 @@ class LlcModel
     uint32_t
     bankOf(uint64_t dram_offset) const
     {
-        const uint64_t line = dram_offset >> lineShift_;
+        const uint64_t line = dram_offset >> kLineShift;
         return static_cast<uint32_t>(pow2_ ? line & bankMask_
                                            : line % numBanks_);
     }
@@ -65,8 +65,9 @@ class LlcModel
     access(Cycles arrive, uint64_t dram_offset, uint32_t bytes,
            bool is_store)
     {
-        const uint64_t line = dram_offset >> lineShift_;
-        SPMRT_ASSERT((dram_offset & (lineBytes_ - 1)) + bytes <= lineBytes_,
+        constexpr uint32_t kLine = MachineConfig::kLlcLineBytes;
+        const uint64_t line = dram_offset >> kLineShift;
+        SPMRT_ASSERT((dram_offset & (kLine - 1)) + bytes <= kLine,
                      "LLC access straddles a line boundary");
         // XOR-fold the upper address bits into the set index so regular
         // strides (e.g. the per-core 256 KB overflow stacks) don't all
@@ -93,10 +94,11 @@ class LlcModel
             pow2_ ? in_bank >> setShift_ : in_bank / setsPerBank_);
 
         // Serialize at the bank, then pay the tag/data pipeline latency.
-        Cycles wait = banks_[bank].charge(arrive, bankOccupancy_);
+        Cycles wait =
+            banks_[bank].charge(arrive, MachineConfig::kLlcBankOccupancy);
         Cycles slow =
             fault_ != nullptr ? fault_->llcDelay(bank, arrive) : 0;
-        Cycles done = arrive + wait + bankLatency_ + slow;
+        Cycles done = arrive + wait + MachineConfig::kLlcLatency + slow;
         ++bankAccesses_[bank];
         bankWaitCycles_[bank] += wait;
 
@@ -169,17 +171,17 @@ class LlcModel
     };
     static_assert(sizeof(Way) == 16, "four ways per cache line");
 
+    /** log2 of the line size (a power of two by static_assert). */
+    static constexpr uint32_t kLineShift =
+        floorLog2(MachineConfig::kLlcLineBytes);
+
     DramModel &dram_;
     uint32_t numBanks_;
-    uint32_t lineBytes_;
     uint32_t setsPerBank_;
     uint32_t ways_;
-    Cycles bankLatency_;
-    Cycles bankOccupancy_;
 
-    // Index arithmetic: lines are always a power of two; banks and sets
-    // take the shift/mask path when both are (pow2_).
-    uint32_t lineShift_;
+    // Index arithmetic: banks and sets take the shift/mask path when
+    // both are powers of two (pow2_).
     bool pow2_;
     uint32_t bankShift_ = 0;
     uint64_t bankMask_ = 0;

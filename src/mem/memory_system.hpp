@@ -82,7 +82,7 @@ class MemorySystem
     MemorySystem &operator=(const MemorySystem &) = delete;
 
     /** Largest single timed transfer: one LLC line. Bursts split on this. */
-    static constexpr uint32_t kMaxChunk = 64;
+    static constexpr uint32_t kMaxChunk = MachineConfig::kLlcLineBytes;
 
     /** @name Timed guest accesses
      *  All take the issuing core and its current clock and return the
@@ -338,7 +338,7 @@ class MemorySystem
     spmService(CoreId owner, Cycles arrive)
     {
         Cycles wait = spmPorts_[owner].charge(arrive, 1);
-        return arrive + wait + cfg_.spmLatency;
+        return arrive + wait + MachineConfig::kSpmLatency;
     }
 
     /** Apply @p op to a 32-bit cell, returning the old value. */

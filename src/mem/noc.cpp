@@ -29,7 +29,6 @@ obs::Heatmap
 MeshNoc::linkHeatmap() const
 {
     obs::Heatmap map;
-    map.title = "noc_links";
     map.labelColumn = "link";
     map.columns = {"x", "y", "dir", "flits", "wait_cycles", "backlog"};
     for (size_t i = 0; i < links_.size(); ++i) {
@@ -87,7 +86,7 @@ MeshNoc::hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits)
     state.flits += flits;
     state.waitCycles += wait;
     Cycles extra = fault_ != nullptr ? fault_->linkDelay(x, y, t) : 0;
-    return t + wait + cfg_.linkLatency + extra;
+    return t + wait + MachineConfig::kLinkLatency + extra;
 }
 
 void
@@ -218,7 +217,8 @@ MeshNoc::traverse(const NocEndpoint &src, const NocEndpoint &dst,
                   Cycles start, uint32_t payload_bytes)
 {
     ++packets_;
-    const uint32_t flits = 1 + divCeil(payload_bytes, cfg_.flitBytes);
+    const uint32_t flits =
+        1 + divCeil(payload_bytes, MachineConfig::kFlitBytes);
 
     // Injection starts at a core-array node. LLC endpoints never originate
     // traffic in this model (responses are charged by the caller with the
@@ -252,7 +252,7 @@ MeshNoc::traverse(const NocEndpoint &src, const NocEndpoint &dst,
         Cycles wait = state.server.charge(t, flits);
         state.flits += flits;
         state.waitCycles += wait;
-        t += wait + cfg_.linkLatency;
+        t += wait + MachineConfig::kLinkLatency;
     };
     for (uint32_t i = 0; i < xr.count; ++i)
         charge(row[xs[i]]);

@@ -6,7 +6,7 @@
  *
  * The timing model is wormhole-like at a first order: a packet of F flits
  * loads every link on its path with F flit-cycles of service, and its
- * delivery time is start + hops * linkLatency + (F - 1) plus the queueing
+ * delivery time is start + hops * kLinkLatency + (F - 1) plus the queueing
  * delay of each link's fluid backlog (see fluid_server.hpp). Per-link
  * backlog is what creates the congestion gradient of the paper's Fig. 5
  * when many cores hammer one endpoint.
@@ -81,9 +81,6 @@ class MeshNoc
 
     /** Enable/disable the compiled step tables (testing; default on). */
     void setCompiledRoutes(bool on) { compiledEnabled_ = on; }
-
-    /** Whether the compiled step tables are enabled. */
-    bool compiledRoutesEnabled() const { return compiledEnabled_; }
 
     /** Packets routed through the step tables (diagnostics). */
     uint64_t compiledTraversals() const { return compiledTraversals_; }
@@ -162,25 +159,6 @@ class MeshNoc
 
     /** Human-readable name of link @p index (diagnostics). */
     std::string linkName(size_t index) const;
-
-    /** Index of the link with the largest backlog (diagnostics). */
-    size_t
-    hottestLink() const
-    {
-        size_t best = 0;
-        for (size_t i = 1; i < links_.size(); ++i)
-            if (links_[i].server.backlogUnits() >
-                links_[best].server.backlogUnits())
-                best = i;
-        return best;
-    }
-
-    /** Current backlog of link @p index in flits (diagnostics). */
-    uint64_t
-    linkBacklog(size_t index) const
-    {
-        return links_[index].server.backlogUnits();
-    }
 
   private:
     enum Dir : uint32_t

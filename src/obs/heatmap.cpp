@@ -70,31 +70,5 @@ Heatmap::writeCsv(const std::string &path) const
     return writeText(path, csv(), "heatmap CSV");
 }
 
-std::string
-Heatmap::json() const
-{
-    std::string out =
-        log::format("{\n\"title\": \"%s\",\n\"rows\": [\n", title.c_str());
-    for (size_t r = 0; r < rows.size(); ++r) {
-        if (r != 0)
-            out += ",\n";
-        out += log::format("{\"%s\": \"%s\"", labelColumn.c_str(),
-                           labels[r].c_str());
-        for (size_t c = 0; c < columns.size(); ++c)
-            out += log::format(
-                ", \"%s\": %llu", columns[c].c_str(),
-                static_cast<unsigned long long>(rows[r][c]));
-        out += "}";
-    }
-    out += "\n]\n}\n";
-    return out;
-}
-
-bool
-Heatmap::writeJson(const std::string &path) const
-{
-    return writeText(path, json(), "heatmap JSON");
-}
-
 } // namespace obs
 } // namespace spmrt

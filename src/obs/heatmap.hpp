@@ -1,6 +1,6 @@
 /**
  * @file
- * Tabular heatmap snapshots with CSV/JSON export.
+ * Tabular heatmap snapshots with CSV export.
  *
  * A Heatmap is a labelled integer table — one row per spatial element
  * (NoC link, LLC bank), one column per metric — snapshotted from live
@@ -26,7 +26,6 @@ namespace obs {
  */
 struct Heatmap
 {
-    std::string title;                ///< e.g. "noc_links"
     std::string labelColumn;          ///< header of the label column
     std::vector<std::string> columns; ///< metric column headers
     std::vector<std::string> labels;  ///< one per row
@@ -44,11 +43,6 @@ struct Heatmap
     std::string csv() const;
     /** Write csv() to @p path; false (with a warning) on failure. */
     bool writeCsv(const std::string &path) const;
-
-    /** JSON: {"title", "columns", "rows": [{"label", col: v, ...}]}. */
-    std::string json() const;
-    /** Write json() to @p path; false (with a warning) on failure. */
-    bool writeJson(const std::string &path) const;
 };
 
 } // namespace obs

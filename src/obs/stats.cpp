@@ -1,8 +1,5 @@
 #include "obs/stats.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "common/log.hpp"
 
 namespace spmrt {
@@ -69,34 +66,6 @@ StatRegistry::json() const
                            static_cast<unsigned long long>(*entry.value));
     }
     out += "\n}\n";
-    return out;
-}
-
-bool
-StatRegistry::writeJson(const std::string &path) const
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        SPMRT_WARN("cannot write stats to %s", path.c_str());
-        return false;
-    }
-    std::string text = json();
-    size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    return written == text.size();
-}
-
-std::string
-StatRegistry::table() const
-{
-    size_t width = 0;
-    for (const Entry &entry : entries_)
-        width = std::max(width, entry.name.size());
-    std::string out;
-    for (const Entry &entry : entries_)
-        out += log::format("%-*s %20llu\n", static_cast<int>(width),
-                           entry.name.c_str(),
-                           static_cast<unsigned long long>(*entry.value));
     return out;
 }
 

@@ -68,12 +68,6 @@ class StatRegistry
     /** Flat JSON object {"name": value, ...} in registration order. */
     std::string json() const;
 
-    /** Write json() to @p path; false (with a warning) on failure. */
-    bool writeJson(const std::string &path) const;
-
-    /** Aligned two-column text table (diagnostics). */
-    std::string table() const;
-
   private:
     struct Entry
     {

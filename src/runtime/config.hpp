@@ -1,7 +1,8 @@
 /**
  * @file
  * Runtime configuration: the data-placement variants evaluated in the
- * paper plus tunable overhead knobs.
+ * paper plus tunable overhead knobs, and the runtime's fixed bookkeeping
+ * constants.
  *
  * The six runtime configurations of Table 1 map to:
  *  - Static runtime, stack in DRAM:  StaticRuntime + stackInSpm=false
@@ -27,13 +28,28 @@ namespace spmrt {
  *
  * Shared by the queue lock's spin loop and the worker's steal-retry
  * loop: wait kBackoffMinCycles after the first failure, double on each
- * subsequent failure, saturate at kBackoffMaxCycles. These are the
- * defaults behind RuntimeConfig::backoffMin/backoffMax.
+ * subsequent failure, saturate at kBackoffMaxCycles. The bounds are
+ * aggressive — idle cores poll hard, which is what the paper's inflated
+ * dynamic-instruction counts on work-stealing runs reflect (Sec. 6:
+ * "these instructions are executed by idle cores ... not part of the
+ * critical path").
  * @{
  */
 inline constexpr uint32_t kBackoffMinCycles = 4;
 inline constexpr uint32_t kBackoffMaxCycles = 64;
 /** @} */
+
+/** Bytes of SPM (or DRAM, for a DRAM queue) per task queue (paper: 512). */
+inline constexpr uint32_t kQueueBytes = 512;
+
+/**
+ * Callee-saved words spilled per runtime stack frame (RV32 calling
+ * convention: ra plus a few s-registers for task bodies).
+ */
+inline constexpr uint32_t kRegSaveWords = 4;
+
+/** Seed of the per-core victim-selection RNGs (core i: seed * 7919 + i). */
+inline constexpr uint64_t kVictimSeed = 0x5eed;
 
 /**
  * Victim-selection policy for stealing. The paper uses Random
@@ -74,30 +90,10 @@ struct RuntimeConfig
      */
     bool queuePointerTable = false;
 
-    /** Bytes of SPM claimed for the task queue (paper default: 512). */
-    uint32_t queueBytes = 512;
     /** Bytes of SPM reserved by the application via spm_reserve(). */
     uint32_t userSpmReserve = 0;
     /** Per-core DRAM overflow stack size (paper default: 256 KB). */
     uint32_t dramStackBytes = 256 * 1024;
-    /**
-     * Callee-saved words spilled per stack frame (RV32 calling
-     * convention: ra plus a few s-registers for task bodies).
-     */
-    uint32_t regSaveWords = 4;
-
-    /**
-     * Steal-retry backoff bounds in cycles (exponential). The defaults
-     * are aggressive — idle cores poll hard, which is what the paper's
-     * inflated dynamic-instruction counts on work-stealing runs reflect
-     * (Sec. 6: "these instructions are executed by idle cores ... not
-     * part of the critical path").
-     */
-    uint32_t backoffMin = kBackoffMinCycles;
-    uint32_t backoffMax = kBackoffMaxCycles;
-
-    /** Seed for per-core victim-selection RNGs. */
-    uint64_t seed = 0x5eed;
 
     /**
      * @name Hang watchdog bounds
@@ -197,12 +193,9 @@ struct RuntimeConfig
     key() const
     {
         return log::format(
-            "ss%d/qs%d/rd%d/ov%d/pt%d/qb%u/ur%u/ds%u/rs%u/bo%u:%u/s%llu/"
-            "wd%llu:%llu/a%u/vp%u/dl%d",
+            "ss%d/qs%d/rd%d/ov%d/pt%d/ur%u/ds%u/wd%llu:%llu/a%u/vp%u/dl%d",
             stackInSpm, queueInSpm, roDuplication, swOverflowCheck,
-            queuePointerTable, queueBytes, userSpmReserve, dramStackBytes,
-            regSaveWords, backoffMin, backoffMax,
-            static_cast<unsigned long long>(seed),
+            queuePointerTable, userSpmReserve, dramStackBytes,
             static_cast<unsigned long long>(watchdogCycles),
             static_cast<unsigned long long>(watchdogSwitches), activeCores,
             static_cast<unsigned>(victimPolicy), workDealing);

@@ -28,7 +28,7 @@ StaticRuntime::StaticRuntime(Machine &machine, const RuntimeConfig &cfg)
         stack_cfg.dramBytes = cfg_.dramStackBytes;
         stack_cfg.spmResident = cfg_.stackInSpm;
         stack_cfg.swOverflowCheck = cfg_.swOverflowCheck;
-        stack_cfg.regSaveWords = cfg_.regSaveWords;
+        stack_cfg.regSaveWords = kRegSaveWords;
         stacks_.push_back(
             std::make_unique<StackModel>(machine_.core(i), stack_cfg));
         userSpm_.push_back(std::make_unique<SpmUserAllocator>(

@@ -11,9 +11,7 @@ namespace spmrt {
 Worker::Worker(WorkStealingRuntime &rt, Core &core,
                const StackConfig &stack_cfg, uint64_t seed)
     : rt_(rt), core_(core), stack_(core, stack_cfg), qops_(core),
-      ownQueue_(rt.queueAddrs(core.id())), rng_(seed),
-      backoffMin_(rt.config().backoffMin),
-      backoffMax_(rt.config().backoffMax), backoff_(rt.config().backoffMin)
+      ownQueue_(rt.queueAddrs(core.id())), rng_(seed)
 {
 }
 
@@ -21,7 +19,7 @@ void
 Worker::backoffWait()
 {
     core_.idle(backoff_);
-    backoff_ = backoff_ * 2 > backoffMax_ ? backoffMax_ : backoff_ * 2;
+    backoff_ = std::min(backoff_ * 2, kBackoffMaxCycles);
 }
 
 void

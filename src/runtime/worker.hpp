@@ -72,7 +72,7 @@ class Worker
     /** Execute a dequeued task: run, signal parent, reclaim. */
     void executeSpawned(Task *task, uint32_t trace_id = 0);
     /** Reset the steal backoff after useful work. */
-    void resetBackoff() { backoff_ = backoffMin_; }
+    void resetBackoff() { backoff_ = kBackoffMinCycles; }
 
   public:
     /**
@@ -109,9 +109,7 @@ class Worker
     QueueOps qops_;
     QueueAddrs ownQueue_;
     Xoshiro256StarStar rng_;
-    uint32_t backoffMin_;
-    uint32_t backoffMax_;
-    uint32_t backoff_;
+    uint32_t backoff_ = kBackoffMinCycles;
     std::vector<CoreId> nearestOrder_; ///< peers by mesh distance (lazy)
     uint32_t probeCursor_ = 0;         ///< Nearest / RoundRobin state
     std::vector<Task *> ownedInFlight_; ///< see ownedInFlight()

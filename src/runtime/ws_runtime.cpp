@@ -6,7 +6,7 @@ WorkStealingRuntime::WorkStealingRuntime(Machine &machine,
                                          const RuntimeConfig &cfg)
     : machine_(machine), cfg_(cfg),
       layout_(machine.config(), cfg.userSpmReserve,
-              cfg.queueInSpm ? cfg.queueBytes : 0)
+              cfg.queueInSpm ? kQueueBytes : 0)
 {
     const uint32_t cores = machine_.numCores();
     const AddressMap &map = machine_.mem().map();
@@ -22,7 +22,7 @@ WorkStealingRuntime::WorkStealingRuntime(Machine &machine,
     } else {
         for (CoreId i = 0; i < cores; ++i)
             queueRegionBase_[i] =
-                machine_.dramAlloc(cfg_.queueBytes, 64);
+                machine_.dramAlloc(kQueueBytes, 64);
     }
     if (cfg_.queuePointerTable || !cfg_.queueInSpm) {
         queueTable_ = machine_.dramAlloc(cores * 4, 64);
@@ -52,9 +52,9 @@ WorkStealingRuntime::WorkStealingRuntime(Machine &machine,
         stack_cfg.dramBytes = cfg_.dramStackBytes;
         stack_cfg.spmResident = cfg_.stackInSpm;
         stack_cfg.swOverflowCheck = cfg_.swOverflowCheck;
-        stack_cfg.regSaveWords = cfg_.regSaveWords;
+        stack_cfg.regSaveWords = kRegSaveWords;
         workers_.push_back(std::make_unique<Worker>(
-            *this, machine_.core(i), stack_cfg, cfg_.seed * 7919 + i));
+            *this, machine_.core(i), stack_cfg, kVictimSeed * 7919 + i));
         userSpm_.push_back(std::make_unique<SpmUserAllocator>(
             layout_.userBase(map, i), layout_.userBytes()));
     }
@@ -69,7 +69,7 @@ WorkStealingRuntime::WorkStealingRuntime(Machine &machine,
             if (!cfg_.queueInSpm) {
                 QueueAddrs q = queueAddrs(i);
                 ck->registerRegion(RegionKind::Queue, queueRegionBase_[i],
-                                   cfg_.queueBytes, i, q.lock);
+                                   kQueueBytes, i, q.lock);
             }
         }
     }
@@ -78,7 +78,7 @@ WorkStealingRuntime::WorkStealingRuntime(Machine &machine,
 QueueAddrs
 WorkStealingRuntime::queueAddrs(CoreId id) const
 {
-    return QueueAddrs::inRegion(queueRegionBase_[id], cfg_.queueBytes);
+    return QueueAddrs::inRegion(queueRegionBase_[id], kQueueBytes);
 }
 
 QueueAddrs
@@ -88,7 +88,7 @@ WorkStealingRuntime::victimQueueAddrs(Core &thief, CoreId victim)
         // Naive scheme: fetch the victim's queue pointer from the DRAM
         // table (Fig. 4a line 18's tq[vid] indirection).
         uint32_t base = thief.load<uint32_t>(queueTable_ + victim * 4);
-        return QueueAddrs::inRegion(base, cfg_.queueBytes);
+        return QueueAddrs::inRegion(base, kQueueBytes);
     }
     // Fixed-offset scheme (Sec. 4.2): compute the remote SPM address from
     // the local queue's address — two ALU operations, no memory access.

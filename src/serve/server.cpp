@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <stdexcept>
 
 #include "common/log.hpp"
@@ -47,19 +46,6 @@ truncateDump(const std::string &dump)
     return dump.substr(0, kMaxDumpBytes) + "...[truncated]";
 }
 
-/** File-name-safe form of a job name. */
-std::string
-sanitizeName(const std::string &name)
-{
-    std::string out = name;
-    for (char &c : out) {
-        if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '-' ||
-              c == '_' || c == '.'))
-            c = '_';
-    }
-    return out;
-}
-
 JobStatus
 statusOfAbort(const SimAbort &abort)
 {
@@ -101,14 +87,14 @@ FleetServer::specKeyFor(const JobRequest &req) const
 {
     if (req.cacheKey.empty())
         return "";
-    // The machine is its full geometry string and the runtime every
-    // RuntimeConfig field: two configs differing in any timed parameter
-    // (ruche factors, LLC placement, DRAM channels, window stride, queue
-    // placement, victim policy, backoff bounds, ...) must never share a
-    // digest cache or quarantine entry.
+    // The machine is every MachineConfig field and the runtime every
+    // RuntimeConfig field: two configs differing in any parameter (ruche
+    // factors, LLC sets, DRAM channels, window stride, queue placement,
+    // victim policy, ...) must never share a digest cache or quarantine
+    // entry.
     return log::format(
         "%s|m:%s|rt:%s|sched:%llu/%llu|fault:%llu/%llu|ck:%d|st:%d",
-        req.cacheKey.c_str(), req.machine.geometry().c_str(),
+        req.cacheKey.c_str(), req.machine.key().c_str(),
         req.runtime.key().c_str(),
         static_cast<unsigned long long>(req.scheduleSeed),
         static_cast<unsigned long long>(req.scheduleWindow),
@@ -213,7 +199,7 @@ FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
             finishLocked(id);
             return;
         }
-        if (cfg_.cacheEnabled && !job.req.bypassCache) {
+        if (!job.req.bypassCache) {
             // Result cache: duplicates are free.
             auto hit = cache_.find(job.specKey);
             if (hit != cache_.end()) {
@@ -252,7 +238,7 @@ FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
     AttemptOutcome out;
     uint32_t attempts = 0;
     for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        out = runAttempt(job, attempt);
+        out = runAttempt(job);
         ++attempts;
         if (out.status == JobStatus::Cancelled)
             break;
@@ -284,8 +270,7 @@ FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
 
     lock.lock();
     attemptsTotal_ += attempts;
-    if (!job.specKey.empty() && cfg_.cacheEnabled &&
-        job.report.status == JobStatus::Ok) {
+    if (!job.specKey.empty() && job.report.status == JobStatus::Ok) {
         // Validate fresh results against the stored entry (bypassCache
         // recomputes land here): digest *and* cycle count must match,
         // or the batch has detected nondeterminism.
@@ -358,9 +343,8 @@ FleetServer::finishLocked(JobId id)
 }
 
 FleetServer::AttemptOutcome
-FleetServer::runAttempt(Job &job, uint32_t attempt)
+FleetServer::runAttempt(Job &job)
 {
-    (void)attempt;
     const JobRequest &req = job.req;
     AttemptOutcome out;
 
@@ -418,13 +402,6 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
             throw std::runtime_error(
                 "prepare() returned both a root task and a raw body");
 
-        bool traced = false;
-#if SPMRT_TELEMETRY_ENABLED
-        if (!cfg_.traceDir.empty()) {
-            machine.armTelemetry();
-            traced = true;
-        }
-#endif
         FaultPlan plan;
         if (req.faultSeed != 0) {
             plan = FaultPlan::chaos(req.faultSeed, req.machine,
@@ -472,20 +449,6 @@ FleetServer::runAttempt(Job &job, uint32_t attempt)
                 static_cast<unsigned long long>(out.digest),
                 static_cast<unsigned long long>(req.expectedDigest));
         }
-#if SPMRT_TELEMETRY_ENABLED
-        if (traced && out.status == JobStatus::Ok) {
-            obs::Telemetry *telemetry = machine.telemetry();
-            if (telemetry != nullptr) {
-                std::string base = log::format(
-                    "%s/job_%llu_%s", cfg_.traceDir.c_str(),
-                    static_cast<unsigned long long>(job.report.id),
-                    sanitizeName(job.req.name).c_str());
-                telemetry->tracer.writeChromeJson(base + ".trace.json");
-                telemetry->stats.writeJson(base + ".stats.json");
-            }
-        }
-#endif
-        (void)traced;
     } catch (const SimAbort &abort) {
         disarm_deadline();
         out.status = statusOfAbort(abort);

@@ -65,13 +65,6 @@ struct FleetConfig
     uint32_t maxQueueDepth = 0;
     /** Retry/backoff policy applied to every job. */
     RetryPolicy retry;
-    /** Enable the digest-keyed result cache. */
-    bool cacheEnabled = true;
-    /**
-     * When nonempty (and telemetry is compiled in), successful jobs
-     * write per-job Chrome-trace + stats JSON artifacts here.
-     */
-    std::string traceDir;
 };
 
 /** Supervised batch-simulation job server. */
@@ -177,7 +170,7 @@ class FleetServer
     /** Process a dequeued job end to end (lock held on entry/exit). */
     void processJob(std::unique_lock<std::mutex> &lock, JobId id);
     /** One simulation attempt on a fresh Machine (no lock held). */
-    AttemptOutcome runAttempt(Job &job, uint32_t attempt);
+    AttemptOutcome runAttempt(Job &job);
     /** Mark @p id done, settle followers, wake waiters (lock held). */
     void finishLocked(JobId id);
     /** Shed the lowest-priority queued job (lock held). */

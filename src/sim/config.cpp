@@ -48,7 +48,6 @@ MachineConfig::validate() const
                  "machine config: ruche factor Y=%u >= mesh height %u "
                  "(no straight is long enough for an express hop)",
                  rucheY, meshRows);
-    SPMRT_ASSERT(flitBytes >= 1, "machine config: zero flit bytes");
 
     SPMRT_ASSERT(spmBytes >= 1, "machine config: zero SPM bytes");
     SPMRT_ASSERT(isPowerOfTwo(spmWindowBytes),
@@ -62,10 +61,9 @@ MachineConfig::validate() const
     SPMRT_ASSERT(llcBanks % llcEdgeCount() == 0,
                  "machine config: %u LLC banks not divisible across %u "
                  "edge rows", llcBanks, llcEdgeCount());
-    SPMRT_ASSERT(llcLineBytes >= 1 && llcWays >= 1 && llcSetsPerBank >= 1,
-                 "machine config: degenerate LLC shape (%u-byte lines, "
-                 "%u ways, %u sets/bank)",
-                 llcLineBytes, llcWays, llcSetsPerBank);
+    SPMRT_ASSERT(llcWays >= 1 && llcSetsPerBank >= 1,
+                 "machine config: degenerate LLC shape (%u ways, %u "
+                 "sets/bank)", llcWays, llcSetsPerBank);
 
     SPMRT_ASSERT(dramChannels >= 1, "machine config: zero DRAM channels");
     SPMRT_ASSERT(dramBytesPerCycle >= 1,
@@ -96,6 +94,18 @@ MachineConfig::geometry() const
         "%ux%u-rx%u-ry%u-llc%u%s-d%ux%u-spm%uw%u", meshCols, meshRows,
         rucheX, rucheY, llcBanks, placementName(llcPlacement),
         dramChannels, dramBytesPerCycle, spmBytes, spmWindowBytes);
+}
+
+std::string
+MachineConfig::key() const
+{
+    return log::format(
+        "%ux%u/spm%u/w%u/rx%u/ry%u/llc%u/pl%u/lw%u/ls%u/bw%u/ch%u/db%llu/"
+        "hs%u",
+        meshCols, meshRows, spmBytes, spmWindowBytes, rucheX, rucheY,
+        llcBanks, static_cast<unsigned>(llcPlacement), llcWays,
+        llcSetsPerBank, dramBytesPerCycle, dramChannels,
+        static_cast<unsigned long long>(dramBytes), hostStackBytes);
 }
 
 namespace {

@@ -8,14 +8,17 @@
  * single HBM2 channel with ~16 GB/s of bandwidth (~10.7 bytes per core
  * cycle).
  *
- * Every topology dimension is a free, validated parameter: mesh shape,
- * ruche factors in X *and* Y, LLC bank count and edge placement, DRAM
- * channel count and per-channel bandwidth, and the SPM window stride of
- * the PGAS address map. validate() fail-fasts on inconsistent machines;
- * geometry() renders the canonical one-line spec string recorded by the
- * benches; fromSpec()/fromEnv() parse that same language back (presets
- * plus key=value overrides, see fromSpec()), so SPMRT_MACHINE can retarget
- * any bench without a recompile.
+ * The per-access latencies, the flit width and the LLC line size are the
+ * paper's fixed platform and are constants (kSpmLatency and friends).
+ * Every topology dimension is a free, validated field: mesh shape, ruche
+ * factors in X *and* Y, LLC bank count, sets, ways and edge placement,
+ * DRAM channel count, per-channel bandwidth and capacity, and the SPM
+ * window stride of the PGAS address map. validate() fail-fasts on
+ * inconsistent machines; geometry() renders the canonical one-line spec
+ * string recorded by the benches; key() spells out every field;
+ * fromSpec()/fromEnv() parse the spec language back (presets plus
+ * key=value overrides, see fromSpec()), so SPMRT_MACHINE can retarget any
+ * bench without a recompile.
  */
 
 #ifndef SPMRT_SIM_CONFIG_HPP
@@ -44,6 +47,31 @@ enum class LlcPlacement : uint8_t
  */
 struct MachineConfig
 {
+    /**
+     * @name Fixed timing of the paper's platform (Sec. 5.1)
+     * @{
+     */
+    /** Local scratchpad access latency (cycles). */
+    static constexpr Cycles kSpmLatency = 2;
+    /** Per-hop mesh link traversal latency (cycles). */
+    static constexpr Cycles kLinkLatency = 1;
+    /** Flit payload width in bytes (one link-cycle of occupancy per flit). */
+    static constexpr uint32_t kFlitBytes = 4;
+    /** LLC line size in bytes; also the largest single timed transfer. */
+    static constexpr uint32_t kLlcLineBytes = 64;
+    /** LLC bank access (tag + data) latency in cycles. */
+    static constexpr Cycles kLlcLatency = 4;
+    /** Serialization interval of one bank (cycles per request). */
+    static constexpr Cycles kLlcBankOccupancy = 1;
+    /** DRAM fixed access latency in cycles (row activation etc.). */
+    static constexpr Cycles kDramLatency = 60;
+    /** @} */
+
+    static_assert(kFlitBytes >= 1, "zero flit bytes");
+    static_assert(kLlcLineBytes >= 1 &&
+                      (kLlcLineBytes & (kLlcLineBytes - 1)) == 0,
+                  "LLC line size must be a power of two");
+
     /** Mesh columns (X dimension). */
     uint32_t meshCols = 16;
     /** Mesh rows (Y dimension). */
@@ -51,8 +79,6 @@ struct MachineConfig
 
     /** Scratchpad bytes per core. */
     uint32_t spmBytes = 4096;
-    /** Local scratchpad access latency (cycles). */
-    Cycles spmLatency = 2;
     /**
      * Address-space stride between consecutive cores' SPM windows (bytes,
      * power of two, >= spmBytes). The PGAS base addresses are derived
@@ -60,10 +86,6 @@ struct MachineConfig
      */
     uint32_t spmWindowBytes = 0x1000;
 
-    /** Per-hop mesh link traversal latency (cycles). */
-    Cycles linkLatency = 1;
-    /** Flit payload width in bytes (one link-cycle of occupancy per flit). */
-    uint32_t flitBytes = 4;
     /**
      * Ruche factor for the X dimension: long links that skip @c rucheX
      * routers, modelling HammerBlade's mesh-with-ruching. 0 disables.
@@ -81,19 +103,11 @@ struct MachineConfig
     uint32_t llcBanks = 32;
     /** Which mesh edges the banks sit on. */
     LlcPlacement llcPlacement = LlcPlacement::TopBottom;
-    /** LLC line size in bytes. */
-    uint32_t llcLineBytes = 64;
     /** LLC associativity. */
     uint32_t llcWays = 8;
     /** LLC sets per bank. */
     uint32_t llcSetsPerBank = 64;
-    /** LLC bank access (tag + data) latency in cycles. */
-    Cycles llcLatency = 4;
-    /** Serialization interval of one bank (cycles per request). */
-    Cycles llcBankOccupancy = 1;
 
-    /** DRAM fixed access latency in cycles (row activation etc.). */
-    Cycles dramLatency = 60;
     /**
      * Per-channel DRAM bandwidth in bytes per core cycle; aggregate
      * bandwidth scales with dramChannels. 16 GB/s at 1.5 GHz is ~10.7;
@@ -193,11 +207,21 @@ struct MachineConfig
 
     /**
      * Canonical one-line geometry string, e.g.
-     * "16x8-rx3-ry0-llc32tb-d1x10-spm4096w4096". Filename-safe; used as
-     * the spec component of fleet cache keys, recorded in every
-     * BENCH_host_perf.json row, and tags per-geometry heatmap exports.
+     * "16x8-rx3-ry0-llc32tb-d1x10-spm4096w4096". Filename-safe; recorded
+     * in every BENCH_host_perf.json row and tags per-geometry heatmap
+     * exports. It names the topology only, not every field: use key()
+     * where two machines must compare equal exactly when they simulate
+     * alike.
      */
     std::string geometry() const;
+
+    /**
+     * Every field, in declaration order: the machine's part of a fleet
+     * job's cache and quarantine key (FleetServer::specKeyFor). Two
+     * configs that differ in any field must not share a key, so a new
+     * field belongs here too.
+     */
+    std::string key() const;
 
     /**
      * Parse a machine spec: either a preset name (paper, big256,

@@ -45,7 +45,7 @@ Core::read(Addr addr, void *out, uint32_t bytes)
     // that leaves this core's scratchpad is globally visible traffic and
     // follows the capture protocol like a scalar load.
     const bool local = wholeRangeLocal(*this, addr, bytes);
-    if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+    if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
         BurstResult burst = mem_.loadBurst(id_, now(), addr, out, bytes);
         stats_.isa.loads += burst.chunks;
         stats_.isa.instructions += burst.chunks;
@@ -78,7 +78,7 @@ Core::write(Addr addr, const void *in, uint32_t bytes)
             ck->onStore(id_, addr, bytes, now());
     } else {
         engine_.syncPoint(id_);
-        if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+        if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
             BurstResult burst =
                 mem_.storeBurst(id_, now(), addr, in, bytes);
             stats_.isa.stores += burst.chunks;
@@ -115,7 +115,7 @@ Core::enqueueOp(CapturedOp::Kind kind, Addr addr, uint32_t bytes)
     op.addr = addr;
     op.bytes = bytes;
     if (opCount_++ == 0)
-        engine_.scheduleRemoteOp(id_, op.issue + commitDelta_);
+        engine_.scheduleRemoteOp(id_, op.issue + kCommitDelta);
     return op;
 }
 
@@ -241,7 +241,7 @@ Core::executeHeadOp()
     }
     opHead_ = (opHead_ + 1) & (static_cast<uint32_t>(opRing_.size()) - 1);
     return --opCount_ == 0 ? Engine::kNoPendingOp
-                           : opRing_[opHead_].issue + commitDelta_;
+                           : opRing_[opHead_].issue + kCommitDelta;
 }
 
 void

@@ -71,7 +71,7 @@ struct CoreStats
  *
  * Memory-model note: every globally visible operation — anything not
  * targeting this core's own scratchpad — commits a uniform delta
- * (max(1, linkLatency) cycles) after its issue gate, in (commit time,
+ * (max(1, kLinkLatency) cycles) after its issue gate, in (commit time,
  * core id) order. Because the delta is uniform, that commit order is
  * exactly the issue-gate order, so the memory system observes the same
  * call sequence with the same timestamps under either scheduler
@@ -91,8 +91,7 @@ class Core : public CoreOpSink
     Core(Engine &engine, MemorySystem &mem, CoreId id,
          const MachineConfig &cfg)
         : engine_(engine), mem_(mem), id_(id), cfg_(cfg),
-          localSpmBase_(mem.map().spmBase(id)),
-          commitDelta_(cfg.linkLatency > 1 ? cfg.linkLatency : 1)
+          localSpmBase_(mem.map().spmBase(id))
     {
         engine.setOpSink(id, this);
     }
@@ -137,7 +136,7 @@ class Core : public CoreOpSink
         // cores' effects within the commit-delta window and the checker
         // reports phantom races (or misses real ones).
         const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
             Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
             engine_.advanceTo(id_, done);
             if (ConcurrencyChecker *ck = mem_.checker())
@@ -175,7 +174,7 @@ class Core : public CoreOpSink
         // Acquire edge at the memory-system call (see load() for why);
         // the LoadSync capture kind carries the hook to the commit.
         const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
             Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
             engine_.advanceTo(id_, done);
             if (ConcurrencyChecker *ck = mem_.checker())
@@ -210,7 +209,7 @@ class Core : public CoreOpSink
             // (MemorySystem::storeRemote returns start + 1), so the
             // capture path charges it directly and moves on.
             engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+            if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
                 Cycles done =
                     mem_.store(id_, now(), addr, &value, sizeof(T));
                 engine_.advanceTo(id_, done);
@@ -246,7 +245,7 @@ class Core : public CoreOpSink
                 ck->onStoreRelease(id_, addr);
         } else {
             engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+            if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
                 Cycles done =
                     mem_.store(id_, now(), addr, &value, sizeof(T));
                 engine_.advanceTo(id_, done);
@@ -279,7 +278,7 @@ class Core : public CoreOpSink
         // Acquire+release edges at the memory-system call (see load()
         // for why); captured AMOs hook at the commit.
         const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + commitDelta_)) {
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
             Cycles done =
                 mem_.amo(id_, now(), addr, op, operand, old_value);
             engine_.advanceTo(id_, done);
@@ -450,7 +449,9 @@ class Core : public CoreOpSink
     CoreId id_;
     const MachineConfig &cfg_;
     Addr localSpmBase_; ///< cached: consulted on every store
-    Cycles commitDelta_; ///< uniform issue-to-commit delay, max(1, link)
+    /** Uniform issue-to-commit delay, max(1, link latency). */
+    static constexpr Cycles kCommitDelta =
+        MachineConfig::kLinkLatency > 1 ? MachineConfig::kLinkLatency : 1;
     CoreStats stats_;
     FaultPlan *fault_ = nullptr;
     obs::Tracer *tracer_ = nullptr;

@@ -6,29 +6,14 @@
 
 namespace spmrt {
 
-namespace {
-
 /**
- * Compile-time default is the fast winner-tree scheduler; the
- * SPMRT_ENGINE_REFERENCE CMake option flips the default, and the
- * same-named environment variable overrides either at startup so one
- * binary can serve as its own oracle.
+ * Starts on the fast winner-tree scheduler unless SPMRT_ENGINE_REFERENCE=1
+ * selects the linear-scan reference, so one binary can serve as its own
+ * oracle.
  */
-bool
-defaultReferenceMode()
-{
-#ifdef SPMRT_ENGINE_REFERENCE_DEFAULT
-    const bool compiled_default = true;
-#else
-    const bool compiled_default = false;
-#endif
-    return env::boolValue("SPMRT_ENGINE_REFERENCE", compiled_default);
-}
-
-} // namespace
-
 Engine::Engine(uint32_t num_cores, size_t host_stack_bytes)
-    : stackBytes_(host_stack_bytes), referenceMode_(defaultReferenceMode())
+    : stackBytes_(host_stack_bytes),
+      referenceMode_(env::boolValue("SPMRT_ENGINE_REFERENCE"))
 {
     numCores_ = num_cores;
     slots_ = std::make_unique<Slot[]>(num_cores);

@@ -252,9 +252,9 @@ class Engine
      * linear-scan scheduler is kept, selectable at runtime, as the
      * equivalence oracle: same argmin, same tie-break, same RNG
      * consumption under perturbation, so results, cycle counts, and
-     * switch counts are bit-identical between the two. The default can
-     * be forced to the reference with the SPMRT_ENGINE_REFERENCE=1
-     * environment variable or the SPMRT_ENGINE_REFERENCE CMake option.
+     * switch counts are bit-identical between the two. Each new Engine
+     * starts on the reference when the SPMRT_ENGINE_REFERENCE environment
+     * variable is 1.
      * @{
      */
     void
@@ -419,16 +419,6 @@ class Engine
         schedRng_ = Xoshiro256StarStar(hash64(seed ^ 0x5c4ed01eULL));
     }
 
-    /** Restore the strict deterministic argmin order. */
-    void
-    clearSchedulePerturbation()
-    {
-        schedPerturb_ = false;
-        schedWindow_ = 0;
-    }
-
-    /** True while schedule perturbation is active. */
-    bool schedulePerturbed() const { return schedPerturb_; }
     /** @} */
 
   private:

@@ -87,14 +87,8 @@ class Machine
     Cycles
     run(const std::function<void(Core &)> &body)
     {
-        Cycles start = engine_.maxTime();
-        syncClocks();
-        for (CoreId i = 0; i < numCores(); ++i) {
-            Core *core = cores_[i].get();
-            engine_.setBody(i, [body, core] { body(*core); });
-        }
-        engine_.run();
-        return engine_.maxTime() - start;
+        return runPerCore(
+            std::vector<std::function<void(Core &)>>(numCores(), body));
     }
 
     /** Run a distinct body per core (size must equal numCores()). */

@@ -174,8 +174,10 @@ TEST(Llc, DistinctLinesMissSeparately)
     DramModel dram(cfg);
     LlcModel llc(cfg, dram);
     llc.access(0, 0, 4, false);
-    llc.access(0, cfg.llcLineBytes * cfg.llcBanks * cfg.llcSetsPerBank, 4,
-               false); // same set, different tag
+    llc.access(0,
+               MachineConfig::kLlcLineBytes * cfg.llcBanks *
+                   cfg.llcSetsPerBank,
+               4, false); // same set, different tag
     EXPECT_EQ(llc.misses(), 2u);
 }
 
@@ -188,7 +190,7 @@ TEST(Llc, EvictsLruAndWritesBackDirty)
     DramModel dram(cfg);
     LlcModel llc(cfg, dram);
     uint64_t set_stride =
-        static_cast<uint64_t>(cfg.llcLineBytes) * cfg.llcBanks;
+        static_cast<uint64_t>(MachineConfig::kLlcLineBytes) * cfg.llcBanks;
 
     llc.access(0, 0 * set_stride, 4, true);  // dirty A
     llc.access(0, 1 * set_stride, 4, false); // B
@@ -213,7 +215,8 @@ TEST(Llc, OddBankCountOnOneEdgeStripes)
     LlcModel llc(cfg, dram);
     EXPECT_EQ(llc.numBanks(), 5u);
     for (uint32_t line = 0; line < 10; ++line) {
-        uint64_t offset = static_cast<uint64_t>(line) * cfg.llcLineBytes;
+        uint64_t offset =
+            static_cast<uint64_t>(line) * MachineConfig::kLlcLineBytes;
         EXPECT_EQ(llc.bankOf(offset), line % 5) << "line " << line;
         llc.access(0, offset, 4, false);
     }
@@ -231,9 +234,11 @@ class DivisionLlc
 {
   public:
     DivisionLlc(const MachineConfig &cfg, DramModel &dram)
-        : dram_(dram), numBanks_(cfg.llcBanks), lineBytes_(cfg.llcLineBytes),
+        : dram_(dram), numBanks_(cfg.llcBanks),
+          lineBytes_(MachineConfig::kLlcLineBytes),
           sets_(cfg.llcSetsPerBank), ways_(cfg.llcWays),
-          latency_(cfg.llcLatency), occupancy_(cfg.llcBankOccupancy),
+          latency_(MachineConfig::kLlcLatency),
+          occupancy_(MachineConfig::kLlcBankOccupancy),
           banks_(cfg.llcBanks, FluidServer(1)),
           tags_(static_cast<size_t>(cfg.llcBanks) * sets_ * ways_)
     {
@@ -343,8 +348,9 @@ TEST(Llc, MatchesDivisionModelOnEveryGeometry)
         for (int i = 0; i < 20000; ++i) {
             uint64_t line = i % 4 == 3 ? (i / 4 % 64) * (256 * 1024 / 64)
                                        : rng.nextBounded(lines);
-            uint64_t offset = line * cfg.llcLineBytes +
-                              4 * rng.nextBounded(cfg.llcLineBytes / 4);
+            uint64_t offset =
+                line * MachineConfig::kLlcLineBytes +
+                4 * rng.nextBounded(MachineConfig::kLlcLineBytes / 4);
             bool store = rng.nextBounded(3) == 0;
             t += rng.nextBounded(4);
             ASSERT_EQ(llc.bankOf(offset), oracle.bankOf(offset));
@@ -375,7 +381,7 @@ TEST(Dram, LatencyDominatesSmallTransfers)
     MachineConfig cfg;
     DramModel dram(cfg);
     Cycles done = dram.access(0, 0, 4);
-    EXPECT_GE(done, cfg.dramLatency);
+    EXPECT_GE(done, MachineConfig::kDramLatency);
 }
 
 TEST(Dram, LineInterleavesAcrossChannels)
@@ -387,10 +393,10 @@ TEST(Dram, LineInterleavesAcrossChannels)
     // Consecutive LLC lines round-robin the channels; offsets within a
     // line stay on that line's channel.
     for (uint64_t line = 0; line < 16; ++line) {
-        uint64_t offset = line * cfg.llcLineBytes;
+        uint64_t offset = line * MachineConfig::kLlcLineBytes;
         EXPECT_EQ(dram.channelOf(offset), line % 4)
             << "line " << line;
-        EXPECT_EQ(dram.channelOf(offset + cfg.llcLineBytes - 1),
+        EXPECT_EQ(dram.channelOf(offset + MachineConfig::kLlcLineBytes - 1),
                   dram.channelOf(offset))
             << "line " << line;
     }
@@ -424,9 +430,10 @@ TEST(Dram, SameChannelTrafficStillQueues)
     DramModel dram(cfg);
     // Lines 0 and 2 both map to channel 0; the bus serializes them even
     // though channel 1 is idle.
-    ASSERT_EQ(dram.channelOf(0), dram.channelOf(2 * cfg.llcLineBytes));
+    ASSERT_EQ(dram.channelOf(0),
+              dram.channelOf(2 * MachineConfig::kLlcLineBytes));
     Cycles a = dram.access(0, 0, 64);
-    Cycles b = dram.access(0, 2 * cfg.llcLineBytes, 64);
+    Cycles b = dram.access(0, 2 * MachineConfig::kLlcLineBytes, 64);
     EXPECT_GT(b, a);
     EXPECT_EQ(dram.channelBytes(0), 128u);
     EXPECT_EQ(dram.channelBytes(1), 0u);

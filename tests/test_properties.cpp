@@ -537,7 +537,7 @@ TEST(LlcProperties, CapacityEviction)
     uint64_t capacity_lines = static_cast<uint64_t>(cfg.llcBanks) *
                               cfg.llcSetsPerBank * cfg.llcWays;
     for (uint64_t i = 0; i < 2 * capacity_lines; ++i)
-        llc.access(0, i * cfg.llcLineBytes, 4, false);
+        llc.access(0, i * MachineConfig::kLlcLineBytes, 4, false);
     EXPECT_EQ(llc.misses(), 2 * capacity_lines);
     EXPECT_EQ(llc.hits(), 0u);
 }

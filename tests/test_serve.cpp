@@ -283,15 +283,10 @@ TEST(Fleet, RuntimeTwinOfACachedJobSimulates)
              [](RuntimeConfig &rt) { rt.swOverflowCheck = true; }},
             {"queuePointerTable",
              [](RuntimeConfig &rt) { rt.queuePointerTable = true; }},
-            {"queueBytes", [](RuntimeConfig &rt) { rt.queueBytes = 256; }},
             {"userSpmReserve",
              [](RuntimeConfig &rt) { rt.userSpmReserve = 64; }},
             {"dramStackBytes",
              [](RuntimeConfig &rt) { rt.dramStackBytes = 128 * 1024; }},
-            {"regSaveWords", [](RuntimeConfig &rt) { rt.regSaveWords = 5; }},
-            {"backoffMin", [](RuntimeConfig &rt) { rt.backoffMin = 8; }},
-            {"backoffMax", [](RuntimeConfig &rt) { rt.backoffMax = 128; }},
-            {"seed", [](RuntimeConfig &rt) { rt.seed += 1; }},
             {"watchdogCycles",
              [](RuntimeConfig &rt) { rt.watchdogCycles += 1; }},
             {"watchdogSwitches",
@@ -325,6 +320,60 @@ TEST(Fleet, RuntimeTwinOfACachedJobSimulates)
     }
     EXPECT_EQ(keys.size(), edits.size() + 1)
         << "two edits produced the same runtime key";
+}
+
+TEST(Fleet, MachineTwinOfACachedJobSimulates)
+{
+    // The spec key holds every MachineConfig field, so a twin of a
+    // cached job on a machine that differs in any one field must run,
+    // not return the cached entry. One valid edit of tiny() per field,
+    // in declaration order.
+    const std::vector<std::pair<std::string,
+                                std::function<void(MachineConfig &)>>>
+        edits = {
+            {"meshCols", [](MachineConfig &m) { m.meshCols = 3; }},
+            {"meshRows", [](MachineConfig &m) { m.meshRows = 1; }},
+            {"spmBytes", [](MachineConfig &m) { m.spmBytes = 2048; }},
+            {"spmWindowBytes",
+             [](MachineConfig &m) { m.spmWindowBytes = 0x2000; }},
+            {"rucheX", [](MachineConfig &m) { m.rucheX = 0; }},
+            {"rucheY", [](MachineConfig &m) { m.rucheY = 1; }},
+            {"llcBanks", [](MachineConfig &m) { m.llcBanks = 8; }},
+            {"llcPlacement",
+             [](MachineConfig &m) { m.llcPlacement = LlcPlacement::Top; }},
+            {"llcWays", [](MachineConfig &m) { m.llcWays = 4; }},
+            {"llcSetsPerBank",
+             [](MachineConfig &m) { m.llcSetsPerBank = 4; }},
+            {"dramBytesPerCycle",
+             [](MachineConfig &m) { m.dramBytesPerCycle = 5; }},
+            {"dramChannels", [](MachineConfig &m) { m.dramChannels = 2; }},
+            {"dramBytes",
+             [](MachineConfig &m) { m.dramBytes = 32ull * 1024 * 1024; }},
+            {"hostStackBytes",
+             [](MachineConfig &m) { m.hostStackBytes = 256 * 1024; }},
+        };
+    FleetConfig cfg;
+    cfg.workers = 1;
+    FleetServer server(cfg);
+    const FleetWorkload spec{"fib", 9, 0, 0.0};
+    JobReport first = server.wait(server.submit(makeWorkloadRequest(spec)));
+    ASSERT_EQ(first.status, JobStatus::Ok) << first.error;
+    ASSERT_EQ(server.wait(server.submit(makeWorkloadRequest(spec))).status,
+              JobStatus::CacheHit);
+
+    std::set<std::string> keys = {makeWorkloadRequest(spec).machine.key()};
+    for (const auto &[field, edit] : edits) {
+        JobRequest twin = makeWorkloadRequest(spec);
+        edit(twin.machine);
+        keys.insert(twin.machine.key());
+        JobReport report = server.wait(server.submit(std::move(twin)));
+        EXPECT_EQ(report.status, JobStatus::Ok)
+            << field << ": " << report.error;
+        EXPECT_FALSE(report.fromCache) << field;
+        EXPECT_EQ(report.digest, first.digest) << field;
+    }
+    EXPECT_EQ(keys.size(), edits.size() + 1)
+        << "two edits produced the same machine key";
 }
 
 TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)

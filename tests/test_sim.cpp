@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -169,6 +171,26 @@ TEST(Engine, DeepGuestRecursionFits)
     engine.setBody(0, [&depth] { depth = Recur::go(2000); });
     engine.run();
     EXPECT_EQ(depth, 2000);
+}
+
+TEST(EngineDefaults, ReferenceSchedulerFollowsEnvironment)
+{
+    // SPMRT_ENGINE_REFERENCE is the one switch that starts every Engine
+    // on the linear-scan reference scheduler. Restore the caller's value
+    // afterwards: CI runs the whole suite with it set to 1.
+    const char *name = "SPMRT_ENGINE_REFERENCE";
+    const char *saved = std::getenv(name);
+    const std::string original = saved != nullptr ? saved : "";
+
+    ::setenv(name, "1", 1);
+    EXPECT_TRUE(Engine(2, 64 * 1024).referenceScheduler());
+    ::setenv(name, "0", 1);
+    EXPECT_FALSE(Engine(2, 64 * 1024).referenceScheduler());
+    ::unsetenv(name);
+    EXPECT_FALSE(Engine(2, 64 * 1024).referenceScheduler());
+
+    if (saved != nullptr)
+        ::setenv(name, original.c_str(), 1);
 }
 
 TEST(Machine, TickAdvancesClockAndCounts)
