@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "bench/support.hpp"
-#include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 
@@ -113,29 +112,29 @@ measureFleet(uint32_t workers)
 }
 
 /**
- * Run @p req once with the runtime constructed first, then the
- * workload prepared: the order every trajectory point was recorded in.
+ * Run @p req once through serve::runJob on a fresh machine of @p cores,
+ * under the chosen scheduler. The timed span is the whole call:
+ * prepare() (inputs are generated inside it), the runtime constructor,
+ * the run and the digest.
  */
 Sample
-measureOnce(const serve::JobRequest &req, uint32_t cores, bool reference)
+measureOnce(serve::JobRequest req, uint32_t cores, bool reference)
 {
-    Machine machine(machineFor(cores));
+    req.machine = machineFor(cores);
+    req.armChecker = false;
+    Machine machine(req.machine);
     machine.engine().setReferenceScheduler(reference);
-    Sample sample;
-    uint64_t switches0 = machine.engine().switchCount();
-    uint64_t syncs0 = machine.engine().syncPointCount();
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    serve::AssetCache assets; // inputs are generated inside the timing
+    serve::AssetCache assets;
     auto start = std::chrono::steady_clock::now();
-    serve::PreparedJob prep = req.prepare(machine, assets);
-    rt.run(prep.root, prep.rootFrameBytes);
+    serve::JobResult result = serve::runJob(req, machine, assets);
     auto stop = std::chrono::steady_clock::now();
-    sample.digest = prep.digest(machine);
+    Sample sample;
+    sample.digest = result.digest;
     sample.wallMs =
         std::chrono::duration<double, std::milli>(stop - start).count();
     sample.simCycles = machine.engine().maxTime();
-    sample.switches = machine.engine().switchCount() - switches0;
-    sample.syncPoints = machine.engine().syncPointCount() - syncs0;
+    sample.switches = machine.engine().switchCount();
+    sample.syncPoints = machine.engine().syncPointCount();
     return sample;
 }
 

@@ -18,8 +18,8 @@
  * Report::wants() so --list enumerates cases without simulating and
  * --filter narrows a run to matching cases.
  *
- * Setting SPMRT_TRACE_OUT=<path> makes the first machine run through
- * runVariant() (or any bench calling maybeArmTrace/maybeWriteTrace)
+ * Setting SPMRT_TRACE_OUT=<path> makes the first machine a bench arms
+ * with maybeArmTrace (fleet jobs through fleet_util.hpp's traceJob)
  * record a Chrome trace-event timeline there, viewable in Perfetto.
  */
 
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/env.hpp"
+#include "common/log.hpp"
 #include "parallel/patterns.hpp"
 #include "serve/assets.hpp"
 #include "serve/job.hpp"
@@ -153,42 +154,6 @@ applyVariant(serve::JobRequest &req, const Variant &variant)
     req.runtime = variant.cfg;
     req.runtime.userSpmReserve = reserve;
     req.staticRuntime = variant.isStatic;
-}
-
-/** Result of one timed kernel execution. */
-struct RunResult
-{
-    Cycles cycles = 0;
-    uint64_t instructions = 0;
-    uint64_t steals = 0;
-    bool verified = true;
-};
-
-/**
- * Run @p req once on a fresh machine outside the fleet, in the server's
- * order (prepare, then the runtime), under req.machine, req.runtime and
- * req.staticRuntime; verified means the digest matched. Captures a
- * Chrome trace when SPMRT_TRACE_OUT requests one.
- */
-inline RunResult
-runVariant(const serve::JobRequest &req, serve::AssetCache &assets)
-{
-    Machine machine(req.machine);
-    maybeArmTrace(machine);
-    serve::PreparedJob prep = req.prepare(machine, assets);
-    RunResult result;
-    if (req.staticRuntime) {
-        StaticRuntime rt(machine, req.runtime);
-        result.cycles = rt.run(prep.root, prep.rootFrameBytes);
-    } else {
-        WorkStealingRuntime rt(machine, req.runtime);
-        result.cycles = rt.run(prep.root, prep.rootFrameBytes);
-    }
-    result.instructions = machine.totalInstructions();
-    result.steals = machine.totalStat(&RuntimeStats::stealHits);
-    result.verified = prep.digest(machine) == req.expectedDigest;
-    maybeWriteTrace(machine);
-    return result;
 }
 
 // ---- Reporting --------------------------------------------------------
@@ -475,25 +440,6 @@ class Report
     }
 
     static std::string
-    jsonEscape(const std::string &text)
-    {
-        std::string out;
-        for (char ch : text) {
-            if (ch == '"' || ch == '\\') {
-                out += '\\';
-                out += ch;
-            } else if (static_cast<unsigned char>(ch) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", ch);
-                out += buffer;
-            } else {
-                out += ch;
-            }
-        }
-        return out;
-    }
-
-    static std::string
     jsonValue(const Cell &cell)
     {
         char buffer[64];
@@ -510,7 +456,7 @@ class Report
           case Cell::Kind::Text:
             break;
         }
-        return "\"" + jsonEscape(cell.text) + "\"";
+        return "\"" + log::jsonEscape(cell.text) + "\"";
     }
 
     void
@@ -525,14 +471,14 @@ class Report
         std::fprintf(file,
                      "{\"schema\": \"spmrt-bench-v1\", \"bench\": \"%s\", "
                      "\"quick\": %s, \"rows\": [",
-                     jsonEscape(bench_).c_str(),
+                     log::jsonEscape(bench_).c_str(),
                      quickMode() ? "true" : "false");
         for (size_t r = 0; r < rows_.size(); ++r) {
             std::fprintf(file, "%s\n  {", r == 0 ? "" : ",");
             const Row &row = rows_[r];
             for (size_t c = 0; c < row.size(); ++c)
                 std::fprintf(file, "%s\"%s\": %s", c == 0 ? "" : ", ",
-                             jsonEscape(row[c].first).c_str(),
+                             log::jsonEscape(row[c].first).c_str(),
                              jsonValue(row[c].second).c_str());
             std::fprintf(file, "}");
         }

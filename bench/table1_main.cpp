@@ -32,13 +32,18 @@ main(int argc, char **argv)
             continue;
         serve::JobRequest base = serve::makeWorkloadRequest(row.spec);
         base.machine = MachineConfig{}; // the paper's 16x8 machine
+        base.armChecker = false;        // a measurement, not an audit
         for (const Variant &variant : table1Variants()) {
             if (variant.isStatic && !row.hasStatic)
                 continue;
             serve::JobRequest req = base;
             applyVariant(req, variant);
-            RunResult result = runVariant(req, assets);
-            if (!result.verified)
+            Machine machine(req.machine);
+            maybeArmTrace(machine);
+            serve::JobResult result = serve::runJob(req, machine, assets);
+            maybeWriteTrace(machine);
+            const bool verified = result.digest == req.expectedDigest;
+            if (!verified)
                 report.fail("%s/%s under '%s' failed verification",
                             row.workload.c_str(), row.input.c_str(),
                             variant.label);
@@ -47,9 +52,10 @@ main(int argc, char **argv)
                 .cell("input", row.input)
                 .cell("config", variant.label)
                 .cell("cycles_k", result.cycles / 1000.0)
-                .cell("ops_k", result.instructions / 1000.0)
-                .cell("steals", result.steals)
-                .cell("ok", result.verified);
+                .cell("ops_k", machine.totalInstructions() / 1000.0)
+                .cell("steals",
+                      machine.totalStat(&RuntimeStats::stealHits))
+                .cell("ok", verified);
         }
     }
     return report.finish();

@@ -27,6 +27,38 @@ format(const char *fmt, ...)
     return std::string(buf.data(), static_cast<size_t>(len));
 }
 
+std::string
+jsonEscape(const std::string &raw)
+{
+    std::string out;
+    out.reserve(raw.size() + 8);
+    for (char c : raw) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          case '\r':
+            out += "\\r";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += format("\\u%04x", c);
+            else
+                out += c;
+        }
+    }
+    return out;
+}
+
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -22,6 +22,13 @@ extern bool verbose;
 std::string format(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/**
+ * @p raw escaped for the inside of a JSON string literal: quotes and
+ * backslashes get a backslash, newline, tab and carriage return their
+ * short forms, and other control bytes a six-character unicode escape.
+ */
+std::string jsonEscape(const std::string &raw);
+
 /** Internal sinks; prefer the macros below which add location info. */
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);

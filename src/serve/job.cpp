@@ -1,6 +1,12 @@
 #include "serve/job.hpp"
 
+#include <stdexcept>
+
 #include "common/log.hpp"
+#include "runtime/static_runtime.hpp"
+#include "runtime/ws_runtime.hpp"
+#include "sim/fault.hpp"
+#include "sim/machine.hpp"
 
 namespace spmrt {
 namespace serve {
@@ -85,42 +91,53 @@ backoffDelayMs(const RetryPolicy &policy, uint64_t seed, uint32_t attempt)
     return static_cast<uint32_t>(delay);
 }
 
-namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control bytes). */
-std::string
-jsonEscape(const std::string &raw)
+JobResult
+runJob(const JobRequest &req, Machine &machine, AssetCache &assets)
 {
-    std::string out;
-    out.reserve(raw.size() + 8);
-    for (char c : raw) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += log::format("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
+#if SPMRT_CHECKER_ENABLED
+    if (req.armChecker)
+        machine.armChecker();
+#endif
+    if (req.scheduleSeed != 0)
+        machine.engine().perturbSchedule(req.scheduleSeed,
+                                         req.scheduleWindow);
+    if (!req.prepare)
+        throw std::runtime_error("job has no prepare() factory");
+    PreparedJob prep = req.prepare(machine, assets);
+    if (!prep.root && !prep.rawBody)
+        throw std::runtime_error(
+            "prepare() returned neither a root task nor a raw body");
+    if (prep.root && prep.rawBody)
+        throw std::runtime_error(
+            "prepare() returned both a root task and a raw body");
 
-} // namespace
+    FaultPlan plan;
+    if (req.faultSeed != 0) {
+        plan = FaultPlan::chaos(req.faultSeed, machine.config(),
+                                req.faultHorizon);
+        machine.setFaultPlan(&plan);
+    }
+    JobResult result;
+    try {
+        if (prep.rawBody) {
+            machine.run(prep.rawBody);
+            result.cycles = machine.engine().maxTime();
+        } else if (req.staticRuntime) {
+            StaticRuntime rt(machine, req.runtime);
+            result.cycles = rt.run(prep.root, prep.rootFrameBytes);
+        } else {
+            WorkStealingRuntime rt(machine, req.runtime);
+            result.cycles = rt.run(prep.root, prep.rootFrameBytes);
+        }
+    } catch (...) {
+        // The caller's machine outlives this frame and the plan does not.
+        machine.setFaultPlan(nullptr);
+        throw;
+    }
+    machine.setFaultPlan(nullptr);
+    result.digest = prep.digest ? prep.digest(machine) : 0;
+    return result;
+}
 
 std::string
 JobReport::toJson() const
@@ -137,12 +154,12 @@ JobReport::toJson() const
         "\"digest\":\"0x%016llx\",\"cycles\":%llu,\"attempts\":%u,"
         "\"from_cache\":%s,\"quarantined\":%s,\"backoff_ms\":%s,"
         "\"wall_ms\":%.3f,\"error\":\"%s\",\"dump\":\"%s\"}",
-        static_cast<unsigned long long>(id), jsonEscape(name).c_str(),
+        static_cast<unsigned long long>(id), log::jsonEscape(name).c_str(),
         jobStatusName(status), static_cast<unsigned long long>(digest),
         static_cast<unsigned long long>(cycles), attempts,
         fromCache ? "true" : "false", quarantined ? "true" : "false",
-        backoffs.c_str(), wallMs, jsonEscape(error).c_str(),
-        jsonEscape(dump).c_str());
+        backoffs.c_str(), wallMs, log::jsonEscape(error).c_str(),
+        log::jsonEscape(dump).c_str());
 }
 
 } // namespace serve

@@ -9,6 +9,8 @@
  *  - JobRequest: everything needed to run the simulation from scratch,
  *    including a `prepare` factory invoked per attempt on a fresh
  *    Machine (aborted machines are dead; retries rebuild).
+ *  - runJob(): the one sequence that simulates a JobRequest, shared by
+ *    the server and every standalone caller.
  *  - JobStatus: the structured error taxonomy. Infrastructure outcomes
  *    (Ok, CacheHit, Shed, Cancelled, Quarantined) and failure classes
  *    (Hang, CheckerViolation, DigestMismatch, BudgetExceeded,
@@ -54,7 +56,7 @@ enum class JobStatus : uint8_t
     DigestMismatch,   ///< result disagreed with expectation or cache
     BudgetExceeded,   ///< simulated-cycle budget exhausted
     DeadlineExceeded, ///< wall-clock deadline exceeded
-    SetupFailure      ///< prepare() threw before the simulation ran
+    SetupFailure      ///< setup threw before the first simulated cycle
 };
 
 /** Stable lowercase name for @p status (report JSON field values). */
@@ -112,7 +114,7 @@ struct JobLimits
  * reader evaluated after a successful run.
  *
  * Machine-level benches that bypass the task runtimes entirely set
- * `rawBody` instead of `root`: the server then runs every core's body
+ * `rawBody` instead of `root`: runJob() then runs every core's body
  * directly via Machine::run (no StaticRuntime/WorkStealingRuntime is
  * constructed, and req.staticRuntime/rootFrameBytes are ignored) and
  * reports the engine's final time as the cycle count. Exactly one of
@@ -183,6 +185,30 @@ struct JobRequest
      */
     std::function<PreparedJob(Machine &, AssetCache &)> prepare;
 };
+
+/** What one run of a JobRequest produced. */
+struct JobResult
+{
+    /** The runtime's cycle count, or the engine clock for a rawBody job. */
+    Cycles cycles = 0;
+    /** PreparedJob::digest after the run (0 when it sets none). */
+    uint64_t digest = 0;
+};
+
+/**
+ * Run @p req once on @p machine, a fresh Machine built from req.machine.
+ * This is the one run sequence of the server and every standalone
+ * caller, so a spec simulates to the same cycles wherever it runs: arm
+ * the checker, perturb the schedule, prepare() (so the inputs are
+ * allocated before the runtime's DRAM), install the chaos fault plan,
+ * construct the runtime and run it (or run rawBody on every core), clear
+ * the plan, read the digest. Callers set oracle switches and supervision
+ * on @p machine before the call and read its counters and checker after
+ * it; the verdicts are theirs. Throws std::runtime_error when the job
+ * cannot be set up, and SimAbort when a supervised run is interrupted.
+ */
+JobResult runJob(const JobRequest &req, Machine &machine,
+                 AssetCache &assets);
 
 /** Machine-readable outcome of one job. */
 struct JobReport

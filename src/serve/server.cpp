@@ -4,11 +4,8 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "runtime/static_runtime.hpp"
-#include "runtime/ws_runtime.hpp"
 #include "sim/abort.hpp"
 #include "sim/checker.hpp"
-#include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
 namespace spmrt {
@@ -358,24 +355,15 @@ FleetServer::runAttempt(Job &job)
         return out;
     }
 
-    bool deadline_armed = false;
-    auto arm_deadline = [&] {
-        if (req.limits.wallDeadlineMs == 0)
-            return;
+    // The deadline spans the whole attempt: machine build, prepare(),
+    // runtime construction, run and digest.
+    if (req.limits.wallDeadlineMs != 0) {
         std::lock_guard<std::mutex> guard(mutex_);
         job.deadline = Clock::now() + std::chrono::milliseconds(
                                           req.limits.wallDeadlineMs);
         job.deadlineArmed = true;
-        deadline_armed = true;
         monitorCv_.notify_all();
-    };
-    auto disarm_deadline = [&] {
-        if (!deadline_armed)
-            return;
-        std::lock_guard<std::mutex> guard(mutex_);
-        job.deadlineArmed = false;
-        deadline_armed = false;
-    };
+    }
 
     try {
         Machine machine(req.machine);
@@ -384,54 +372,12 @@ FleetServer::runAttempt(Job &job)
         if (req.limits.cycleBudget != 0)
             machine.engine().armCycleLimit(machine.engine().maxTime() +
                                            req.limits.cycleBudget);
-        ConcurrencyChecker *checker = nullptr;
-#if SPMRT_CHECKER_ENABLED
-        if (req.armChecker)
-            checker = machine.armChecker();
-#endif
-        if (req.scheduleSeed != 0)
-            machine.engine().perturbSchedule(req.scheduleSeed,
-                                             req.scheduleWindow);
-        if (!req.prepare)
-            throw std::runtime_error("job has no prepare() factory");
-        PreparedJob prep = req.prepare(machine, assets_);
-        if (!prep.root && !prep.rawBody)
-            throw std::runtime_error(
-                "prepare() returned neither a root task nor a raw body");
-        if (prep.root && prep.rawBody)
-            throw std::runtime_error(
-                "prepare() returned both a root task and a raw body");
-
-        FaultPlan plan;
-        if (req.faultSeed != 0) {
-            plan = FaultPlan::chaos(req.faultSeed, req.machine,
-                                    req.faultHorizon);
-            machine.setFaultPlan(&plan);
-        }
-
-        Cycles cycles;
-        if (prep.rawBody) {
-            arm_deadline();
-            machine.run(prep.rawBody);
-            disarm_deadline();
-            cycles = machine.engine().maxTime();
-        } else if (req.staticRuntime) {
-            StaticRuntime rt(machine, req.runtime);
-            arm_deadline();
-            cycles = rt.run(prep.root, prep.rootFrameBytes);
-            disarm_deadline();
-        } else {
-            WorkStealingRuntime rt(machine, req.runtime);
-            arm_deadline();
-            cycles = rt.run(prep.root, prep.rootFrameBytes);
-            disarm_deadline();
-        }
-        machine.setFaultPlan(nullptr);
-
-        out.cycles = cycles;
-        out.digest = prep.digest ? prep.digest(machine) : 0;
+        JobResult result = runJob(req, machine, assets_);
+        out.cycles = result.cycles;
+        out.digest = result.digest;
         out.status = JobStatus::Ok;
 #if SPMRT_CHECKER_ENABLED
+        ConcurrencyChecker *checker = machine.checker();
         if (checker != nullptr && !checker->violations().empty()) {
             out.status = JobStatus::CheckerViolation;
             out.error =
@@ -440,7 +386,6 @@ FleetServer::runAttempt(Job &job)
             out.dump = checker->report();
         }
 #endif
-        (void)checker;
         if (out.status == JobStatus::Ok && req.hasExpectedDigest &&
             out.digest != req.expectedDigest) {
             out.status = JobStatus::DigestMismatch;
@@ -450,18 +395,19 @@ FleetServer::runAttempt(Job &job)
                 static_cast<unsigned long long>(req.expectedDigest));
         }
     } catch (const SimAbort &abort) {
-        disarm_deadline();
         out.status = statusOfAbort(abort);
         out.error = abort.summary();
         out.dump = abort.dump();
     } catch (const std::exception &error) {
-        disarm_deadline();
         out.status = JobStatus::SetupFailure;
         out.error = error.what();
     } catch (...) {
-        disarm_deadline();
         out.status = JobStatus::SetupFailure;
         out.error = "unknown exception from prepare()/run";
+    }
+    if (req.limits.wallDeadlineMs != 0) {
+        std::lock_guard<std::mutex> guard(mutex_);
+        job.deadlineArmed = false;
     }
     return out;
 }

@@ -6,7 +6,9 @@
  * service: clients submit JobRequests, N simulations run concurrently
  * across host threads (each on its own private Machine — the simulator
  * has no mutable global state, so concurrent machines are independent
- * by construction), and a per-job supervisor keeps failures contained:
+ * by construction; each attempt runs the request through runJob(), as a
+ * standalone caller would), and a per-job supervisor keeps failures
+ * contained:
  *
  *  - Deadlines: a simulated-cycle budget is armed directly on the
  *    engine; a wall-clock deadline is enforced by a monitor thread that

@@ -18,12 +18,10 @@
  * (matmul, pagerank, bfs, spmv, spmt, mattrans) digest to 1 when their
  * *Verify check passes and to 0 otherwise.
  *
- * Allocation order: prepare() allocates the instance's inputs, and a
- * runtime constructor allocates its own DRAM (root home, queue table,
- * DRAM stacks), so which of the two runs first moves the input
- * addresses and with them the simulated cycles. FleetServer and
- * bench::runVariant prepare first; the standalone tests and host_perf
- * construct the runtime first, the order their recorded counts use.
+ * Allocation order: every caller runs a request through serve::runJob,
+ * which calls prepare() before constructing the runtime, so the inputs'
+ * simulated addresses, and with them the cycles, are the same wherever a
+ * spec runs.
  *
  * The Table-1 inputs (bench/rows.hpp) are scaled-down structural
  * stand-ins for the paper's datasets (DESIGN.md Sec. 2):

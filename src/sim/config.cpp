@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "common/env.hpp"
@@ -32,59 +33,70 @@ placementName(LlcPlacement placement)
     return "?";
 }
 
+/** A failed validate() check: a setup error, never a simulation bug. */
+[[noreturn]] void
+invalid(const std::string &what)
+{
+    throw std::runtime_error("machine config: " + what);
+}
+
 } // namespace
 
 void
 MachineConfig::validate() const
 {
-    SPMRT_ASSERT(meshCols >= 1 && meshRows >= 1,
-                 "machine config: %ux%u mesh has a zero dimension",
-                 meshCols, meshRows);
-    SPMRT_ASSERT(rucheX == 0 || rucheX < meshCols,
-                 "machine config: ruche factor X=%u >= mesh width %u "
-                 "(no straight is long enough for an express hop)",
-                 rucheX, meshCols);
-    SPMRT_ASSERT(rucheY == 0 || rucheY < meshRows,
-                 "machine config: ruche factor Y=%u >= mesh height %u "
-                 "(no straight is long enough for an express hop)",
-                 rucheY, meshRows);
+    if (meshCols < 1 || meshRows < 1)
+        invalid(log::format("%ux%u mesh has a zero dimension", meshCols,
+                            meshRows));
+    if (rucheX != 0 && rucheX >= meshCols)
+        invalid(log::format("ruche factor X=%u >= mesh width %u (no "
+                            "straight is long enough for an express hop)",
+                            rucheX, meshCols));
+    if (rucheY != 0 && rucheY >= meshRows)
+        invalid(log::format("ruche factor Y=%u >= mesh height %u (no "
+                            "straight is long enough for an express hop)",
+                            rucheY, meshRows));
 
-    SPMRT_ASSERT(spmBytes >= 1, "machine config: zero SPM bytes");
-    SPMRT_ASSERT(isPowerOfTwo(spmWindowBytes),
-                 "machine config: SPM window stride %u is not a power "
-                 "of two", spmWindowBytes);
-    SPMRT_ASSERT(spmBytes <= spmWindowBytes,
-                 "machine config: %u SPM bytes exceed the %u-byte "
-                 "window stride", spmBytes, spmWindowBytes);
+    if (spmBytes < 1)
+        invalid("zero SPM bytes");
+    if (!isPowerOfTwo(spmWindowBytes))
+        invalid(log::format("SPM window stride %u is not a power of two",
+                            spmWindowBytes));
+    if (spmBytes > spmWindowBytes)
+        invalid(log::format("%u SPM bytes exceed the %u-byte window "
+                            "stride", spmBytes, spmWindowBytes));
 
-    SPMRT_ASSERT(llcBanks >= 1, "machine config: zero LLC banks");
-    SPMRT_ASSERT(llcBanks % llcEdgeCount() == 0,
-                 "machine config: %u LLC banks not divisible across %u "
-                 "edge rows", llcBanks, llcEdgeCount());
-    SPMRT_ASSERT(llcWays >= 1 && llcSetsPerBank >= 1,
-                 "machine config: degenerate LLC shape (%u ways, %u "
-                 "sets/bank)", llcWays, llcSetsPerBank);
+    if (llcBanks < 1)
+        invalid("zero LLC banks");
+    if (llcBanks % llcEdgeCount() != 0)
+        invalid(log::format("%u LLC banks not divisible across %u edge "
+                            "rows", llcBanks, llcEdgeCount()));
+    if (llcWays < 1 || llcSetsPerBank < 1)
+        invalid(log::format("degenerate LLC shape (%u ways, %u "
+                            "sets/bank)", llcWays, llcSetsPerBank));
 
-    SPMRT_ASSERT(dramChannels >= 1, "machine config: zero DRAM channels");
-    SPMRT_ASSERT(dramBytesPerCycle >= 1,
-                 "machine config: zero DRAM bandwidth");
-    SPMRT_ASSERT(dramBytes >= 1, "machine config: zero DRAM capacity");
+    if (dramChannels < 1)
+        invalid("zero DRAM channels");
+    if (dramBytesPerCycle < 1)
+        invalid("zero DRAM bandwidth");
+    if (dramBytes < 1)
+        invalid("zero DRAM capacity");
 
-    SPMRT_ASSERT(hostStackBytes >= 16 * 1024,
-                 "machine config: %u-byte host stacks are too small for "
-                 "a coroutine frame", hostStackBytes);
+    if (hostStackBytes < 16 * 1024)
+        invalid(log::format("%u-byte host stacks are too small for a "
+                            "coroutine frame", hostStackBytes));
 
     // Address-space fit: the SPM region, then DRAM, must close below
     // 2^32 (the PGAS is a 32-bit space).
-    SPMRT_ASSERT(spmRegionEnd() <= 0xffff'ffffull + 1,
-                 "machine config: %u SPM windows of %u bytes overflow "
-                 "the 32-bit address space",
-                 numCores(), spmWindowBytes);
-    SPMRT_ASSERT(dramBase() + dramBytes <= 0xffff'ffffull + 1,
-                 "machine config: DRAM region [0x%llx, +%llu) overflows "
-                 "the 32-bit address space",
-                 static_cast<unsigned long long>(dramBase()),
-                 static_cast<unsigned long long>(dramBytes));
+    if (spmRegionEnd() > 0xffff'ffffull + 1)
+        invalid(log::format("%u SPM windows of %u bytes overflow the "
+                            "32-bit address space", numCores(),
+                            spmWindowBytes));
+    if (dramBase() + dramBytes > 0xffff'ffffull + 1)
+        invalid(log::format("DRAM region [0x%llx, +%llu) overflows the "
+                            "32-bit address space",
+                            static_cast<unsigned long long>(dramBase()),
+                            static_cast<unsigned long long>(dramBytes)));
 }
 
 std::string
@@ -250,7 +262,7 @@ MachineConfig::fromSpec(const char *text, MachineConfig &out,
     }
 
     // A parseable but inconsistent machine is a hard error: validate()
-    // panics with the parameter-level diagnostic.
+    // throws the parameter-level diagnostic.
     cfg.validate();
     out = cfg;
     return true;

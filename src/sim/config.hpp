@@ -195,13 +195,15 @@ struct MachineConfig
     }
 
     /**
-     * Fail-fast consistency check: panics with a diagnostic naming the
-     * offending parameter on any machine the models cannot faithfully
-     * simulate (zero dimensions, ruche factor >= mesh dimension, LLC
-     * banks not divisible across the chosen edges, SPM bytes exceeding
-     * the window stride, non-power-of-two window, zero DRAM channels or
-     * bandwidth, address-space overflow). Machine's constructor calls
-     * this on every config it is handed.
+     * Fail-fast consistency check: throws std::runtime_error with a
+     * "machine config: ..." diagnostic naming the offending parameter on
+     * any machine the models cannot faithfully simulate (zero
+     * dimensions, ruche factor >= mesh dimension, LLC banks not
+     * divisible across the chosen edges, SPM bytes exceeding the window
+     * stride, non-power-of-two window, zero DRAM channels or bandwidth,
+     * address-space overflow). Machine's constructor calls this on every
+     * config it is handed, so a fleet job reports it as setup_failure
+     * and an uncaught one ends a standalone run with the diagnostic.
      */
     void validate() const;
 
@@ -233,7 +235,7 @@ struct MachineConfig
      * stack per core). E.g. "big256,ch=4" or "16x16,ry=2,llc=32,ch=2".
      * On success the parsed config is validate()d and returned through
      * @p out. On failure returns false with a one-line diagnostic in
-     * @p error (validate() panics are not caught — a parseable but
+     * @p error (validate()'s exception is not caught — a parseable but
      * inconsistent spec is a hard error by design).
      */
     static bool fromSpec(const char *text, MachineConfig &out,

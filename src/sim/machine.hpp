@@ -12,6 +12,8 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/log.hpp"
@@ -58,14 +60,25 @@ class Machine
     /** The DRAM heap. */
     RangeAllocator &dramHeap() { return dramHeap_; }
 
-    /** Allocate @p bytes of simulated DRAM (untimed). */
+    /**
+     * Allocate @p bytes of simulated DRAM (untimed). Exhaustion while
+     * the machine is being set up on the host (inputs, runtime
+     * structures) throws std::runtime_error, which a supervisor reports
+     * as a setup failure; inside a running guest, where no exception may
+     * unwind, it is fatal. Both carry the same message.
+     */
     Addr
     dramAlloc(uint64_t bytes, uint32_t align = 8)
     {
         Addr addr = dramHeap_.alloc(bytes, align);
-        if (addr == kNullAddr)
-            SPMRT_FATAL("simulated DRAM exhausted (%llu bytes requested)",
-                        static_cast<unsigned long long>(bytes));
+        if (addr == kNullAddr) {
+            std::string what = log::format(
+                "simulated DRAM exhausted (%llu bytes requested)",
+                static_cast<unsigned long long>(bytes));
+            if (engine_.running() != kInvalidCore)
+                SPMRT_FATAL("%s", what.c_str());
+            throw std::runtime_error(what);
+        }
         return addr;
     }
 

@@ -23,6 +23,8 @@
 #ifndef SPMRT_SPM_LAYOUT_HPP
 #define SPMRT_SPM_LAYOUT_HPP
 
+#include <stdexcept>
+
 #include "common/bits.hpp"
 #include "common/log.hpp"
 #include "common/types.hpp"
@@ -53,9 +55,13 @@ class SpmLayout
           userReserve_(alignUp<uint32_t>(user_reserve, 8)),
           queueBytes_(alignUp<uint32_t>(queue_bytes, 8))
     {
+        // A runtime constructor builds the layout on the host before the
+        // first cycle: an overflow is a setup error a supervisor can
+        // classify (uncaught, it ends the process with this message).
         if (userReserve_ + queueBytes_ + kCtrlBytes > spmBytes_)
-            SPMRT_FATAL("SPM layout overflows: %u user + %u queue > %u",
-                        userReserve_, queueBytes_, spmBytes_);
+            throw std::runtime_error(log::format(
+                "SPM layout overflows: %u user + %u queue > %u",
+                userReserve_, queueBytes_, spmBytes_));
         if (stackBytes() < 64)
             SPMRT_WARN("only %u bytes of SPM left for the stack",
                        stackBytes());

@@ -20,11 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "runtime/ws_runtime.hpp"
 #include "serve/assets.hpp"
 #include "serve/workloads.hpp"
 #include "sim/checker.hpp"
 #include "sim/fault.hpp"
+#include "sim/machine.hpp"
 
 namespace spmrt {
 namespace {
@@ -84,35 +84,30 @@ Outcome
 runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
           const Regime &regime, bool reference, bool compiled_routes = true)
 {
-    Machine machine(cfg);
+    serve::JobRequest req = serve::makeWorkloadRequest(workload);
+    req.machine = cfg;
+    if (regime.perturb) {
+        req.scheduleSeed = regime.schedSeed;
+        req.scheduleWindow = kWindow;
+    }
+    if (regime.fault) {
+        req.faultSeed = regime.faultSeed;
+        req.faultHorizon = 200'000;
+    }
+    Machine machine(req.machine);
     machine.engine().setReferenceScheduler(reference);
     machine.mem().noc().setCompiledRoutes(compiled_routes);
-    ConcurrencyChecker *ck = machine.armChecker();
-    if (regime.perturb)
-        machine.engine().perturbSchedule(regime.schedSeed, kWindow);
-    FaultPlan plan;
-    if (regime.fault) {
-        plan = FaultPlan::chaos(regime.faultSeed, machine.config());
-        machine.setFaultPlan(&plan);
-    }
+    serve::AssetCache assets;
+    serve::JobResult result = serve::runJob(req, machine, assets);
 
     Outcome out;
-    Cycles start = machine.engine().maxTime();
-    uint64_t switches0 = machine.engine().switchCount();
-    uint64_t syncs0 = machine.engine().syncPointCount();
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    serve::AssetCache assets;
-    serve::PreparedJob prep =
-        serve::makeWorkloadRequest(workload).prepare(machine, assets);
-    rt.run(prep.root, prep.rootFrameBytes);
-    out.digest = prep.digest(machine);
-    out.cycles = machine.engine().maxTime() - start;
-    out.switches = machine.engine().switchCount() - switches0;
-    out.syncPoints = machine.engine().syncPointCount() - syncs0;
+    out.digest = result.digest;
+    out.cycles = result.cycles;
+    out.switches = machine.engine().switchCount();
+    out.syncPoints = machine.engine().syncPointCount();
     out.compiledTraversals = machine.mem().noc().compiledTraversals();
     out.walkedTraversals = machine.mem().noc().walkedTraversals();
-    machine.setFaultPlan(nullptr);
-    if (ck != nullptr) {
+    if (ConcurrencyChecker *ck = machine.checker()) {
         out.violations = ck->violations().size();
         out.report = ck->report();
     }

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <regex>
+#include <stdexcept>
 #include <string>
 
 #include "mem/alloc.hpp"
@@ -19,6 +21,27 @@ namespace spmrt {
 namespace {
 
 using DeathTest = ::testing::Test;
+
+/**
+ * Run @p setup, which must throw the std::runtime_error a setup check
+ * raises, with a message matching @p pattern. Setup checks throw so a
+ * fleet job can report them as setup_failure; uncaught, they end a
+ * standalone run with their message.
+ */
+template <typename F>
+void
+expectSetupError(F setup, const char *pattern)
+{
+    try {
+        setup();
+    } catch (const std::runtime_error &error) {
+        EXPECT_TRUE(std::regex_search(error.what(), std::regex(pattern)))
+            << "'" << error.what() << "' does not match '" << pattern
+            << "'";
+        return;
+    }
+    ADD_FAILURE() << "no setup error matching '" << pattern << "'";
+}
 
 TEST(ErrorsDeathTest, UnmappedAddressPanics)
 {
@@ -74,9 +97,8 @@ TEST(ErrorsDeathTest, StackPopOfEmptyPanics)
 
 TEST(ErrorsDeathTest, OversizedSpmLayoutIsFatal)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
-    EXPECT_DEATH(SpmLayout(cfg, 4096, 512), "overflows");
+    expectSetupError([&] { SpmLayout(cfg, 4096, 512); }, "overflows");
 }
 
 TEST(ErrorsDeathTest, UnalignedAmoPanics)
@@ -178,72 +200,82 @@ TEST(BulkAccess, UnalignedSpansAcrossLineBoundaries)
 //
 // MachineConfig::validate() is the single choke point for inconsistent
 // geometries: Machine's constructor calls it before any layer sizes
-// itself from the config, so every broken free parameter must die with a
-// diagnostic naming the parameter — never a mis-sized array later.
+// itself from the config, so every broken free parameter must fail setup
+// with a diagnostic naming the parameter — never a mis-sized array later.
 
 TEST(ErrorsDeathTest, ZeroMeshDimensionPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.meshRows = 0;
-    EXPECT_DEATH(Machine machine(cfg), "mesh has a zero dimension");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "mesh has a zero dimension");
 }
 
 TEST(ErrorsDeathTest, RucheXWiderThanMeshPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny(); // 4x2 mesh
     cfg.rucheX = 4;
-    EXPECT_DEATH(Machine machine(cfg), "ruche factor X=4 >= mesh width");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "ruche factor X=4 >= mesh width");
 }
 
 TEST(ErrorsDeathTest, RucheYTallerThanMeshPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.rucheY = 2;
-    EXPECT_DEATH(Machine machine(cfg), "ruche factor Y=2 >= mesh height");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "ruche factor Y=2 >= mesh height");
 }
 
 TEST(ErrorsDeathTest, NonPowerOfTwoSpmWindowPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.spmWindowBytes = 0x1800;
-    EXPECT_DEATH(Machine machine(cfg), "not a power of two");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "not a power of two");
 }
 
 TEST(ErrorsDeathTest, SpmLargerThanWindowPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.spmBytes = 8192; // > the 4 KiB window stride
-    EXPECT_DEATH(Machine machine(cfg), "exceed the 4096-byte window");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "exceed the 4096-byte window");
 }
 
 TEST(ErrorsDeathTest, IndivisibleLlcBankSplitPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.llcBanks = 3; // TopBottom placement needs an even count
-    EXPECT_DEATH(Machine machine(cfg),
-                 "3 LLC banks not divisible across 2 edge rows");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "3 LLC banks not divisible across 2 edge rows");
 }
 
 TEST(ErrorsDeathTest, ZeroDramChannelsPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.dramChannels = 0;
-    EXPECT_DEATH(Machine machine(cfg), "zero DRAM channels");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "zero DRAM channels");
 }
 
 TEST(ErrorsDeathTest, ZeroDramBandwidthPanics)
 {
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     MachineConfig cfg = MachineConfig::tiny();
     cfg.dramBytesPerCycle = 0;
-    EXPECT_DEATH(Machine machine(cfg), "zero DRAM bandwidth");
+    expectSetupError([&] { Machine machine(cfg); },
+                     "zero DRAM bandwidth");
+}
+
+TEST(ErrorsDeathTest, UncaughtSetupErrorEndsTheRunWithItsMessage)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    MachineConfig cfg = MachineConfig::tiny();
+    cfg.llcBanks = 3;
+    // A standalone tool catches nothing: the noexcept frame stands in for
+    // its main(), and the process must end with the diagnostic.
+    EXPECT_DEATH([&]() noexcept { Machine machine(cfg); }(),
+                 "3 LLC banks not divisible across 2 edge rows");
 }
 
 TEST(ErrorsDeathTest, MalformedMachineEnvSpecIsFatal)

@@ -49,16 +49,14 @@ struct RunCapture
 RunCapture
 runWorkload(const serve::FleetWorkload &workload, bool armed)
 {
-    Machine machine(MachineConfig::tiny());
+    serve::JobRequest req = serve::makeWorkloadRequest(workload);
+    req.armChecker = false;
+    Machine machine(req.machine);
     if (armed)
         machine.armTelemetry();
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
     serve::AssetCache assets;
-    serve::PreparedJob prep =
-        serve::makeWorkloadRequest(workload).prepare(machine, assets);
-    rt.run(prep.root, prep.rootFrameBytes);
     RunCapture capture;
-    capture.digest = prep.digest(machine);
+    capture.digest = serve::runJob(req, machine, assets).digest;
     capture.maxTime = machine.engine().maxTime();
     capture.switches = machine.engine().switchCount();
     capture.syncPoints = machine.engine().syncPointCount();

@@ -31,10 +31,10 @@
 #include <string>
 #include <vector>
 
-#include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 #include "sim/checker.hpp"
+#include "sim/machine.hpp"
 
 namespace spmrt {
 namespace {
@@ -64,21 +64,20 @@ Outcome
 runOnce(const serve::FleetWorkload &workload, bool perturb,
         uint64_t sched_seed, bool armed)
 {
-    Machine machine(MachineConfig::tiny());
-    ConcurrencyChecker *ck = armed ? machine.armChecker() : nullptr;
-    if (perturb)
-        machine.engine().perturbSchedule(sched_seed, kWindow);
+    serve::JobRequest req = serve::makeWorkloadRequest(workload);
+    req.armChecker = armed;
+    if (perturb) {
+        req.scheduleSeed = sched_seed;
+        req.scheduleWindow = kWindow;
+    }
+    Machine machine(req.machine);
+    serve::AssetCache assets;
+    serve::JobResult result = serve::runJob(req, machine, assets);
 
     Outcome out;
-    Cycles start = machine.engine().maxTime();
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    serve::AssetCache assets;
-    serve::PreparedJob prep =
-        serve::makeWorkloadRequest(workload).prepare(machine, assets);
-    rt.run(prep.root, prep.rootFrameBytes);
-    out.digest = prep.digest(machine);
-    out.cycles = machine.engine().maxTime() - start;
-    if (ck != nullptr) {
+    out.digest = result.digest;
+    out.cycles = result.cycles;
+    if (ConcurrencyChecker *ck = machine.checker()) {
         out.violations = ck->violations().size();
         out.report = ck->report();
     }

@@ -25,12 +25,10 @@
 #include <set>
 #include <stdexcept>
 
-#include "runtime/static_runtime.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 #include "sim/fault.hpp"
-#include "workloads/cilksort.hpp"
 #include "workloads/fib.hpp"
 #include "workloads/matmul.hpp"
 
@@ -376,27 +374,50 @@ TEST(Fleet, MachineTwinOfACachedJobSimulates)
         << "two edits produced the same machine key";
 }
 
+/** host_perf's 16-core machine. */
+MachineConfig
+sixteenCores()
+{
+    MachineConfig cfg;
+    cfg.meshCols = 4;
+    cfg.meshRows = 4;
+    cfg.llcBanks = 8;
+    cfg.llcSetsPerBank = 32;
+    cfg.dramBytes = 128ull * 1024 * 1024;
+    return cfg;
+}
+
 TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)
 {
-    // Standalone run, exactly as the pre-fleet tests do it.
-    Machine machine(MachineConfig::tiny());
-    CilkSortData data = cilksortSetup(machine, 400, 900);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    Cycles standalone_cycles =
-        rt.run([&](TaskContext &tc) { cilksortKernel(tc, data); });
-    uint64_t standalone_digest =
-        fnvDigest(downloadArray<uint32_t>(machine, data.data, data.n));
-
+    // The 16-core cases are the kernels whose cycles depend on whether
+    // the runtime's DRAM or the inputs are allocated first, so a second
+    // run order anywhere would show up here.
+    const std::pair<FleetWorkload, MachineConfig> cases[] = {
+        {{"cilksort", 400, 900, 0.0}, MachineConfig::tiny()},
+        {{"uts", 6, 42, 2.2}, sixteenCores()},
+        {{"nqueens", 6}, sixteenCores()},
+        {{"cilksort", 800, 900, 0.0}, sixteenCores()},
+    };
     FleetConfig cfg;
     cfg.workers = 2;
     FleetServer server(cfg);
-    JobRequest req = makeWorkloadRequest({"cilksort", 400, 900, 0.0});
-    req.armChecker = false; // match the standalone run above
-    JobReport report = server.wait(server.submit(std::move(req)));
-    ASSERT_EQ(report.status, JobStatus::Ok) << report.error;
-    EXPECT_EQ(report.digest, standalone_digest);
-    EXPECT_EQ(report.cycles, standalone_cycles)
-        << "fleet execution must not disturb simulated time";
+    for (const auto &[workload, machine_cfg] : cases) {
+        JobRequest req = makeWorkloadRequest(workload);
+        req.machine = machine_cfg;
+        req.armChecker = false;
+        SCOPED_TRACE(req.name + " on " + machine_cfg.geometry());
+
+        Machine machine(req.machine);
+        AssetCache assets;
+        JobResult standalone = runJob(req, machine, assets);
+        EXPECT_EQ(standalone.digest, req.expectedDigest);
+
+        JobReport report = server.wait(server.submit(std::move(req)));
+        ASSERT_EQ(report.status, JobStatus::Ok) << report.error;
+        EXPECT_EQ(report.digest, standalone.digest);
+        EXPECT_EQ(report.cycles, standalone.cycles)
+            << "fleet execution must not disturb simulated time";
+    }
 }
 
 TEST(Fleet, AssetCacheBuildsSharedInputsOnce)
@@ -553,6 +574,62 @@ TEST(FleetDeathTest, UnmappableDramImageIsASetupFailure)
         },
         ::testing::ExitedWithCode(0), "status setup_failure");
 #endif
+}
+
+/**
+ * A job that cannot be set up fails alone. Each bad spec below is caught
+ * on the host before the first simulated cycle: a machine validate()
+ * rejects, an SPM layout that overflows, a prepare() and a runtime that
+ * exhaust simulated DRAM. The child exits 0 only if all four end
+ * setup_failure with a message and the fib job after them still ends
+ * ok; a setup check that kills the process fails the test.
+ */
+TEST(FleetDeathTest, UnbuildableJobsAreSetupFailures)
+{
+    EXPECT_EXIT(
+        {
+            std::vector<JobRequest> bad;
+            JobRequest banks = makeWorkloadRequest({"fib", 9});
+            banks.machine.llcBanks = 3; // two-edge placement: odd count
+            bad.push_back(banks);
+            JobRequest reserve = makeWorkloadRequest({"fib", 9});
+            reserve.runtime.userSpmReserve = 8192;
+            bad.push_back(reserve);
+            JobRequest inputs;
+            inputs.name = "huge-inputs";
+            inputs.prepare = [](Machine &machine, AssetCache &) {
+                machine.dramAlloc(1024ull * 1024 * 1024);
+                return PreparedJob{};
+            };
+            bad.push_back(inputs);
+            JobRequest stacks = makeWorkloadRequest({"fib", 9});
+            stacks.runtime.dramStackBytes = 16u * 1024 * 1024;
+            bad.push_back(stacks);
+
+            FleetConfig cfg;
+            cfg.workers = 1;
+            cfg.retry = instantRetry(1);
+            FleetServer server(cfg);
+            std::vector<FleetServer::JobId> ids;
+            for (JobRequest &req : bad)
+                ids.push_back(server.submit(std::move(req)));
+            FleetServer::JobId fib =
+                server.submit(makeWorkloadRequest({"fib", 9}));
+            bool ok = true;
+            for (FleetServer::JobId id : ids) {
+                JobReport report = server.wait(id);
+                std::fprintf(stderr, "job %llu %s: %s\n",
+                             static_cast<unsigned long long>(id),
+                             jobStatusName(report.status),
+                             report.error.c_str());
+                ok = ok && report.status == JobStatus::SetupFailure &&
+                     !report.error.empty();
+            }
+            JobStatus fib_status = server.wait(fib).status;
+            std::fprintf(stderr, "fib: %s\n", jobStatusName(fib_status));
+            std::exit(ok && fib_status == JobStatus::Ok ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "fib: ok");
 }
 
 TEST(Fleet, DigestMismatchFailsFast)
@@ -822,24 +899,16 @@ const FleetWorkload kRegistrySpecs[] = {
     {"spmt", 512, 2003, 0.0, "c-58", 6},
 };
 
-/** Run @p w standalone on tiny(): the runtime first, then prepare(). */
+/** Run @p w standalone on tiny() through runJob, checker disarmed. */
 uint64_t
 standaloneDigest(const FleetWorkload &w, bool static_runtime)
 {
     JobRequest req = makeWorkloadRequest(w);
-    Machine machine(MachineConfig::tiny());
+    req.staticRuntime = static_runtime;
+    req.armChecker = false;
+    Machine machine(req.machine);
     AssetCache assets;
-    auto run = [&](auto &rt) {
-        PreparedJob prep = req.prepare(machine, assets);
-        rt.run(prep.root, prep.rootFrameBytes);
-        return prep.digest(machine);
-    };
-    if (static_runtime) {
-        StaticRuntime rt(machine, req.runtime);
-        return run(rt);
-    }
-    WorkStealingRuntime rt(machine, req.runtime);
-    return run(rt);
+    return runJob(req, machine, assets).digest;
 }
 
 TEST(WorkloadRegistry, EveryKindMatchesItsReferenceStandalone)
