@@ -28,10 +28,10 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/support.hpp"
+#include "common/host_cpus.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 
@@ -204,7 +204,7 @@ main(int argc, char **argv)
     // Recorded in every row: a wall-clock number only means anything
     // relative to the machine that measured it, and the fleet series
     // scales with host cores.
-    const uint32_t host_cores = std::thread::hardware_concurrency();
+    const uint32_t host_cores = usableCpus();
 
     // The trajectory file keeps its own schema (spmrt-host-perf-v1):
     // CI's bench-smoke gate and the committed baseline both parse it.

@@ -5,7 +5,8 @@
  * cycles — they bound how fast the simulator itself can run and catch
  * regressions in the hot paths (context switch, fluid-server charge,
  * NoC traversal, LLC lookup, RNGs, task registry, allocator, machine
- * build).
+ * build) and in the host input path (graph and matrix generation, CSR
+ * builds, array upload).
  */
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,8 @@
 
 #include "bench/support.hpp"
 #include "common/rng.hpp"
+#include "graph/generators.hpp"
+#include "matrix/generators.hpp"
 #include "mem/alloc.hpp"
 #include "mem/dram.hpp"
 #include "mem/fluid_server.hpp"
@@ -353,6 +356,92 @@ BM_ContextSwitchPair(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(rounds));
 }
 BENCHMARK(BM_ContextSwitchPair)->Unit(benchmark::kMicrosecond);
+
+// ---- the host input path at graph-mem's sizes ------------------------------
+// The benchmark's graph-mem cells build a 16384-vertex, degree-16 Zipf 0.7
+// graph and a 16384 x 16384 power-law matrix with 8 nonzeros per row;
+// these time each step of that setup: generation, the CSR builds, and the
+// upload into simulated DRAM.
+
+constexpr uint32_t kGraphMemVertices = 16384;
+
+void
+BM_GenPowerLaw(benchmark::State &state)
+{
+    for (auto _ : state) {
+        HostGraph graph = genPowerLaw(kGraphMemVertices, 16, 0.7, 1);
+        benchmark::DoNotOptimize(graph.targets.data());
+    }
+}
+BENCHMARK(BM_GenPowerLaw)->Unit(benchmark::kMillisecond);
+
+/** fromEdges on the power-law graph's edge list, shuffled. */
+void
+BM_HostGraphFromEdges(benchmark::State &state)
+{
+    const HostGraph graph = genPowerLaw(kGraphMemVertices, 16, 0.7, 1);
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    for (uint32_t v = 0; v < graph.numVertices; ++v)
+        for (uint32_t e = graph.offsets[v]; e < graph.offsets[v + 1]; ++e)
+            edges.emplace_back(v, graph.targets[e]);
+    Xoshiro256StarStar rng(7);
+    for (size_t i = edges.size(); i > 1; --i)
+        std::swap(edges[i - 1], edges[rng.nextBounded(i)]);
+    for (auto _ : state) {
+        HostGraph built = HostGraph::fromEdges(graph.numVertices, edges);
+        benchmark::DoNotOptimize(built.targets.data());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(edges.size()));
+}
+BENCHMARK(BM_HostGraphFromEdges)->Unit(benchmark::kMillisecond);
+
+/** The in-edge graph PageRank's setup and its verify each build. */
+void
+BM_HostGraphTranspose(benchmark::State &state)
+{
+    const HostGraph graph = genPowerLaw(kGraphMemVertices, 16, 0.7, 1);
+    for (auto _ : state) {
+        HostGraph reverse = graph.transpose();
+        benchmark::DoNotOptimize(reverse.targets.data());
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(graph.numEdges()));
+}
+BENCHMARK(BM_HostGraphTranspose)->Unit(benchmark::kMillisecond);
+
+void
+BM_GenCsrPowerLaw(benchmark::State &state)
+{
+    for (auto _ : state) {
+        HostCsr csr = genCsrPowerLaw(kGraphMemVertices, kGraphMemVertices,
+                                     8, 0.7, 1);
+        benchmark::DoNotOptimize(csr.colIdx.data());
+    }
+}
+BENCHMARK(BM_GenCsrPowerLaw)->Unit(benchmark::kMillisecond);
+
+/**
+ * uploadArray of the power-law graph's target array into the paper
+ * machine's DRAM, then downloadArray of it back. The allocation is
+ * freed each round, so every round writes the same pages.
+ */
+void
+BM_UploadArray(benchmark::State &state)
+{
+    const HostGraph graph = genPowerLaw(kGraphMemVertices, 16, 0.7, 1);
+    Machine machine(MachineConfig::paper());
+    for (auto _ : state) {
+        Addr base = uploadArray(machine, graph.targets);
+        std::vector<uint32_t> back =
+            downloadArray<uint32_t>(machine, base, graph.numEdges());
+        benchmark::DoNotOptimize(back.data());
+        machine.dramFree(base);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 *
+                            static_cast<int64_t>(graph.numEdges() * 4));
+}
+BENCHMARK(BM_UploadArray)->Unit(benchmark::kMicrosecond);
 
 /**
  * Console reporter that also mirrors every finished run into the shared

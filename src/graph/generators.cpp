@@ -1,10 +1,49 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/rng.hpp"
 
 namespace spmrt {
+
+CdfGuide::CdfGuide(std::vector<double> cumulative)
+    : cumulative_(std::move(cumulative)), guide_(cumulative_.size())
+{
+    const size_t n = cumulative_.size();
+    if (n == 0 || !(cumulative_.back() > 0))
+        return; // no buckets: find() takes the full search
+    scale_ = static_cast<double>(n) / cumulative_.back();
+    // guide_[b] = lower_bound of bucket b's lower edge, by one sweep.
+    uint32_t k = 0;
+    for (size_t b = 0; b < n; ++b) {
+        const double edge = static_cast<double>(b) / scale_;
+        while (k < n && cumulative_[k] < edge)
+            ++k;
+        guide_[b] = k;
+    }
+}
+
+uint32_t
+CdfGuide::find(double u) const
+{
+    const auto n = static_cast<uint32_t>(cumulative_.size());
+    if (scale_ > 0 && u >= 0) {
+        const double bucket = u * scale_;
+        uint32_t k =
+            guide_[bucket < n ? static_cast<uint32_t>(bucket) : n - 1];
+        while (k < n && cumulative_[k] < u)
+            ++k;
+        // Accept only lower_bound's own answer; a bucket index that
+        // rounding put past it fails here and takes the full search.
+        if (k < n && (k == 0 || cumulative_[k - 1] < u))
+            return k;
+    }
+    return static_cast<uint32_t>(
+        std::lower_bound(cumulative_.begin(), cumulative_.end(), u) -
+        cumulative_.begin());
+}
 
 HostGraph
 genUniformRandom(uint32_t num_vertices, uint32_t avg_degree, uint64_t seed)
@@ -32,18 +71,20 @@ genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
     const double edges_target =
         static_cast<double>(num_vertices) * avg_degree;
     const double weight_cap = static_cast<double>(avg_degree) * 64;
-    std::vector<double> cumulative(num_vertices);
+    std::vector<double> weight(num_vertices);
     double raw_total = 0;
-    for (uint32_t v = 0; v < num_vertices; ++v)
-        raw_total += 1.0 / std::pow(static_cast<double>(v + 1), alpha);
+    for (uint32_t v = 0; v < num_vertices; ++v) {
+        weight[v] = 1.0 / std::pow(static_cast<double>(v + 1), alpha);
+        raw_total += weight[v];
+    }
+    std::vector<double> cumulative(num_vertices);
     double total_weight = 0;
     for (uint32_t v = 0; v < num_vertices; ++v) {
-        double expected = 1.0 /
-                          std::pow(static_cast<double>(v + 1), alpha) /
-                          raw_total * edges_target;
+        double expected = weight[v] / raw_total * edges_target;
         total_weight += expected < weight_cap ? expected : weight_cap;
         cumulative[v] = total_weight;
     }
+    const CdfGuide zipf(std::move(cumulative));
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     edges.reserve(static_cast<size_t>(edges_target));
     // Optionally shuffle vertex identities; by default heavy vertices
@@ -59,10 +100,7 @@ genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
     }
     // Inverse-CDF Zipf sampler for edge targets.
     auto zipf_target = [&]() {
-        double u = rng.nextDouble() * total_weight;
-        auto it = std::lower_bound(cumulative.begin(), cumulative.end(),
-                                   u);
-        auto rank = static_cast<uint32_t>(it - cumulative.begin());
+        uint32_t rank = zipf.find(rng.nextDouble() * total_weight);
         return label[rank < num_vertices ? rank : num_vertices - 1];
     };
     // Cap any single vertex's degree: real communication graphs are
@@ -72,9 +110,7 @@ genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
     // rather than the stealable imbalance the paper's inputs exhibit.
     const uint32_t degree_cap = avg_degree * 64;
     for (uint32_t v = 0; v < num_vertices; ++v) {
-        double weight =
-            1.0 / std::pow(static_cast<double>(v + 1), alpha);
-        double exact = weight / raw_total * edges_target;
+        double exact = weight[v] / raw_total * edges_target;
         auto degree = static_cast<uint32_t>(exact);
         if (rng.nextDouble() < exact - degree)
             ++degree;

@@ -24,6 +24,30 @@
 
 namespace spmrt {
 
+/**
+ * Inverse-CDF lookup over a non-decreasing cumulative weight table.
+ * find(u) returns exactly what std::lower_bound returns: the first rank
+ * k with cumulative[k] >= u, or the table size if there is none. A guide
+ * of one bucket per entry records where each bucket's lower edge falls;
+ * a query scans forward from its bucket's guide, so a sample costs
+ * expected O(1) instead of a binary search. The scan's answer is
+ * returned only if it meets lower_bound's definition (cumulative[k] >= u
+ * and, for k > 0, cumulative[k-1] < u); otherwise find() runs the full
+ * search, so no rounding in the bucket index can change a result.
+ */
+class CdfGuide
+{
+  public:
+    explicit CdfGuide(std::vector<double> cumulative);
+
+    uint32_t find(double u) const;
+
+  private:
+    std::vector<double> cumulative_;
+    std::vector<uint32_t> guide_; ///< lower_bound of each bucket's edge
+    double scale_ = 0;            ///< buckets per unit of weight
+};
+
 /** Uniform random graph: @p avg_degree out-edges per vertex. */
 HostGraph genUniformRandom(uint32_t num_vertices, uint32_t avg_degree,
                            uint64_t seed);

@@ -2,24 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/rng.hpp"
 
 namespace spmrt {
 
+const std::vector<uint32_t> &
+DistinctDraws::draw(uint32_t count, uint32_t span, Xoshiro256StarStar &rng)
+{
+    SPMRT_ASSERT(count <= span && span <= seen_.size(),
+                 "%u distinct draws from a span of %u (bitmap %zu)", count,
+                 span, seen_.size());
+    picked_.clear();
+    while (picked_.size() < count) {
+        auto value = static_cast<uint32_t>(rng.nextBounded(span));
+        if (!seen_[value]) {
+            seen_[value] = 1;
+            picked_.push_back(value);
+        }
+    }
+    for (uint32_t value : picked_)
+        seen_[value] = 0;
+    std::sort(picked_.begin(), picked_.end());
+    return picked_;
+}
+
 namespace {
 
-/** Append @p count sorted distinct random columns of row @p r. */
+/** Append @p count sorted distinct random columns of the next row. */
 void
-appendRow(HostCsr &csr, uint32_t count, uint32_t cols,
+appendRow(HostCsr &csr, uint32_t count, DistinctDraws &draws,
           Xoshiro256StarStar &rng)
 {
-    count = std::min(count, cols);
-    std::set<uint32_t> picked;
-    while (picked.size() < count)
-        picked.insert(static_cast<uint32_t>(rng.nextBounded(cols)));
-    for (uint32_t c : picked) {
+    for (uint32_t c : draws.draw(std::min(count, csr.cols), csr.cols, rng)) {
         csr.colIdx.push_back(c);
         csr.values.push_back(
             static_cast<float>(rng.nextDouble() * 2.0 - 1.0));
@@ -48,8 +63,9 @@ genCsrUniform(uint32_t rows, uint32_t cols, uint32_t nnz_per_row,
     csr.rows = rows;
     csr.cols = cols;
     csr.rowPtr.push_back(0);
+    DistinctDraws draws(cols);
     for (uint32_t r = 0; r < rows; ++r)
-        appendRow(csr, nnz_per_row, cols, rng);
+        appendRow(csr, nnz_per_row, draws, rng);
     return csr;
 }
 
@@ -84,8 +100,9 @@ genCsrPowerLaw(uint32_t rows, uint32_t cols, uint32_t avg_nnz, double alpha,
     csr.rows = rows;
     csr.cols = cols;
     csr.rowPtr.push_back(0);
+    DistinctDraws draws(cols);
     for (uint32_t r = 0; r < rows; ++r)
-        appendRow(csr, row_nnz[r], cols, rng);
+        appendRow(csr, row_nnz[r], draws, rng);
     return csr;
 }
 
@@ -98,17 +115,14 @@ genCsrBanded(uint32_t n, uint32_t bandwidth, uint32_t nnz_per_row,
     csr.rows = n;
     csr.cols = n;
     csr.rowPtr.push_back(0);
+    DistinctDraws draws(n);
     for (uint32_t r = 0; r < n; ++r) {
-        std::set<uint32_t> picked;
         uint32_t lo = r > bandwidth ? r - bandwidth : 0;
         uint32_t hi = std::min(n - 1, r + bandwidth);
         uint32_t span = hi - lo + 1;
-        uint32_t count = std::min(nnz_per_row, span);
-        while (picked.size() < count)
-            picked.insert(lo +
-                          static_cast<uint32_t>(rng.nextBounded(span)));
-        for (uint32_t c : picked) {
-            csr.colIdx.push_back(c);
+        for (uint32_t c : draws.draw(std::min(nnz_per_row, span), span,
+                                     rng)) {
+            csr.colIdx.push_back(lo + c);
             csr.values.push_back(
                 static_cast<float>(rng.nextDouble() * 2.0 - 1.0));
         }
@@ -130,10 +144,11 @@ genCsrBundle(uint32_t rows, uint32_t cols, uint32_t dense_rows,
     csr.rows = rows;
     csr.cols = cols;
     csr.rowPtr.push_back(0);
+    DistinctDraws draws(cols);
     for (uint32_t r = 0; r < rows; ++r) {
         bool dense =
             dense_rows > 0 && r % stride == 0 && r / stride < dense_rows;
-        appendRow(csr, dense ? dense_nnz : sparse_nnz, cols, rng);
+        appendRow(csr, dense ? dense_nnz : sparse_nnz, draws, rng);
     }
     return csr;
 }

@@ -190,6 +190,14 @@ class MemorySystem
         std::memcpy(out, src, size);
     }
 
+    /** Set @p size bytes at @p addr to @p value (untimed, like poke). */
+    void
+    fill(Addr addr, uint8_t value, uint32_t size)
+    {
+        DecodedAddr decoded;
+        std::memset(resolve(addr, size, decoded), value, size);
+    }
+
     template <typename T>
     T
     peekAs(Addr addr) const

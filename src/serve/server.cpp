@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/host_cpus.hpp"
 #include "common/log.hpp"
 #include "sim/abort.hpp"
 #include "sim/checker.hpp"
@@ -64,10 +65,8 @@ statusOfAbort(const SimAbort &abort)
 FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg))
 {
     workerCount_ = cfg_.workers;
-    if (workerCount_ == 0) {
-        uint32_t hw = std::thread::hardware_concurrency();
-        workerCount_ = std::min<uint32_t>(4, hw == 0 ? 1 : hw);
-    }
+    if (workerCount_ == 0)
+        workerCount_ = std::min<uint32_t>(4, usableCpus());
     threads_.reserve(workerCount_);
     for (uint32_t i = 0; i < workerCount_; ++i)
         threads_.emplace_back([this] { workerLoop(); });

@@ -61,7 +61,7 @@ namespace serve {
 /** Server-wide policy knobs. */
 struct FleetConfig
 {
-    /** Concurrent simulations (0 = min(4, host hardware threads)). */
+    /** Concurrent simulations (0 = min(4, usableCpus())). */
     uint32_t workers = 0;
     /** Queued-job ceiling; overflow sheds lowest priority (0 = none). */
     uint32_t maxQueueDepth = 0;

@@ -138,6 +138,10 @@ workloadKey(const FleetWorkload &w)
     const unsigned long long seed = w.dataSeed;
     if (w.kind == "fib" || w.kind == "nqueens") {
         checkSpec(w, {""}, false, false, false);
+        if (w.kind == "nqueens" && (w.n < kNQueensMinN || w.n > kNQueensMaxN))
+            rejectSpec(w, log::format("n = %u is outside the reference "
+                                      "table's [%u, %u]",
+                                      w.n, kNQueensMinN, kNQueensMaxN));
         return log::format("%s/%u", w.kind.c_str(), w.n);
     }
     if (w.kind == "cilksort") {
@@ -152,6 +156,10 @@ workloadKey(const FleetWorkload &w)
         if (std::strtod(log::format("%.3f", w.branch).c_str(), nullptr) !=
             w.branch)
             rejectSpec(w, "branch has more than three decimals");
+        // utsChildCount takes the log of branch / (1 + branch): NaN for
+        // a negative branch, and NaN has no child count.
+        if (!binomial && w.branch < 0)
+            rejectSpec(w, "a geometric tree's branch is negative");
         if (binomial)
             return log::format("uts/binomial/%u/%u/%.3f/%llu", w.n,
                                w.degree, w.branch, seed);
@@ -163,12 +171,15 @@ workloadKey(const FleetWorkload &w)
             rejectSpec(w, "n is not a multiple of the matmul tile");
         return log::format("%s/%u/%llu", w.kind.c_str(), w.n, seed);
     }
-    if (w.kind == "pagerank" || w.kind == "bfs")
+    if (w.kind == "pagerank" || w.kind == "bfs") {
         checkSpec(w, {"uniform", "email", "c-58"}, true, false, true);
-    else if (w.kind == "spmv" || w.kind == "spmt")
+        if (w.kind == "bfs" && w.n == 0)
+            rejectSpec(w, "the graph has no source vertex 0");
+    } else if (w.kind == "spmv" || w.kind == "spmt") {
         checkSpec(w, {"bundle1", "email", "c-58"}, true, false, true);
-    else
+    } else {
         rejectSpec(w, "unknown kind");
+    }
     return log::format("%s/%s/%u/%u/%llu", w.kind.c_str(), w.input.c_str(),
                        w.n, w.degree, seed);
 }

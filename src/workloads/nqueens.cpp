@@ -1,5 +1,7 @@
 #include "workloads/nqueens.hpp"
 
+#include <iterator>
+
 namespace spmrt {
 namespace workloads {
 
@@ -67,7 +69,9 @@ nqueensRec(TaskContext &tc, const NQueensData &data, Addr parent_board,
 NQueensData
 nqueensSetup(Machine &machine, uint32_t n)
 {
-    SPMRT_ASSERT(n >= 4 && n <= 12, "nqueens supports n in [4, 12]");
+    SPMRT_ASSERT(n >= kNQueensMinN && n <= kNQueensMaxN,
+                 "nqueens supports n in [%u, %u]", kNQueensMinN,
+                 kNQueensMaxN);
     NQueensData data;
     data.n = n;
     data.solutionCells = allocZeroArray<uint8_t>(
@@ -100,8 +104,10 @@ nqueensReference(uint32_t n)
         // n:      4  5   6  7   8   9    10   11    12
         2, 10, 4, 40, 92, 352, 724, 2680, 14200,
     };
-    SPMRT_ASSERT(n >= 4 && n <= 12, "no reference for n = %u", n);
-    return kCounts[n - 4];
+    static_assert(std::size(kCounts) == kNQueensMaxN - kNQueensMinN + 1);
+    SPMRT_ASSERT(n >= kNQueensMinN && n <= kNQueensMaxN,
+                 "no reference for n = %u", n);
+    return kCounts[n - kNQueensMinN];
 }
 
 } // namespace workloads

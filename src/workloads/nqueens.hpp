@@ -18,6 +18,10 @@
 namespace spmrt {
 namespace workloads {
 
+/** Board sizes nqueensReference() knows the solution count of. */
+constexpr uint32_t kNQueensMinN = 4;
+constexpr uint32_t kNQueensMaxN = 12;
+
 /** Problem instance in simulated memory. */
 struct NQueensData
 {
@@ -35,7 +39,7 @@ void nqueensKernel(TaskContext &tc, const NQueensData &data);
 /** Sum the striped counters. */
 uint64_t nqueensResult(Machine &machine, const NQueensData &data);
 
-/** Known solution counts for n = 4..12. */
+/** Known solution counts for n = kNQueensMinN..kNQueensMaxN. */
 uint64_t nqueensReference(uint32_t n);
 
 } // namespace workloads

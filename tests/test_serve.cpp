@@ -12,6 +12,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -25,12 +26,14 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/host_cpus.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
 #include "serve/workloads.hpp"
 #include "sim/fault.hpp"
 #include "workloads/fib.hpp"
 #include "workloads/matmul.hpp"
+#include "workloads/nqueens.hpp"
 
 namespace spmrt {
 namespace serve {
@@ -947,7 +950,8 @@ TEST(WorkloadRegistry, KeyChangesWithEverySpecField)
         keys.insert(key);
         std::vector<FleetWorkload> edits(6, base);
         edits[0].kind = twin.at(base.kind);
-        edits[1].n += 16;
+        // +16 keeps matmul on its tile; nqueens must stay in [4, 12].
+        edits[1].n += base.kind == "nqueens" ? 1 : 16;
         edits[2].dataSeed += 1;
         edits[3].branch += 0.5;
         edits[4].input = base.input == "email" ? "c-58"
@@ -982,6 +986,50 @@ TEST(WorkloadRegistry, MalformedSpecsThrowTypedErrors)
     for (const FleetWorkload &w : bad)
         EXPECT_THROW(makeWorkloadRequest(w), std::runtime_error)
             << w.kind << " '" << w.input << "'";
+}
+
+TEST(WorkloadRegistry, SpecsOutsideTheReferenceRangeThrowTypedErrors)
+{
+    // Each of these used to pass workloadKey and then trip an assert or
+    // undefined behaviour in its host reference or setup, killing the
+    // process inside makeWorkloadRequest.
+    const FleetWorkload bad[] = {
+        {"nqueens", 3},  // below nqueensReference's table
+        {"nqueens", 13}, // above it
+        {"nqueens", 0},
+        {"bfs", 0, 1, 0.0, "uniform", 4}, // no source vertex 0
+        {"uts", 5, 42, -0.5},             // geometric branch below 0
+    };
+    for (const FleetWorkload &w : bad)
+        EXPECT_THROW(makeWorkloadRequest(w), std::runtime_error)
+            << w.kind << " n = " << w.n;
+    for (uint32_t n = kNQueensMinN; n <= kNQueensMaxN; ++n)
+        EXPECT_NO_THROW(workloadKey({"nqueens", n}));
+}
+
+TEST(Fleet, DefaultWorkerCountFollowsTheAffinityMask)
+{
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int first = 0;
+    while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved))
+        ++first;
+    ASSERT_LT(first, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const uint32_t usable = usableCpus();
+    uint32_t workers = 0;
+    {
+        FleetServer server; // workers = 0: sized from the mask
+        workers = server.workerCount();
+    }
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(usable, 1u);
+    EXPECT_EQ(workers, 1u);
+    EXPECT_EQ(usableCpus(), static_cast<uint32_t>(CPU_COUNT(&saved)));
 }
 
 } // namespace
