@@ -183,7 +183,7 @@ applyVariant(serve::JobRequest &req, const Variant &variant)
  * --filter=<substr> (run only matching cases), --out=<path> (also write
  * the rows as spmrt-bench-v1 JSON) and --help. finish() prints the
  * aligned table and returns the process exit code (nonzero after any
- * fail()).
+ * fail(), or when the --out file cannot be written).
  */
 class Report
 {
@@ -328,8 +328,8 @@ class Report
         if (list_)
             return 0;
         printTable();
-        if (!out_.empty())
-            writeJson();
+        if (!out_.empty() && !writeJson())
+            fail("cannot write %s", out_.c_str());
         return failed_ ? 1 : 0;
     }
 
@@ -459,15 +459,13 @@ class Report
         return "\"" + log::jsonEscape(cell.text) + "\"";
     }
 
-    void
+    /** Write the rows to --out; false if the file cannot be written. */
+    bool
     writeJson() const
     {
         FILE *file = std::fopen(out_.c_str(), "w");
-        if (file == nullptr) {
-            std::fprintf(stderr, "%s: cannot open %s for writing\n",
-                         bench_, out_.c_str());
-            return;
-        }
+        if (file == nullptr)
+            return false;
         std::fprintf(file,
                      "{\"schema\": \"spmrt-bench-v1\", \"bench\": \"%s\", "
                      "\"quick\": %s, \"rows\": [",
@@ -483,8 +481,11 @@ class Report
             std::fprintf(file, "}");
         }
         std::fprintf(file, "\n]}\n");
-        std::fclose(file);
+        const bool written = !std::ferror(file);
+        if (std::fclose(file) != 0 || !written)
+            return false;
         std::printf("# wrote %s\n", out_.c_str());
+        return true;
     }
 
     void

@@ -6,8 +6,6 @@
 namespace spmrt {
 namespace log {
 
-bool verbose = false;
-
 std::string
 format(const char *fmt, ...)
 {
@@ -79,13 +77,6 @@ void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    if (verbose)
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
 }
 
 } // namespace log

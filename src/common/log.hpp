@@ -2,7 +2,8 @@
  * @file
  * Logging and error-reporting helpers in the spirit of gem5's
  * base/logging.hh: panic() for internal invariant violations, fatal() for
- * user/configuration errors, warn()/inform() for status messages.
+ * user/configuration errors, warn() for status messages, plus the
+ * printf-style format() and the JSON string escaper every writer shares.
  */
 
 #ifndef SPMRT_COMMON_LOG_HPP
@@ -14,9 +15,6 @@
 
 namespace spmrt {
 namespace log {
-
-/** Global verbosity toggle for inform(); warnings always print. */
-extern bool verbose;
 
 /** Printf-style formatting into a std::string. */
 std::string format(const char *fmt, ...)
@@ -33,7 +31,6 @@ std::string jsonEscape(const std::string &raw);
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace log
 } // namespace spmrt
@@ -58,10 +55,6 @@ void informImpl(const std::string &msg);
 /** Non-fatal notice that behaviour may be approximate or suspicious. */
 #define SPMRT_WARN(...) \
     ::spmrt::log::warnImpl(::spmrt::log::format(__VA_ARGS__))
-
-/** Informational status message (suppressed unless log::verbose). */
-#define SPMRT_INFORM(...) \
-    ::spmrt::log::informImpl(::spmrt::log::format(__VA_ARGS__))
 
 /** Assertion that is active in all build types (unlike <cassert>). */
 #define SPMRT_ASSERT(cond, ...) \

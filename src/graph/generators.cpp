@@ -60,7 +60,7 @@ genUniformRandom(uint32_t num_vertices, uint32_t avg_degree, uint64_t seed)
 
 HostGraph
 genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
-            uint64_t seed, bool scatter_hubs)
+            uint64_t seed)
 {
     Xoshiro256StarStar rng(seed);
     // Zipf weights, scaled so the total edge count ~= V * avg_degree.
@@ -87,21 +87,12 @@ genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
     const CdfGuide zipf(std::move(cumulative));
     std::vector<std::pair<uint32_t, uint32_t>> edges;
     edges.reserve(static_cast<size_t>(edges_target));
-    // Optionally shuffle vertex identities; by default heavy vertices
-    // keep adjacent (low) ids, as in crawl-ordered real graphs.
-    std::vector<uint32_t> label(num_vertices);
-    for (uint32_t v = 0; v < num_vertices; ++v)
-        label[v] = v;
-    if (scatter_hubs) {
-        for (uint32_t v = num_vertices; v > 1; --v) {
-            uint32_t pick = static_cast<uint32_t>(rng.nextBounded(v));
-            std::swap(label[v - 1], label[pick]);
-        }
-    }
-    // Inverse-CDF Zipf sampler for edge targets.
+    // Inverse-CDF Zipf sampler for edge targets. Vertex ids are the
+    // ranks, so heavy vertices keep adjacent (low) ids, as in
+    // crawl-ordered real graphs.
     auto zipf_target = [&]() {
         uint32_t rank = zipf.find(rng.nextDouble() * total_weight);
-        return label[rank < num_vertices ? rank : num_vertices - 1];
+        return rank < num_vertices ? rank : num_vertices - 1;
     };
     // Cap any single vertex's degree: real communication graphs are
     // heavy-tailed, but no single vertex owns 10% of all edges — and a
@@ -116,34 +107,7 @@ genPowerLaw(uint32_t num_vertices, uint32_t avg_degree, double alpha,
             ++degree;
         degree = std::min(degree, degree_cap);
         for (uint32_t e = 0; e < degree; ++e)
-            edges.emplace_back(label[v], zipf_target());
-    }
-    return HostGraph::fromEdges(num_vertices, std::move(edges));
-}
-
-HostGraph
-genRmat(uint32_t scale, uint32_t edge_factor, uint64_t seed)
-{
-    // Classic RMAT parameters (a, b, c, d) = (0.57, 0.19, 0.19, 0.05).
-    constexpr double kA = 0.57, kB = 0.19, kC = 0.19;
-    Xoshiro256StarStar rng(seed);
-    const uint32_t num_vertices = 1u << scale;
-    const uint64_t num_edges =
-        static_cast<uint64_t>(num_vertices) * edge_factor;
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    edges.reserve(num_edges);
-    for (uint64_t e = 0; e < num_edges; ++e) {
-        uint32_t src = 0, dst = 0;
-        for (uint32_t bit = 0; bit < scale; ++bit) {
-            double p = rng.nextDouble();
-            uint32_t quadrant = p < kA             ? 0
-                                : p < kA + kB      ? 1
-                                : p < kA + kB + kC ? 2
-                                                   : 3;
-            src = (src << 1) | (quadrant >> 1);
-            dst = (dst << 1) | (quadrant & 1);
-        }
-        edges.emplace_back(src, dst);
+            edges.emplace_back(v, zipf_target());
     }
     return HostGraph::fromEdges(num_vertices, std::move(edges));
 }
@@ -167,33 +131,6 @@ genBanded(uint32_t num_vertices, uint32_t bandwidth, uint32_t avg_degree,
                 target -= num_vertices;
             edges.emplace_back(v, static_cast<uint32_t>(target));
         }
-    }
-    return HostGraph::fromEdges(num_vertices, std::move(edges));
-}
-
-HostGraph
-genBlockBipartite(uint32_t num_vertices, uint32_t dense_rows,
-                  uint32_t dense_degree, uint32_t sparse_degree,
-                  uint64_t seed)
-{
-    SPMRT_ASSERT(dense_rows <= num_vertices,
-                 "more dense rows than vertices");
-    Xoshiro256StarStar rng(seed);
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    edges.reserve(static_cast<size_t>(dense_rows) * dense_degree +
-                  static_cast<size_t>(num_vertices - dense_rows) *
-                      sparse_degree);
-    // Spread the dense rows across the id space (stride placement).
-    uint32_t stride = dense_rows > 0 ? num_vertices / dense_rows : 1;
-    if (stride == 0)
-        stride = 1;
-    for (uint32_t v = 0; v < num_vertices; ++v) {
-        bool dense =
-            dense_rows > 0 && v % stride == 0 && v / stride < dense_rows;
-        uint32_t degree = dense ? dense_degree : sparse_degree;
-        for (uint32_t e = 0; e < degree; ++e)
-            edges.emplace_back(
-                v, static_cast<uint32_t>(rng.nextBounded(num_vertices)));
     }
     return HostGraph::fromEdges(num_vertices, std::move(edges));
 }

@@ -11,10 +11,9 @@
  *    mean -> balanced work per vertex (the gSkD family);
  *  - powerLaw: Zipf-distributed out-degrees -> heavy-tailed row lengths
  *    like the email-* communication graphs (drives load imbalance);
- *  - rmat: Kronecker-style communities (an alternative skewed family);
- *  - banded: narrow structural band like the c-58 stiffness matrix;
- *  - blockBipartite: dense row blocks like the bundle-adjustment matrix
- *    bundle1.
+ *  - banded: narrow structural band like the c-58 stiffness matrix.
+ *
+ * The bundle1 stand-in is a matrix, genCsrBundle (matrix/generators.hpp).
  */
 
 #ifndef SPMRT_GRAPH_GENERATORS_HPP
@@ -55,31 +54,16 @@ HostGraph genUniformRandom(uint32_t num_vertices, uint32_t avg_degree,
 /**
  * Power-law graph: both endpoints Zipf-distributed with exponent
  * @p alpha, rescaled to the requested average degree. alpha ~ 0.8-1.2
- * gives email-like skew.
- *
- * @param scatter_hubs when false (default), heavy vertices keep low ids
- *        and therefore cluster — like crawl-ordered real graphs, and the
- *        worst case for statically chunked loops. When true, vertex ids
- *        are randomly permuted so the heavy tail spreads evenly.
+ * gives email-like skew. Heavy vertices keep low ids and therefore
+ * cluster — like crawl-ordered real graphs, and the worst case for
+ * statically chunked loops.
  */
 HostGraph genPowerLaw(uint32_t num_vertices, uint32_t avg_degree,
-                      double alpha, uint64_t seed,
-                      bool scatter_hubs = false);
-
-/** RMAT/Kronecker graph of 2^scale vertices. */
-HostGraph genRmat(uint32_t scale, uint32_t edge_factor, uint64_t seed);
+                      double alpha, uint64_t seed);
 
 /** Banded graph/matrix: edges only within +-bandwidth of the diagonal. */
 HostGraph genBanded(uint32_t num_vertices, uint32_t bandwidth,
                     uint32_t avg_degree, uint64_t seed);
-
-/**
- * Block-bipartite structure: a fraction of "camera" rows with dense
- * degree, the rest sparse — bundle-adjustment-like.
- */
-HostGraph genBlockBipartite(uint32_t num_vertices, uint32_t dense_rows,
-                            uint32_t dense_degree, uint32_t sparse_degree,
-                            uint64_t seed);
 
 } // namespace spmrt
 

@@ -27,7 +27,7 @@ class RangeAllocator
 {
   public:
     /** Manage [base, base + bytes). */
-    RangeAllocator(Addr base, uint64_t bytes) : base_(base), bytes_(bytes)
+    RangeAllocator(Addr base, uint64_t bytes)
     {
         SPMRT_ASSERT(bytes > 0, "empty allocator range");
         SPMRT_ASSERT(base != kNullAddr,
@@ -98,14 +98,10 @@ class RangeAllocator
 
     /** Bytes currently allocated. */
     uint64_t bytesInUse() const { return inUse_; }
-    /** Bytes still available (ignoring fragmentation). */
-    uint64_t bytesFree() const { return bytes_ - inUse_; }
     /** Number of live allocations. */
     size_t liveBlockCount() const { return liveBlocks_.size(); }
 
   private:
-    Addr base_;
-    uint64_t bytes_;
     uint64_t inUse_ = 0;
     std::map<Addr, uint64_t> freeBlocks_; ///< addr -> size, coalesced
     std::map<Addr, uint64_t> liveBlocks_; ///< addr -> size

@@ -125,18 +125,6 @@ class LlcModel
     /** Number of banks (rows of the contention heatmap). */
     uint32_t numBanks() const { return numBanks_; }
 
-    /** Per-bank cumulative access counts (diagnostics). */
-    const std::vector<uint64_t> &bankAccesses() const
-    {
-        return bankAccesses_;
-    }
-
-    /** Per-bank cumulative queueing-wait cycles (diagnostics). */
-    const std::vector<uint64_t> &bankWaitCycles() const
-    {
-        return bankWaitCycles_;
-    }
-
     /**
      * Snapshot the per-bank contention heatmap: one row per bank with its
      * cumulative accesses, hits, misses, and queueing wait at the bank

@@ -2,14 +2,6 @@
 
 namespace spmrt {
 
-Machine &
-machineOf(TaskContext &tc)
-{
-    if (tc.isDynamic())
-        return tc.worker().runtime().machine();
-    return tc.staticRuntime().machine();
-}
-
 int64_t
 autoGrain(TaskContext &tc, int64_t total)
 {
@@ -19,7 +11,7 @@ autoGrain(TaskContext &tc, int64_t total)
     int64_t workers =
         tc.isDynamic()
             ? static_cast<int64_t>(tc.worker().runtime().activeCores())
-            : static_cast<int64_t>(machineOf(tc).numCores());
+            : static_cast<int64_t>(tc.staticRuntime().machine().numCores());
     int64_t leaves = workers * 4;
     int64_t grain = total / leaves;
     return grain < 1 ? 1 : grain;

@@ -40,9 +40,6 @@ struct ForOptions
     EnvSpec env;
 };
 
-/** The machine underlying a context's runtime. */
-Machine &machineOf(TaskContext &tc);
-
 /**
  * A context for the same logical task/region but a different (usually
  * freshly pushed) frame — the activation record of a pattern call.

@@ -61,8 +61,6 @@ class StaticRuntime
     Machine &machine() { return machine_; }
     /** Active configuration. */
     const RuntimeConfig &config() const { return cfg_; }
-    /** Stack model of core @p id. */
-    StackModel &stackOf(CoreId id) { return *stacks_[id]; }
     /** User scratchpad allocator of core @p id. */
     SpmUserAllocator &userSpm(CoreId id) { return *userSpm_[id]; }
 

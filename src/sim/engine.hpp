@@ -194,9 +194,6 @@ class Engine
      */
     void commitWake(CoreId id, Cycles t);
 
-    /** True while core @p id is parked. */
-    bool blocked(CoreId id) const { return slots_[id].blocked; }
-
     /** True when core @p id's body has returned. */
     bool finished(CoreId id) const { return slots_[id].finished; }
 

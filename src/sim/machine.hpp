@@ -57,8 +57,6 @@ class Machine
     MemorySystem &mem() { return mem_; }
     /** The execution engine. */
     Engine &engine() { return engine_; }
-    /** The DRAM heap. */
-    RangeAllocator &dramHeap() { return dramHeap_; }
 
     /**
      * Allocate @p bytes of simulated DRAM (untimed). Exhaustion while
@@ -200,13 +198,6 @@ class Machine
 #endif
     }
 
-    /** Detach the checker from the memory system (instance is kept). */
-    void
-    disarmChecker()
-    {
-        mem_.setChecker(nullptr);
-    }
-
     /** The armed checker, or nullptr (disarmed or compiled out). */
     ConcurrencyChecker *checker() const { return mem_.checker(); }
 
@@ -244,15 +235,6 @@ class Machine
                    "(SPMRT_TELEMETRY=OFF)");
         return nullptr;
 #endif
-    }
-
-    /** Detach the tracer everywhere (stats/events are kept). */
-    void
-    disarmTelemetry()
-    {
-        engine_.setTracer(nullptr);
-        for (auto &core : cores_)
-            core->setTracer(nullptr);
     }
 
     /** The armed telemetry bundle, or nullptr (never armed/compiled out). */

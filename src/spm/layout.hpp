@@ -183,11 +183,6 @@ class SpmUserAllocator
         return candidate;
     }
 
-    /** Bytes handed out so far (including alignment padding). */
-    uint32_t bytesUsed() const { return used_; }
-    /** The reservation size. */
-    uint32_t bytesReserved() const { return reserved_; }
-
   private:
     Addr base_;
     uint32_t reserved_;

@@ -26,7 +26,8 @@ bfsKernel(TaskContext &tc, const BfsData &data)
     const SimGraph &graph = data.graph;
     const uint32_t num_vertices = graph.numVertices;
     // Direction-switch threshold: pull when the frontier touches more
-    // than ~5% of the edges (Ligra's heuristic, simplified).
+    // than ~5% of the edges (the |E|/20 dense-mode rule of
+    // direction-optimizing graph frameworks, simplified).
     const uint64_t flip_threshold = graph.numEdges / 20 + 1;
     Addr levels = data.joinLevel;
 

@@ -2,7 +2,7 @@
  * @file
  * BFS: push/pull hybrid breadth-first search (static-unbalanced).
  *
- * Ligra-style direction optimization over a level-stamped frontier: one
+ * Direction-optimizing traversal over a level-stamped frontier: one
  * array joinLevel[v] holds the level at which v was discovered (and is
  * therefore also the output distance). A vertex is in the current
  * frontier iff joinLevel[v] == level-1, so no per-level clearing pass or

@@ -1,6 +1,6 @@
 /**
  * @file
- * PageRank: pull-based, Ligra-style (static-unbalanced).
+ * PageRank: pull-based and vertex-centric (static-unbalanced).
  *
  * Each iteration runs six parallel kernels (the decomposition measured in
  * the paper's Fig. 6): K1 computes per-vertex contributions, K2 pulls and

@@ -1,17 +1,14 @@
 /**
  * @file
- * Tests for the extensions beyond the paper's core system: the
- * parallel_scan pattern, the connected-components workload, work
- * dealing, and the victim-policy knob's interaction with them.
+ * Tests for work dealing, the extension beyond the paper's core system
+ * that abl_dealing measures: spawns are pushed to peers' queues
+ * round-robin at creation time, and idle cores never steal.
  */
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <set>
 
-#include "graph/generators.hpp"
-#include "parallel/scan.hpp"
-#include "workloads/components.hpp"
 #include "workloads/fib.hpp"
 #include "workloads/uts.hpp"
 
@@ -19,132 +16,6 @@ namespace spmrt {
 namespace {
 
 using namespace spmrt::workloads;
-
-// ---- parallel_scan ---------------------------------------------------------
-
-class ScanTest : public ::testing::TestWithParam<uint32_t>
-{
-};
-
-TEST_P(ScanTest, MatchesSerialExclusiveScan)
-{
-    const uint32_t count = GetParam();
-    Machine machine(MachineConfig::tiny());
-    Xoshiro256StarStar rng(count + 1);
-    std::vector<uint32_t> input(count);
-    for (auto &value : input)
-        value = static_cast<uint32_t>(rng.nextBounded(1000));
-    Addr base = count > 0 ? uploadArray(machine, input)
-                          : machine.dramAlloc(4);
-
-    uint32_t total = 0;
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    rt.run([&](TaskContext &tc) {
-        total = parallelScanU32(tc, base, count);
-    });
-
-    std::vector<uint32_t> expected(count);
-    uint32_t running = 0;
-    for (uint32_t i = 0; i < count; ++i) {
-        expected[i] = running;
-        running += input[i];
-    }
-    EXPECT_EQ(total, running);
-    if (count > 0) {
-        auto actual = downloadArray<uint32_t>(machine, base, count);
-        EXPECT_EQ(actual, expected);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, ScanTest,
-                         ::testing::Values(0, 1, 2, 15, 16, 17, 100, 1000,
-                                           4096));
-
-TEST(ScanTest2, WorksOnStaticRuntime)
-{
-    constexpr uint32_t kN = 500;
-    Machine machine(MachineConfig::tiny());
-    std::vector<uint32_t> ones(kN, 1);
-    Addr base = uploadArray(machine, ones);
-    uint32_t total = 0;
-    StaticRuntime rt(machine, RuntimeConfig::full());
-    rt.run([&](TaskContext &tc) {
-        total = parallelScanU32(tc, base, kN);
-    });
-    EXPECT_EQ(total, kN);
-    auto actual = downloadArray<uint32_t>(machine, base, kN);
-    for (uint32_t i = 0; i < kN; ++i)
-        EXPECT_EQ(actual[i], i);
-}
-
-// ---- connected components ----------------------------------------------------
-
-TEST(Components, TwoIslands)
-{
-    // Two disjoint cliques: labels must converge to each island's min.
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    for (uint32_t v = 0; v < 4; ++v)
-        for (uint32_t w = v + 1; w < 4; ++w)
-            edges.emplace_back(v, w);
-    for (uint32_t v = 4; v < 8; ++v)
-        for (uint32_t w = v + 1; w < 8; ++w)
-            edges.emplace_back(v, w);
-    HostGraph graph = HostGraph::fromEdges(8, edges);
-
-    Machine machine(MachineConfig::tiny());
-    ComponentsData data = componentsSetup(machine, graph);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    rt.run([&](TaskContext &tc) { componentsKernel(tc, data); });
-    EXPECT_TRUE(componentsVerify(machine, data, graph));
-    auto labels = downloadArray<uint32_t>(machine, data.labels, 8);
-    for (uint32_t v = 0; v < 4; ++v)
-        EXPECT_EQ(labels[v], 0u);
-    for (uint32_t v = 4; v < 8; ++v)
-        EXPECT_EQ(labels[v], 4u);
-}
-
-TEST(Components, RandomGraphsMatchUnionFind)
-{
-    for (uint64_t seed : {1ull, 2ull, 3ull}) {
-        HostGraph graph = genUniformRandom(300, 2, seed);
-        Machine machine(MachineConfig::tiny());
-        ComponentsData data = componentsSetup(machine, graph);
-        WorkStealingRuntime rt(machine, RuntimeConfig::full());
-        rt.run([&](TaskContext &tc) { componentsKernel(tc, data); });
-        EXPECT_TRUE(componentsVerify(machine, data, graph))
-            << "seed " << seed;
-    }
-}
-
-TEST(Components, ChainNeedsMultipleRounds)
-{
-    // A long path: label 0 must propagate hop by hop.
-    std::vector<std::pair<uint32_t, uint32_t>> edges;
-    for (uint32_t v = 0; v + 1 < 64; ++v)
-        edges.emplace_back(v, v + 1);
-    HostGraph graph = HostGraph::fromEdges(64, edges);
-    Machine machine(MachineConfig::tiny());
-    ComponentsData data = componentsSetup(machine, graph);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    uint32_t rounds = 0;
-    rt.run([&](TaskContext &tc) {
-        rounds = componentsKernel(tc, data);
-    });
-    EXPECT_TRUE(componentsVerify(machine, data, graph));
-    EXPECT_GT(rounds, 2u);
-}
-
-TEST(Components, WorksOnStaticRuntime)
-{
-    HostGraph graph = genUniformRandom(200, 3, 11);
-    Machine machine(MachineConfig::tiny());
-    ComponentsData data = componentsSetup(machine, graph);
-    StaticRuntime rt(machine, RuntimeConfig::full());
-    rt.run([&](TaskContext &tc) { componentsKernel(tc, data); });
-    EXPECT_TRUE(componentsVerify(machine, data, graph));
-}
-
-// ---- work dealing -----------------------------------------------------------
 
 TEST(WorkDealing, FibStillCorrect)
 {

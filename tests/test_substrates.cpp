@@ -347,17 +347,9 @@ const Pinned<HostGraph> kPinnedGraphs[] = {
     {"genPowerLaw(4096, 16, 0.7)",
      [](uint64_t s) { return genPowerLaw(4096, 16, 0.7, s); },
      {0x9941bf974e07db0aull, 0xb262a2a8868c9632ull}},
-    {"genPowerLaw(4096, 16, 0.7, scatter_hubs)",
-     [](uint64_t s) { return genPowerLaw(4096, 16, 0.7, s, true); },
-     {0xb7fe1710ebe7e704ull, 0x80a8d058e9fa02a9ull}},
-    {"genRmat(11, 8)", [](uint64_t s) { return genRmat(11, 8, s); },
-     {0xd1a34d1e70726718ull, 0x87560f5349ad3038ull}},
     {"genBanded(2048, 12, 8)",
      [](uint64_t s) { return genBanded(2048, 12, 8, s); },
      {0x17529d1081179582ull, 0x41b3bd2d589e519bull}},
-    {"genBlockBipartite(2048, 16, 256, 4)",
-     [](uint64_t s) { return genBlockBipartite(2048, 16, 256, 4, s); },
-     {0xdcb625874495faf3ull, 0xe1189d430f060108ull}},
 };
 
 const Pinned<HostCsr> kPinnedMatrices[] = {
@@ -423,14 +415,6 @@ TEST(Generators, PowerLawIsSkewed)
         << "power-law tail should dwarf the mean";
 }
 
-TEST(Generators, RmatProducesSkewAndCorrectCounts)
-{
-    HostGraph graph = genRmat(10, 8, 5);
-    EXPECT_EQ(graph.numVertices, 1024u);
-    EXPECT_EQ(graph.numEdges(), 1024u * 8u);
-    EXPECT_GT(graph.maxDegree(), 16u);
-}
-
 TEST(Generators, BandedStaysInBand)
 {
     constexpr uint32_t kN = 512, kBand = 10;
@@ -445,16 +429,6 @@ TEST(Generators, BandedStaysInBand)
                 << "edge (" << v << "," << w << ") leaves the band";
         }
     }
-}
-
-TEST(Generators, BlockBipartiteHasDenseMinority)
-{
-    HostGraph graph = genBlockBipartite(1000, 10, 200, 4, 13);
-    uint32_t dense_count = 0;
-    for (uint32_t v = 0; v < graph.numVertices; ++v)
-        if (graph.degree(v) >= 100)
-            ++dense_count;
-    EXPECT_EQ(dense_count, 10u);
 }
 
 // ---- sim upload / download -------------------------------------------------
