@@ -36,8 +36,7 @@ main(int argc, char **argv)
     const uint32_t loads = scaled<uint32_t>(200, 40);
 
     // Side-channel for the per-core measurements: filled by the job's
-    // raw body on the fleet worker, read back after wait(). A retry
-    // re-fills it deterministically from a fresh machine.
+    // raw body on the fleet worker, read back after wait().
     auto avg_latency =
         std::make_shared<std::vector<double>>(cfg.numCores(), 0.0);
 
@@ -117,8 +116,10 @@ main(int argc, char **argv)
             std::printf("%4.1f", static_cast<double>(norm) / 1000.0);
         std::printf("\n");
     }
-    grid.writeCsv("BENCH_fig05_latency_heatmap.csv");
-    report.comment("wrote BENCH_fig05_latency_heatmap.csv");
+    if (grid.writeCsv("BENCH_fig05_latency_heatmap.csv"))
+        report.comment("wrote BENCH_fig05_latency_heatmap.csv");
+    else
+        report.fail("cannot write BENCH_fig05_latency_heatmap.csv");
 
     // Shape checks, mirroring the paper's observations.
     auto rowAvg = [&](uint32_t y) {

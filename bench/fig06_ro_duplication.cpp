@@ -10,7 +10,9 @@
  * totals are asserted per status at the end. Per-kernel cycle counts
  * flow back through a side-channel shared with the job closures, and
  * the heatmap CSVs are written by each job's digest stage (which runs
- * on the worker while its machine is still alive).
+ * on the worker while its machine is still alive); whether they were
+ * written flows back the same way and fails the bench on the main
+ * thread.
  *
  * Expected shape: duplication reduces most kernels' time; the paper
  * reports an overall 1.57x on its PageRank input.
@@ -34,10 +36,14 @@ using namespace spmrt::workloads;
 
 namespace {
 
-/** One Fig. 6 configuration (± read-only duplication) as a fleet job. */
+/**
+ * One Fig. 6 configuration (± read-only duplication) as a fleet job;
+ * its digest stage sets @p csv_written once both heatmaps are on disk.
+ */
 serve::JobRequest
 configRequest(bool duplicate, std::shared_ptr<const HostGraph> graph,
-              std::shared_ptr<std::array<Cycles, kPageRankKernels>> kernels)
+              std::shared_ptr<std::array<Cycles, kPageRankKernels>> kernels,
+              std::shared_ptr<bool> csv_written)
 {
     serve::JobRequest req;
     req.name = log::format("fig06/%s", duplicate ? "with-duplication"
@@ -47,8 +53,8 @@ configRequest(bool duplicate, std::shared_ptr<const HostGraph> graph,
     req.runtime = RuntimeConfig::full();
     req.runtime.roDuplication = duplicate;
     req.armChecker = false;
-    req.prepare = [duplicate, graph,
-                   kernels](Machine &machine, serve::AssetCache &) {
+    req.prepare = [duplicate, graph, kernels,
+                   csv_written](Machine &machine, serve::AssetCache &) {
         maybeArmTrace(machine);
         auto data = std::make_shared<PageRankData>(
             pagerankSetup(machine, *graph));
@@ -56,7 +62,7 @@ configRequest(bool duplicate, std::shared_ptr<const HostGraph> graph,
         prep.root = [data, kernels](TaskContext &tc) {
             (void)pagerankIteration(tc, *data, kernels.get());
         };
-        prep.digest = [duplicate](Machine &m) {
+        prep.digest = [duplicate, csv_written](Machine &m) {
             maybeWriteTrace(m);
             // Contention heatmaps: per-link NoC occupancy and per-bank
             // LLC traffic for this run, as CSV for offline plotting.
@@ -64,13 +70,16 @@ configRequest(bool duplicate, std::shared_ptr<const HostGraph> graph,
             // where the worker's machine is alive.
             const char *tag = duplicate ? "with_rd" : "without_rd";
             obs::Heatmap noc_map = m.mem().noc().linkHeatmap();
-            noc_map.writeCsv(
+            bool noc_ok = noc_map.writeCsv(
                 log::format("BENCH_fig06_noc_heatmap_%s.csv", tag)
                     .c_str());
             obs::Heatmap llc_map = m.mem().llc().bankHeatmap();
-            llc_map.writeCsv(
+            bool llc_ok = llc_map.writeCsv(
                 log::format("BENCH_fig06_llc_heatmap_%s.csv", tag)
                     .c_str());
+            // Read on the main thread after wait(), which orders it
+            // after this write.
+            *csv_written = noc_ok && llc_ok;
             return 0ull;
         };
         return prep;
@@ -105,6 +114,7 @@ main(int argc, char **argv)
     struct PendingConfig
     {
         bool duplicate;
+        std::shared_ptr<bool> csvWritten;
         serve::FleetServer::JobId id;
     };
     std::vector<PendingConfig> pending;
@@ -117,23 +127,30 @@ main(int argc, char **argv)
             ran_both = false;
             continue;
         }
+        auto csv_written = std::make_shared<bool>(false);
         pending.push_back(
-            {duplicate,
+            {duplicate, csv_written,
              server.submit(configRequest(
                  duplicate, graph,
-                 duplicate ? kernels_with : kernels_without))});
+                 duplicate ? kernels_with : kernels_without,
+                 csv_written))});
     }
     for (const PendingConfig &config : pending) {
         serve::JobReport job = server.wait(config.id);
+        (config.duplicate ? total_with : total_without) = job.cycles;
+        const char *tag = config.duplicate ? "with_rd" : "without_rd";
         if (job.status != serve::JobStatus::Ok)
             report.fail("%s: %s (%s)", job.name.c_str(),
                         serve::jobStatusName(job.status),
                         job.error.c_str());
-        (config.duplicate ? total_with : total_without) = job.cycles;
-        const char *tag = config.duplicate ? "with_rd" : "without_rd";
-        report.comment("wrote BENCH_fig06_noc_heatmap_%s.csv and "
-                       "BENCH_fig06_llc_heatmap_%s.csv",
-                       tag, tag);
+        else if (!*config.csvWritten)
+            report.fail("cannot write BENCH_fig06_noc_heatmap_%s.csv or "
+                        "BENCH_fig06_llc_heatmap_%s.csv",
+                        tag, tag);
+        else
+            report.comment("wrote BENCH_fig06_noc_heatmap_%s.csv and "
+                           "BENCH_fig06_llc_heatmap_%s.csv",
+                           tag, tag);
     }
 
     if (ran_both && !report.listing()) {

@@ -25,6 +25,9 @@
  * quick sweep on a 16x16 dual-channel rucheY machine this way).
  */
 
+#include <atomic>
+#include <memory>
+
 #include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
 #include "common/env.hpp"
@@ -85,19 +88,21 @@ cellRequest(const WorkloadRow &row, const MachineConfig &machine_cfg,
 
 /**
  * Export the run's NoC-link and LLC-bank heatmaps, tagged by workload
- * and machine geometry.
+ * and machine geometry; returns how many of the two could not be
+ * written.
  */
-void
+uint32_t
 exportHeatmaps(Machine &m, const std::string &workload)
 {
     std::string tag = log::format("%s_%s", workload.c_str(),
                                   m.config().geometry().c_str());
     obs::Heatmap noc_map = m.mem().noc().linkHeatmap();
-    noc_map.writeCsv(
+    bool noc_ok = noc_map.writeCsv(
         log::format("BENCH_fig11_noc_heatmap_%s.csv", tag.c_str()).c_str());
     obs::Heatmap llc_map = m.mem().llc().bankHeatmap();
-    llc_map.writeCsv(
+    bool llc_ok = llc_map.writeCsv(
         log::format("BENCH_fig11_llc_heatmap_%s.csv", tag.c_str()).c_str());
+    return (noc_ok ? 0 : 1) + (llc_ok ? 0 : 1);
 }
 
 /** The saturation study's workload subset: one compute-bound and one
@@ -213,6 +218,9 @@ main(int argc, char **argv)
             serve::FleetServer::JobId st;
         };
         std::vector<SatCell> cells;
+        // Heatmap writes run on fleet workers; Report::fail is not
+        // thread-safe, so count failures here and report once settled.
+        auto unwritten = std::make_shared<std::atomic<uint32_t>>(0);
         const std::vector<WorkloadRow> sat_rows = saturationRows();
         for (const MachineConfig &base : scales) {
             for (uint32_t channels : channel_counts) {
@@ -224,8 +232,8 @@ main(int argc, char **argv)
                     cell.geometry = cfg.geometry();
                     serve::JobRequest ws = cellRequest(
                         row, cfg, cfg.numCores(),
-                        [workload = row.workload](Machine &m) {
-                            exportHeatmaps(m, workload);
+                        [workload = row.workload, unwritten](Machine &m) {
+                            *unwritten += exportHeatmaps(m, workload);
                         });
                     ws.name = log::format("fig11sat/%s/%s/ws",
                                           row.workload.c_str(),
@@ -270,6 +278,9 @@ main(int argc, char **argv)
                           : 0.0)
                 .cell("ok", ok);
         }
+        if (uint32_t failed = unwritten->load())
+            report.fail("saturation: %u heatmap CSV(s) could not be written",
+                        failed);
     }
 
     serve::FleetServer::Totals totals = server.totals();

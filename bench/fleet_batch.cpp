@@ -4,9 +4,10 @@
  * failure class the server must degrade through — healthy workloads
  * under chaos fault plans, duplicate requests, a deliberate hang with no
  * watchdog margin, and a crashing setup — and a hard assertion on the
- * per-status counts. Exits nonzero on any mismatch; writes the full
- * machine-readable job report (schema spmrt-fleet-report-v1) for upload
- * as a CI artifact.
+ * per-status counts and on the attempt count (each job that runs runs
+ * once; the hang is quarantined after its one attempt). Exits nonzero
+ * on any mismatch; writes the full machine-readable job report (schema
+ * spmrt-fleet-report-v1) for upload as a CI artifact.
  *
  * Usage: fleet_batch [--out=<path>]
  */
@@ -79,10 +80,7 @@ main(int argc, char **argv)
         }
     }
 
-    FleetConfig cfg;
-    cfg.retry.maxAttempts = 2;
-    cfg.retry.sleepScale = 0.01; // exercise backoff sleeps, but briefly
-    FleetServer server(cfg);
+    FleetServer server;
     std::printf("# fleet smoke batch on %u workers\n", server.workerCount());
 
     // Healthy work, one cell under a chaos fault plan.
@@ -118,7 +116,7 @@ main(int argc, char **argv)
              server.wait(sort_id).status == JobStatus::Ok, 1);
     expectEq("hang status",
              server.wait(hang_id).status == JobStatus::Hang, 1);
-    expectEq("hang attempts", server.wait(hang_id).attempts, 2);
+    expectEq("hang attempts", server.wait(hang_id).attempts, 1);
     expectEq("hang quarantined", server.wait(hang_id).quarantined, 1);
     expectEq("setup failure status",
              server.wait(broken_id).status == JobStatus::SetupFailure, 1);
@@ -135,7 +133,7 @@ main(int argc, char **argv)
     expectEq("totals.cache_hits", totals.cacheHits, 1);
     expectEq("totals.failures", totals.failures, 2);
     expectEq("totals.quarantined", totals.quarantinedRefusals, 1);
-    expectEq("totals.retries", totals.retries, 1);
+    expectEq("totals.attempts", totals.attempts, 4);
 
     std::string json = server.reportJson();
     FILE *file = std::fopen(out_path.c_str(), "w");

@@ -3,11 +3,11 @@
  * Shared FleetServer plumbing for the figure and ablation benches.
  *
  * Every bench submits its whole figure as one supervised batch (each
- * cell a JobRequest behind the hang watchdog and retry policy), settles
- * the rows it needs, and then asserts the per-status batch totals so a
- * shed, cancelled, quarantined, or failed cell cannot silently vanish
- * from the output. The helpers here keep that contract, and trace
- * capture, identical across benches.
+ * cell a JobRequest run once behind the hang watchdog), settles the rows
+ * it needs, and then asserts the per-status batch totals so a
+ * quarantined or failed cell cannot silently vanish from the output.
+ * The helpers here keep that contract, and trace capture, identical
+ * across benches.
  */
 
 #ifndef SPMRT_BENCH_FLEET_UTIL_HPP
@@ -64,8 +64,8 @@ traceJob(serve::JobRequest &req,
 /**
  * Per-status batch accounting shared by every fleet-backed bench:
  * every one of the @p submitted jobs must settle Ok (or as a cache hit
- * on a resubmitted figure); anything shed, cancelled, quarantined, or
- * failed is a bench defect even when a per-job wait already flagged it.
+ * on a resubmitted figure); anything quarantined or failed is a bench
+ * defect even when a per-job wait already flagged it.
  */
 inline void
 assertFleetTotals(Report &report, serve::FleetServer &server,
@@ -78,14 +78,11 @@ assertFleetTotals(Report &report, serve::FleetServer &server,
                     static_cast<unsigned long long>(submitted));
     if (totals.ok + totals.cacheHits != totals.jobs)
         report.fail("fleet: %llu of %llu jobs did not settle Ok "
-                    "(%llu failures, %llu shed, %llu cancelled, "
-                    "%llu quarantined)",
+                    "(%llu failures, %llu quarantined)",
                     static_cast<unsigned long long>(
                         totals.jobs - totals.ok - totals.cacheHits),
                     static_cast<unsigned long long>(totals.jobs),
                     static_cast<unsigned long long>(totals.failures),
-                    static_cast<unsigned long long>(totals.shed),
-                    static_cast<unsigned long long>(totals.cancelled),
                     static_cast<unsigned long long>(
                         totals.quarantinedRefusals));
     report.comment("fleet: %llu jobs, %.2f sims/sec",

@@ -20,7 +20,12 @@ MemorySystem::MemorySystem(const MachineConfig &cfg)
     spmData_.assign(static_cast<size_t>(cfg.numCores()) * cfg.spmBytes, 0);
     spmPorts_.assign(cfg.numCores(), UnitFluidServer{});
     storeDrain_.assign(cfg.numCores(), 0);
-    invalidateDecodeCache(); // snap the precomputed decode constants
+    spmStride_ = static_cast<uint32_t>(map_.spmStride());
+    spmShift_ = map_.spmStrideShift();
+    spmSpan_ = cfg_.numCores() * spmStride_;
+    dramStart_ = map_.dramBase();
+    spmBase_ = spmData_.data();
+    dramBase_ = dramData_.data();
 }
 
 uint8_t *

@@ -249,32 +249,6 @@ class MemorySystem
     /** Aggregate counters (live: every timed access counts here). */
     const MemStats &stats() const { return stats_; }
 
-    /**
-     * Invalidate cached decode state. resolve() decodes through
-     * precomputed constants (region spans, backing-array bases) snapped
-     * from the AddressMap at construction; this recomputes them. The
-     * audit of the former one-entry decode cache found two problems —
-     * scheduler interleaving made consecutive accesses alternate owners
-     * so the single entry thrashed, and any future remapping of an
-     * address range would have silently served stale entries — which is
-     * why decode state is now a pure function of these constants. With
-     * today's static AddressMap nothing ever *needs* to call this; any
-     * future feature that remaps an address range, resizes a backing
-     * store, or reuses a window for a different owner MUST call it (or
-     * the spans/bases here will alias the old mapping). Cheap enough to
-     * call defensively.
-     */
-    void
-    invalidateDecodeCache()
-    {
-        spmStride_ = static_cast<uint32_t>(map_.spmStride());
-        spmShift_ = map_.spmStrideShift();
-        spmSpan_ = cfg_.numCores() * spmStride_;
-        dramStart_ = map_.dramBase();
-        spmBase_ = spmData_.data();
-        dramBase_ = dramData_.data();
-    }
-
     /** Full AddressMap decodes taken so far (accesses that fell off the
      *  computed fast decode; testing — 0 proves full coverage). */
     uint64_t
@@ -293,11 +267,11 @@ class MemorySystem
 
     /**
      * Decode @p addr and resolve its host backing pointer. The PGAS map
-     * is static, so decode is a pure computation over precomputed spans
-     * (see invalidateDecodeCache()): a subtract/compare picks the
-     * region, shift/mask pick owner and offset — no cached state to
-     * miss or go stale, regardless of how the scheduler interleaves
-     * cores. Purely functional: timing and stats are untouched. The
+     * is static, so decode is a pure computation over spans precomputed
+     * at construction: a subtract/compare picks the region, shift/mask
+     * pick owner and offset — no cached state to miss or go stale,
+     * regardless of how the scheduler interleaves cores. Purely
+     * functional: timing and stats are untouched. The
      * in-range checks mirror decode()'s bounds assertions exactly;
      * anything that fails them falls to resolveSlow(), whose full
      * decode raises the canonical panic/assert.
@@ -369,7 +343,7 @@ class MemorySystem
     /// race-free if timed accesses ever run on more than one host thread.
     std::atomic<uint64_t> decodeMisses_{0};
 
-    // Precomputed decode constants (see invalidateDecodeCache()).
+    // Decode constants, snapped from the AddressMap at construction.
     uint32_t spmSpan_ = 0;          ///< numCores * spmStride
     uint32_t spmStride_ = 0;        ///< map_.spmStride() (power of two)
     uint32_t spmShift_ = 0;         ///< log2(spmStride_)

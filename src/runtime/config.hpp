@@ -96,18 +96,13 @@ struct RuntimeConfig
     uint32_t dramStackBytes = 256 * 1024;
 
     /**
-     * @name Hang watchdog bounds
-     *
-     * A work-stealing run panics with a structured dump when no task
-     * retires for watchdogCycles simulated cycles AND watchdogSwitches
-     * context switches (each enabled bound must expire; 0 disables that
-     * bound, both 0 disable the watchdog). The cycle default is far
-     * beyond any legitimate stall — DRAM round trips are hundreds of
-     * cycles — so only a genuine quiescence failure trips it.
+     * Hang watchdog bound: a work-stealing run panics with a structured
+     * dump when no task retires for this many simulated cycles (0
+     * disables the watchdog). The default is far beyond any legitimate
+     * stall — DRAM round trips are hundreds of cycles — so only a
+     * genuine quiescence failure trips it.
      */
     uint64_t watchdogCycles = 200'000'000;
-    uint64_t watchdogSwitches = 0;
-    /** @} */
 
     /**
      * Number of cores that participate in execution (0 = all). Used by
@@ -193,11 +188,10 @@ struct RuntimeConfig
     key() const
     {
         return log::format(
-            "ss%d/qs%d/rd%d/ov%d/pt%d/ur%u/ds%u/wd%llu:%llu/a%u/vp%u/dl%d",
+            "ss%d/qs%d/rd%d/ov%d/pt%d/ur%u/ds%u/wd%llu/a%u/vp%u/dl%d",
             stackInSpm, queueInSpm, roDuplication, swOverflowCheck,
             queuePointerTable, userSpmReserve, dramStackBytes,
-            static_cast<unsigned long long>(watchdogCycles),
-            static_cast<unsigned long long>(watchdogSwitches), activeCores,
+            static_cast<unsigned long long>(watchdogCycles), activeCores,
             static_cast<unsigned>(victimPolicy), workDealing);
     }
 };

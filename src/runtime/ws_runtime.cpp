@@ -118,11 +118,10 @@ WorkStealingRuntime::run(const std::function<void(TaskContext &)> &root_fn,
     }
 
     // Arm the hang watchdog: every retired task is a progress event; if
-    // none retires within the configured bounds the engine dumps our
+    // none retires within the configured bound the engine dumps our
     // runtime state and panics instead of spinning forever.
-    if (cfg_.watchdogCycles != 0 || cfg_.watchdogSwitches != 0)
+    if (cfg_.watchdogCycles != 0)
         machine_.engine().armWatchdog(cfg_.watchdogCycles,
-                                      cfg_.watchdogSwitches,
                                       [this] { return watchdogDump(); });
     Cycles cycles;
     try {

@@ -19,10 +19,6 @@ jobStatusName(JobStatus status)
         return "ok";
       case JobStatus::CacheHit:
         return "cache_hit";
-      case JobStatus::Shed:
-        return "shed";
-      case JobStatus::Cancelled:
-        return "cancelled";
       case JobStatus::Quarantined:
         return "quarantined";
       case JobStatus::Hang:
@@ -31,10 +27,6 @@ jobStatusName(JobStatus status)
         return "checker_violation";
       case JobStatus::DigestMismatch:
         return "digest_mismatch";
-      case JobStatus::BudgetExceeded:
-        return "budget_exceeded";
-      case JobStatus::DeadlineExceeded:
-        return "deadline_exceeded";
       case JobStatus::SetupFailure:
         return "setup_failure";
     }
@@ -48,47 +40,11 @@ jobStatusIsFailure(JobStatus status)
       case JobStatus::Hang:
       case JobStatus::CheckerViolation:
       case JobStatus::DigestMismatch:
-      case JobStatus::BudgetExceeded:
-      case JobStatus::DeadlineExceeded:
       case JobStatus::SetupFailure:
         return true;
       default:
         return false;
     }
-}
-
-bool
-jobStatusRetryable(JobStatus status)
-{
-    switch (status) {
-      case JobStatus::Hang:
-      case JobStatus::BudgetExceeded:
-      case JobStatus::DeadlineExceeded:
-        return true;
-      default:
-        return false;
-    }
-}
-
-uint32_t
-backoffDelayMs(const RetryPolicy &policy, uint64_t seed, uint32_t attempt)
-{
-    SPMRT_ASSERT(attempt >= 1, "backoff attempt is 1-based");
-    // Exponential from the base, saturating (shift-safe) at the cap.
-    uint64_t delay = policy.backoffBaseMs;
-    uint32_t doublings = attempt - 1;
-    while (doublings-- > 0 && delay < policy.backoffMaxMs)
-        delay *= 2;
-    if (delay > policy.backoffMaxMs)
-        delay = policy.backoffMaxMs;
-    // Seeded jitter in [0, jitterMs]: a fresh stream per (seed, attempt)
-    // keeps the whole schedule a pure function of its inputs.
-    if (policy.jitterMs != 0) {
-        Xoshiro256StarStar rng(hash64(seed ^ (0x9e3779b97f4a7c15ULL *
-                                              (attempt + 1))));
-        delay += rng.nextBounded(static_cast<uint64_t>(policy.jitterMs) + 1);
-    }
-    return static_cast<uint32_t>(delay);
 }
 
 JobResult
@@ -142,23 +98,16 @@ runJob(const JobRequest &req, Machine &machine, AssetCache &assets)
 std::string
 JobReport::toJson() const
 {
-    std::string backoffs = "[";
-    for (size_t i = 0; i < backoffMs.size(); ++i) {
-        if (i != 0)
-            backoffs += ",";
-        backoffs += log::format("%u", backoffMs[i]);
-    }
-    backoffs += "]";
     return log::format(
         "{\"id\":%llu,\"name\":\"%s\",\"status\":\"%s\","
         "\"digest\":\"0x%016llx\",\"cycles\":%llu,\"attempts\":%u,"
-        "\"from_cache\":%s,\"quarantined\":%s,\"backoff_ms\":%s,"
+        "\"from_cache\":%s,\"quarantined\":%s,"
         "\"wall_ms\":%.3f,\"error\":\"%s\",\"dump\":\"%s\"}",
         static_cast<unsigned long long>(id), log::jsonEscape(name).c_str(),
         jobStatusName(status), static_cast<unsigned long long>(digest),
         static_cast<unsigned long long>(cycles), attempts,
         fromCache ? "true" : "false", quarantined ? "true" : "false",
-        backoffs.c_str(), wallMs, log::jsonEscape(error).c_str(),
+        wallMs, log::jsonEscape(error).c_str(),
         log::jsonEscape(dump).c_str());
 }
 

@@ -1,24 +1,18 @@
 /**
  * @file
- * The fleet-mode job model: requests, limits, retry policy, reports.
+ * The fleet-mode job model: requests, reports, the status taxonomy.
  *
  * A job is one deterministic simulation — (machine config, workload,
  * schedule seed, fault plan) — submitted to the FleetServer. The server
  * owns the lifecycle; this header owns the vocabulary:
  *
  *  - JobRequest: everything needed to run the simulation from scratch,
- *    including a `prepare` factory invoked per attempt on a fresh
- *    Machine (aborted machines are dead; retries rebuild).
+ *    including a `prepare` factory invoked on the job's fresh Machine.
  *  - runJob(): the one sequence that simulates a JobRequest, shared by
  *    the server and every standalone caller.
  *  - JobStatus: the structured error taxonomy. Infrastructure outcomes
- *    (Ok, CacheHit, Shed, Cancelled, Quarantined) and failure classes
- *    (Hang, CheckerViolation, DigestMismatch, BudgetExceeded,
- *    DeadlineExceeded, SetupFailure).
- *  - RetryPolicy + backoffDelayMs(): deterministic exponential backoff
- *    with seeded bounded jitter. The schedule is a pure function of
- *    (policy, seed, attempt), so tests can assert it and a re-run of a
- *    batch backs off identically.
+ *    (Ok, CacheHit, Quarantined) and failure classes (Hang,
+ *    CheckerViolation, DigestMismatch, SetupFailure).
  *  - JobReport: the machine-readable outcome, serializable to JSON.
  */
 
@@ -27,9 +21,7 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "runtime/config.hpp"
 #include "runtime/context.hpp"
@@ -48,66 +40,18 @@ enum class JobStatus : uint8_t
 {
     Ok,               ///< ran to completion, digest accepted
     CacheHit,         ///< served from the result cache, no simulation
-    Shed,             ///< dropped under overload (lowest priority first)
-    Cancelled,        ///< non-draining shutdown or explicit cancel
-    Quarantined,      ///< refused: this spec already failed terminally
-    Hang,             ///< watchdog: no task retired within bounds
+    Quarantined,      ///< refused: this spec already failed
+    Hang,             ///< watchdog: no task retired within its bound
     CheckerViolation, ///< concurrency checker reported violations
     DigestMismatch,   ///< result disagreed with expectation or cache
-    BudgetExceeded,   ///< simulated-cycle budget exhausted
-    DeadlineExceeded, ///< wall-clock deadline exceeded
     SetupFailure      ///< setup threw before the first simulated cycle
 };
 
 /** Stable lowercase name for @p status (report JSON field values). */
 const char *jobStatusName(JobStatus status);
 
-/** True for the failure classes (not Ok/CacheHit/Shed/Cancelled). */
+/** True for the failure classes (not Ok/CacheHit/Quarantined). */
 bool jobStatusIsFailure(JobStatus status);
-
-/**
- * True when a retry can plausibly change the outcome. Hangs and budget
- * or deadline kills are retried (the retry demonstrably reproduces or
- * clears them); checker violations, digest mismatches, and setup
- * failures are deterministic in the spec and fail fast instead.
- */
-bool jobStatusRetryable(JobStatus status);
-
-/** Retry/backoff policy for failed attempts. */
-struct RetryPolicy
-{
-    /** Total attempts per job (1 = no retry). */
-    uint32_t maxAttempts = 3;
-    /** Backoff before retry k is base * 2^(k-1), capped, plus jitter. */
-    uint32_t backoffBaseMs = 10;
-    /** Exponential cap (before jitter). */
-    uint32_t backoffMaxMs = 2000;
-    /** Max additive seeded jitter per delay. */
-    uint32_t jitterMs = 10;
-    /**
-     * Multiplier applied to the computed delay before actually
-     * sleeping. 1.0 in production; 0.0 in tests, which keeps the
-     * *recorded* schedule intact while making retries instantaneous.
-     */
-    double sleepScale = 1.0;
-};
-
-/**
- * Backoff (ms) after failed attempt @p attempt (1-based), deterministic
- * in (policy, seed, attempt): exponential from backoffBaseMs, saturated
- * at backoffMaxMs, plus seeded jitter uniform in [0, jitterMs].
- */
-uint32_t backoffDelayMs(const RetryPolicy &policy, uint64_t seed,
-                        uint32_t attempt);
-
-/** Per-job supervisor limits layered on the engine watchdog. */
-struct JobLimits
-{
-    /** Simulated-cycle budget per attempt (0 = unlimited). */
-    Cycles cycleBudget = 0;
-    /** Wall-clock deadline per attempt in ms (0 = unlimited). */
-    uint32_t wallDeadlineMs = 0;
-};
 
 /**
  * What prepare() hands back: the root task plus an untimed digest
@@ -140,8 +84,6 @@ struct JobRequest
      * identical simulations share cache entries.
      */
     std::string cacheKey;
-    /** Higher runs first; lowest is shed first under overload. */
-    uint32_t priority = 0;
 
     MachineConfig machine = MachineConfig::tiny();
     RuntimeConfig runtime;
@@ -164,8 +106,6 @@ struct JobRequest
      */
     bool staticRuntime = false;
 
-    JobLimits limits;
-
     /** Expected digest; a completed run that disagrees fails. */
     uint64_t expectedDigest = 0;
     bool hasExpectedDigest = false;
@@ -180,8 +120,8 @@ struct JobRequest
     /**
      * Build the workload on a fresh @p Machine: allocate/upload inputs
      * (sharing immutable assets through the batch AssetCache) and
-     * return the root + digest closures. Called once per attempt; a
-     * throw is classified as SetupFailure.
+     * return the root + digest closures. Called once per run; a throw
+     * is classified as SetupFailure.
      */
     std::function<PreparedJob(Machine &, AssetCache &)> prepare;
 };
@@ -218,13 +158,12 @@ struct JobReport
     JobStatus status = JobStatus::Ok;
     uint64_t digest = 0;
     Cycles cycles = 0;
-    uint32_t attempts = 0;      ///< simulations actually run
+    uint32_t attempts = 0;      ///< 1 if simulated, 0 if served/refused
     bool fromCache = false;
     bool quarantined = false;   ///< spec was quarantined by this failure
     std::string error;          ///< one-line summary for failures
     std::string dump;           ///< structured runtime dump (truncated)
-    std::vector<uint32_t> backoffMs; ///< recorded delay before each retry
-    double wallMs = 0;          ///< wall time across all attempts
+    double wallMs = 0;          ///< wall time of the simulation
 
     /** One JSON object (spmrt-fleet-report-v1 `jobs[]` element). */
     std::string toJson() const;

@@ -16,18 +16,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** FNV-1a over a string (retry-seed derivation from the spec key). */
-uint64_t
-fnvString(const std::string &s)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 double
 msBetween(Clock::time_point from, Clock::time_point to)
 {
@@ -44,22 +32,6 @@ truncateDump(const std::string &dump)
     return dump.substr(0, kMaxDumpBytes) + "...[truncated]";
 }
 
-JobStatus
-statusOfAbort(const SimAbort &abort)
-{
-    switch (abort.kind()) {
-      case AbortKind::Hang:
-        return JobStatus::Hang;
-      case AbortKind::CycleBudget:
-        return JobStatus::BudgetExceeded;
-      case AbortKind::Deadline:
-        return JobStatus::DeadlineExceeded;
-      case AbortKind::Cancelled:
-        return JobStatus::Cancelled;
-    }
-    return JobStatus::SetupFailure;
-}
-
 } // namespace
 
 FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg))
@@ -70,12 +42,11 @@ FleetServer::FleetServer(FleetConfig cfg) : cfg_(std::move(cfg))
     threads_.reserve(workerCount_);
     for (uint32_t i = 0; i < workerCount_; ++i)
         threads_.emplace_back([this] { workerLoop(); });
-    monitor_ = std::thread([this] { monitorLoop(); });
 }
 
 FleetServer::~FleetServer()
 {
-    shutdown(true);
+    shutdown();
 }
 
 std::string
@@ -117,36 +88,8 @@ FleetServer::submit(JobRequest req)
         haveFirstSubmit_ = true;
         firstSubmit_ = Clock::now();
     }
-    if (cfg_.maxQueueDepth != 0 && queue_.size() > cfg_.maxQueueDepth)
-        shedOverflowLocked();
     queueCv_.notify_one();
     return id;
-}
-
-void
-FleetServer::shedOverflowLocked()
-{
-    // Degrade, don't die: drop the lowest-priority queued job (newest
-    // first among ties) with an explicit status. The incoming job is in
-    // the queue already, so it sheds itself when it is the least
-    // important.
-    size_t victim = 0;
-    for (size_t i = 1; i < queue_.size(); ++i) {
-        const Job &a = *jobs_.at(queue_[i]);
-        const Job &b = *jobs_.at(queue_[victim]);
-        if (a.req.priority < b.req.priority ||
-            (a.req.priority == b.req.priority &&
-             queue_[i] > queue_[victim]))
-            victim = i;
-    }
-    JobId id = queue_[victim];
-    queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(victim));
-    Job &job = *jobs_.at(id);
-    job.report.status = JobStatus::Shed;
-    job.report.error = log::format(
-        "shed: queue depth exceeded %u (priority %u was lowest)",
-        cfg_.maxQueueDepth, job.req.priority);
-    finishLocked(id);
 }
 
 void
@@ -156,23 +99,10 @@ FleetServer::workerLoop()
     while (true) {
         queueCv_.wait(lock,
                       [this] { return stopWorkers_ || !queue_.empty(); });
-        if (queue_.empty()) {
-            if (stopWorkers_)
-                return;
-            continue;
-        }
-        // Highest priority first; FIFO (lowest id) within a priority.
-        size_t best = 0;
-        for (size_t i = 1; i < queue_.size(); ++i) {
-            const Job &a = *jobs_.at(queue_[i]);
-            const Job &b = *jobs_.at(queue_[best]);
-            if (a.req.priority > b.req.priority ||
-                (a.req.priority == b.req.priority &&
-                 queue_[i] < queue_[best]))
-                best = i;
-        }
-        JobId id = queue_[best];
-        queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(best));
+        if (queue_.empty())
+            return; // stopping, and the queue has drained
+        JobId id = queue_.front();
+        queue_.pop_front();
         processJob(lock, id);
     }
 }
@@ -183,8 +113,8 @@ FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
     Job &job = *jobs_.at(id);
 
     if (!job.specKey.empty()) {
-        // Quarantine: a spec that already failed terminally is refused
-        // without burning attempts.
+        // Quarantine: a spec that already failed is refused without
+        // running again.
         auto quarantined = quarantine_.find(job.specKey);
         if (quarantined != quarantine_.end()) {
             job.report.status = JobStatus::Quarantined;
@@ -219,53 +149,16 @@ FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
     }
 
     job.phase = Phase::Running;
-    job.cancel = std::make_shared<std::atomic<uint32_t>>(kCancelNone);
 
-    // The attempt loop runs unlocked: the job is Running, so only this
+    // The simulation runs unlocked: the job is Running, so only this
     // worker touches its report until finishLocked.
     lock.unlock();
     Clock::time_point started = Clock::now();
-    uint64_t retry_seed =
-        job.specKey.empty()
-            ? fnvString(job.req.name) ^ hash64(job.req.scheduleSeed * 3 +
-                                               job.req.faultSeed)
-            : fnvString(job.specKey);
-    const uint32_t max_attempts = std::max(1u, cfg_.retry.maxAttempts);
-    AttemptOutcome out;
-    uint32_t attempts = 0;
-    for (uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
-        out = runAttempt(job);
-        ++attempts;
-        if (out.status == JobStatus::Cancelled)
-            break;
-        if (!jobStatusIsFailure(out.status) ||
-            !jobStatusRetryable(out.status) || attempt == max_attempts)
-            break;
-        uint32_t delay = backoffDelayMs(cfg_.retry, retry_seed, attempt);
-        job.report.backoffMs.push_back(delay);
-        if (cfg_.retry.sleepScale > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(
-                    delay * cfg_.retry.sleepScale));
-        }
-        if (job.cancel->load(std::memory_order_acquire) ==
-            kCancelShutdown) {
-            out = AttemptOutcome{};
-            out.status = JobStatus::Cancelled;
-            out.error = "cancelled during retry backoff";
-            break;
-        }
-    }
-    job.report.status = out.status;
-    job.report.digest = out.digest;
-    job.report.cycles = out.cycles;
-    job.report.attempts = attempts;
-    job.report.error = out.error;
-    job.report.dump = truncateDump(out.dump);
+    runAttempt(job.req, job.report);
+    job.report.attempts = 1;
     job.report.wallMs = msBetween(started, Clock::now());
 
     lock.lock();
-    attemptsTotal_ += attempts;
     if (!job.specKey.empty() && job.report.status == JobStatus::Ok) {
         // Validate fresh results against the stored entry (bypassCache
         // recomputes land here): digest *and* cycle count must match,
@@ -311,23 +204,17 @@ FleetServer::finishLocked(JobId id)
     lastDone_ = Clock::now();
     for (JobId follower_id : job.followers) {
         Job &follower = *jobs_.at(follower_id);
-        if (job.report.status == JobStatus::Ok ||
-            job.report.status == JobStatus::CacheHit) {
+        // Only a primary that ran has followers, so it ended Ok or failed.
+        if (job.report.status == JobStatus::Ok) {
             follower.report.status = JobStatus::CacheHit;
             follower.report.fromCache = true;
             follower.report.digest = job.report.digest;
             follower.report.cycles = job.report.cycles;
-        } else if (jobStatusIsFailure(job.report.status)) {
+        } else {
             follower.report.status = JobStatus::Quarantined;
             follower.report.quarantined = true;
             follower.report.error = log::format(
                 "coalesced with job %llu, which failed with '%s'",
-                static_cast<unsigned long long>(id),
-                jobStatusName(job.report.status));
-        } else {
-            follower.report.status = job.report.status;
-            follower.report.error = log::format(
-                "coalesced with job %llu (%s)",
                 static_cast<unsigned long long>(id),
                 jobStatusName(job.report.status));
         }
@@ -338,109 +225,44 @@ FleetServer::finishLocked(JobId id)
     doneCv_.notify_all();
 }
 
-FleetServer::AttemptOutcome
-FleetServer::runAttempt(Job &job)
+void
+FleetServer::runAttempt(const JobRequest &req, JobReport &report)
 {
-    const JobRequest &req = job.req;
-    AttemptOutcome out;
-
-    // A prior attempt's deadline kill leaves kCancelDeadline latched;
-    // clear it without racing a concurrent shutdown's kCancelShutdown.
-    uint32_t expected = kCancelDeadline;
-    job.cancel->compare_exchange_strong(expected, kCancelNone);
-    if (job.cancel->load(std::memory_order_acquire) == kCancelShutdown) {
-        out.status = JobStatus::Cancelled;
-        out.error = "cancelled before the attempt started";
-        return out;
-    }
-
-    // The deadline spans the whole attempt: machine build, prepare(),
-    // runtime construction, run and digest.
-    if (req.limits.wallDeadlineMs != 0) {
-        std::lock_guard<std::mutex> guard(mutex_);
-        job.deadline = Clock::now() + std::chrono::milliseconds(
-                                          req.limits.wallDeadlineMs);
-        job.deadlineArmed = true;
-        monitorCv_.notify_all();
-    }
-
     try {
         Machine machine(req.machine);
         machine.engine().supervise(true);
-        machine.engine().setCancelFlag(job.cancel.get());
-        if (req.limits.cycleBudget != 0)
-            machine.engine().armCycleLimit(machine.engine().maxTime() +
-                                           req.limits.cycleBudget);
         JobResult result = runJob(req, machine, assets_);
-        out.cycles = result.cycles;
-        out.digest = result.digest;
-        out.status = JobStatus::Ok;
+        report.cycles = result.cycles;
+        report.digest = result.digest;
+        report.status = JobStatus::Ok;
 #if SPMRT_CHECKER_ENABLED
         ConcurrencyChecker *checker = machine.checker();
         if (checker != nullptr && !checker->violations().empty()) {
-            out.status = JobStatus::CheckerViolation;
-            out.error =
+            report.status = JobStatus::CheckerViolation;
+            report.error =
                 log::format("%zu concurrency-checker violations",
                             checker->violations().size());
-            out.dump = checker->report();
+            report.dump = truncateDump(checker->report());
         }
 #endif
-        if (out.status == JobStatus::Ok && req.hasExpectedDigest &&
-            out.digest != req.expectedDigest) {
-            out.status = JobStatus::DigestMismatch;
-            out.error = log::format(
+        if (report.status == JobStatus::Ok && req.hasExpectedDigest &&
+            report.digest != req.expectedDigest) {
+            report.status = JobStatus::DigestMismatch;
+            report.error = log::format(
                 "digest 0x%016llx does not match expected 0x%016llx",
-                static_cast<unsigned long long>(out.digest),
+                static_cast<unsigned long long>(report.digest),
                 static_cast<unsigned long long>(req.expectedDigest));
         }
     } catch (const SimAbort &abort) {
-        out.status = statusOfAbort(abort);
-        out.error = abort.summary();
-        out.dump = abort.dump();
+        report.status = JobStatus::Hang;
+        report.error = abort.summary();
+        report.dump = truncateDump(abort.dump());
     } catch (const std::exception &error) {
-        out.status = JobStatus::SetupFailure;
-        out.error = error.what();
+        report.status = JobStatus::SetupFailure;
+        report.error = error.what();
     } catch (...) {
-        out.status = JobStatus::SetupFailure;
-        out.error = "unknown exception from prepare()/run";
-    }
-    if (req.limits.wallDeadlineMs != 0) {
-        std::lock_guard<std::mutex> guard(mutex_);
-        job.deadlineArmed = false;
-    }
-    return out;
-}
-
-void
-FleetServer::monitorLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopMonitor_) {
-        bool any = false;
-        Clock::time_point earliest = Clock::time_point::max();
-        for (auto &entry : jobs_) {
-            Job &job = *entry.second;
-            if (job.deadlineArmed && job.deadline < earliest) {
-                earliest = job.deadline;
-                any = true;
-            }
-        }
-        if (!any) {
-            monitorCv_.wait(lock);
-            continue;
-        }
-        monitorCv_.wait_until(lock, earliest);
-        Clock::time_point now = Clock::now();
-        for (auto &entry : jobs_) {
-            Job &job = *entry.second;
-            if (job.deadlineArmed && job.deadline <= now) {
-                // The engine polls this flag at every dispatch and
-                // unwinds with a Deadline SimAbort.
-                job.cancel->store(kCancelDeadline,
-                                  std::memory_order_release);
-                job.deadlineArmed = false;
-            }
-        }
+        report.status = JobStatus::SetupFailure;
+        report.error = "unknown exception from prepare()/run";
     }
 }
 
@@ -473,29 +295,12 @@ FleetServer::waitAll()
 }
 
 void
-FleetServer::shutdown(bool drain)
+FleetServer::shutdown()
 {
     std::unique_lock<std::mutex> lock(mutex_);
     if (joined_)
         return;
     accepting_ = false;
-    if (!drain) {
-        // Cancel queued work explicitly; interrupt running sims.
-        std::vector<JobId> queued;
-        queued.swap(queue_);
-        for (JobId id : queued) {
-            Job &job = *jobs_.at(id);
-            job.report.status = JobStatus::Cancelled;
-            job.report.error = "cancelled: non-draining shutdown";
-            finishLocked(id);
-        }
-        for (auto &entry : jobs_) {
-            Job &job = *entry.second;
-            if (job.phase == Phase::Running && job.cancel)
-                job.cancel->store(kCancelShutdown,
-                                  std::memory_order_release);
-        }
-    }
     stopWorkers_ = true;
     queueCv_.notify_all();
     lock.unlock();
@@ -503,12 +308,8 @@ FleetServer::shutdown(bool drain)
         if (thread.joinable())
             thread.join();
     lock.lock();
-    stopMonitor_ = true;
-    monitorCv_.notify_all();
     joined_ = true;
     lock.unlock();
-    if (monitor_.joinable())
-        monitor_.join();
     doneCv_.notify_all();
 }
 
@@ -518,23 +319,17 @@ FleetServer::totals() const
     std::lock_guard<std::mutex> lock(mutex_);
     Totals totals;
     totals.jobs = jobs_.size();
-    totals.attempts = attemptsTotal_;
     for (const auto &entry : jobs_) {
         const Job &job = *entry.second;
         if (job.phase != Phase::Done)
             continue;
+        totals.attempts += job.report.attempts;
         switch (job.report.status) {
           case JobStatus::Ok:
             ++totals.ok;
             break;
           case JobStatus::CacheHit:
             ++totals.cacheHits;
-            break;
-          case JobStatus::Shed:
-            ++totals.shed;
-            break;
-          case JobStatus::Cancelled:
-            ++totals.cancelled;
             break;
           case JobStatus::Quarantined:
             ++totals.quarantinedRefusals;
@@ -543,13 +338,11 @@ FleetServer::totals() const
             ++totals.failures;
             break;
         }
-        if (job.report.attempts > 1)
-            totals.retries += job.report.attempts - 1;
     }
     if (haveFirstSubmit_ && doneCount_ > 0) {
         totals.wallMs = msBetween(firstSubmit_, lastDone_);
         double seconds = std::max(totals.wallMs / 1000.0, 1e-6);
-        totals.simsPerSec = static_cast<double>(attemptsTotal_) / seconds;
+        totals.simsPerSec = static_cast<double>(totals.attempts) / seconds;
     }
     return totals;
 }
@@ -577,18 +370,14 @@ FleetServer::reportJson() const
     return log::format(
         "{\"schema\":\"spmrt-fleet-report-v1\",\"workers\":%u,"
         "\"totals\":{\"jobs\":%llu,\"ok\":%llu,\"cache_hits\":%llu,"
-        "\"shed\":%llu,\"cancelled\":%llu,\"quarantined\":%llu,"
-        "\"failures\":%llu,\"attempts\":%llu,\"retries\":%llu,"
+        "\"quarantined\":%llu,\"failures\":%llu,\"attempts\":%llu,"
         "\"wall_ms\":%.3f,\"sims_per_sec\":%.3f},\n \"jobs\":%s}",
         workerCount_, static_cast<unsigned long long>(totals.jobs),
         static_cast<unsigned long long>(totals.ok),
         static_cast<unsigned long long>(totals.cacheHits),
-        static_cast<unsigned long long>(totals.shed),
-        static_cast<unsigned long long>(totals.cancelled),
         static_cast<unsigned long long>(totals.quarantinedRefusals),
         static_cast<unsigned long long>(totals.failures),
-        static_cast<unsigned long long>(totals.attempts),
-        static_cast<unsigned long long>(totals.retries), totals.wallMs,
+        static_cast<unsigned long long>(totals.attempts), totals.wallMs,
         totals.simsPerSec, jobs.c_str());
 }
 

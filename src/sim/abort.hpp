@@ -2,88 +2,58 @@
  * @file
  * Catchable simulation aborts.
  *
- * The engine's interrupt machinery (hang watchdog, simulated-cycle
- * budget, host-side cancel flag) historically had exactly one response:
- * dump state and abort() the process. That is the right behaviour for a
- * standalone run — a hang is a bug and the dump is the diagnosis — but a
- * batch supervisor needs to classify the failure, quarantine or retry
- * the job, and keep the rest of the fleet alive.
+ * The engine's one interrupt is the hang watchdog on simulated cycles.
+ * Unsupervised, a hang has one response: dump state and abort() the
+ * process. That is the right behaviour for a standalone run — a hang is
+ * a bug and the dump is the diagnosis — but a batch supervisor needs to
+ * report the failure, quarantine the job, and keep the rest of the fleet
+ * alive.
  *
- * SimAbort is that classification: a typed exception carrying the abort
- * kind, a one-line summary, and the full structured runtime dump the
- * panic path would have printed. The engine only *throws* it when a
- * supervisor has opted in via Engine::supervise(true); otherwise every
- * path keeps the historical print-and-panic behaviour, so unsupervised
- * tools and death tests are unchanged.
+ * SimAbort is that report: a typed exception carrying a one-line
+ * summary and the full structured runtime dump the panic path would
+ * have printed. The engine only *throws* it when a supervisor has opted
+ * in via Engine::supervise(true); otherwise the hang keeps the
+ * historical print-and-panic behaviour, so unsupervised tools and death
+ * tests are unchanged.
  *
  * A SimAbort unwinds on the host scheduler stack, never across a guest
  * coroutine: the interrupted guest context is left suspended and the
  * engine switches to the scheduler context before throwing. The aborted
  * Machine is dead — guest stacks still hold live frames — so the only
  * valid next steps are tearing it down or reading untimed state for the
- * report. Supervisors run every attempt on a fresh Machine.
+ * report.
  */
 
 #ifndef SPMRT_SIM_ABORT_HPP
 #define SPMRT_SIM_ABORT_HPP
 
-#include <cstdint>
 #include <exception>
 #include <string>
 #include <utility>
 
 namespace spmrt {
 
-/** Why a supervised simulation was aborted. */
-enum class AbortKind : uint8_t
-{
-    Hang,        ///< watchdog: no task retired within the armed bounds
-    CycleBudget, ///< simulated clock passed the armed cycle limit
-    Deadline,    ///< supervisor raised the cancel flag: wall-clock deadline
-    Cancelled    ///< supervisor raised the cancel flag: shutdown/cancel
-};
-
-/** Stable lowercase name for @p kind (used in reports and logs). */
-const char *abortKindName(AbortKind kind);
-
 /**
- * @name Cancel-flag protocol
- *
- * Engine::setCancelFlag() installs a host-shared atomic the scheduler
- * polls at every dispatch. Zero means "keep running"; a supervisor
- * stores one of the nonzero values below to request an abort, which the
- * engine converts into the matching AbortKind.
- * @{
- */
-inline constexpr uint32_t kCancelNone = 0;
-inline constexpr uint32_t kCancelDeadline = 1;
-inline constexpr uint32_t kCancelShutdown = 2;
-/** @} */
-
-/**
- * Thrown by Engine::run() (on the host stack) when a supervised run is
- * interrupted. what() is the one-line summary; dump() carries the same
+ * Thrown by Engine::run() (on the host stack) when a supervised run
+ * hangs. what() is the one-line summary; dump() carries the same
  * per-core engine table + runtime dump the panic path prints.
  */
 class SimAbort : public std::exception
 {
   public:
-    SimAbort(AbortKind kind, std::string summary, std::string dump)
-        : kind_(kind), summary_(std::move(summary)), dump_(std::move(dump))
+    SimAbort(std::string summary, std::string dump)
+        : summary_(std::move(summary)), dump_(std::move(dump))
     {
     }
 
     const char *what() const noexcept override { return summary_.c_str(); }
 
-    /** The failure classification. */
-    AbortKind kind() const { return kind_; }
     /** One-line summary (same text as what()). */
     const std::string &summary() const { return summary_; }
     /** Structured engine + runtime state dump at the abort point. */
     const std::string &dump() const { return dump_; }
 
   private:
-    AbortKind kind_;
     std::string summary_;
     std::string dump_;
 };

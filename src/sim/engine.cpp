@@ -109,7 +109,7 @@ Engine::run()
     }
 
     // Dispatch chains run guest-to-guest; control only returns here once
-    // the last live core finishes or a supervised interrupt unwinds a
+    // the last live core finishes or a supervised hang unwinds a
     // dispatch back to the scheduler context (the loop guards against
     // nothing else).
     while (live_ > 0) {
@@ -169,8 +169,10 @@ Engine::runReference()
                 next = schedCandidates_[schedRng_.nextBounded(
                     schedCandidates_.size())];
         }
-        if (interruptDue(next->time) && checkInterrupts(next->time))
+        if (next->time > hangAt_) {
+            raiseHang(next->time);
             return; // pending abort: run() throws on this host stack
+        }
         if (obs::Tracer *t = tracer())
             t->instant(obs::kTraceSwitch, next->id, next->time, "switch");
         running_ = next->id;
@@ -207,11 +209,13 @@ Engine::dispatchFrom(GuestContext &from)
     while (!commits_.empty() && cachedEventMin_ <= keyTime(ready_.min()))
         executeOneEvent();
     Slot *next = pickNext();
-    if (interruptDue(next->time) && checkInterrupts(next->time)) {
-        // Supervised abort: leave the interrupted guest (if any)
-        // suspended and unwind this thread, where run() throws the
-        // SimAbort on the host stack. The machine is dead from here on;
-        // nothing below may run.
+    if (next->time > hangAt_) {
+        // Supervised abort (an unsupervised hang panics inside
+        // raiseHang): leave the interrupted guest (if any) suspended
+        // and unwind this thread, where run() throws the SimAbort on
+        // the host stack. The machine is dead from here on; nothing
+        // below may run.
+        raiseHang(next->time);
         if (&from != &schedCtx_)
             GuestContext::switchTo(from, schedCtx_);
         return;
@@ -445,23 +449,7 @@ Engine::collectWindowCandidates()
     }
 }
 
-// ---- Interrupts (watchdog, cycle limit, cancel flag) ---------------------
-
-const char *
-abortKindName(AbortKind kind)
-{
-    switch (kind) {
-      case AbortKind::Hang:
-        return "hang";
-      case AbortKind::CycleBudget:
-        return "cycle_budget";
-      case AbortKind::Deadline:
-        return "deadline";
-      case AbortKind::Cancelled:
-        return "cancelled";
-    }
-    return "unknown";
-}
+// ---- Hang watchdog --------------------------------------------------------
 
 std::string
 Engine::stateDump() const
@@ -482,87 +470,34 @@ Engine::stateDump() const
     return report;
 }
 
-bool
-Engine::raiseOrPanic(AbortKind kind, std::string summary)
+void
+Engine::raiseHang(Cycles next_time)
 {
+    std::string summary = log::format(
+        "watchdog expired: no progress for %llu cycles (last progress at "
+        "cycle %llu), global quiescence failure",
+        static_cast<unsigned long long>(next_time - progressTime_),
+        static_cast<unsigned long long>(progressTime_));
     std::string dump = stateDump();
     if (supervised_) {
         abortPending_ = true;
-        abortKind_ = kind;
         abortSummary_ = std::move(summary);
         abortDump_ = std::move(dump);
-        return true;
+        return;
     }
     std::fputs(summary.c_str(), stderr);
     std::fputs("\n", stderr);
     std::fputs(dump.c_str(), stderr);
     std::fflush(stderr);
-    SPMRT_PANIC("%s: unrecoverable abort (%u live cores, see dump above)",
-                abortKindName(kind), live_);
+    SPMRT_PANIC("hang: unrecoverable abort (%u live cores, see dump above)",
+                live_);
 }
 
 void
 Engine::throwPendingAbort()
 {
     abortPending_ = false;
-    throw SimAbort(abortKind_, std::move(abortSummary_),
-                   std::move(abortDump_));
-}
-
-bool
-Engine::checkInterrupts(Cycles next_time)
-{
-    if (cancelFlag_ != nullptr) {
-        uint32_t request = cancelFlag_->load(std::memory_order_acquire);
-        if (request != kCancelNone) {
-            AbortKind kind = request == kCancelShutdown
-                                 ? AbortKind::Cancelled
-                                 : AbortKind::Deadline;
-            return raiseOrPanic(
-                kind,
-                log::format(
-                    "%s: supervisor cancelled the run at cycle %llu",
-                    abortKindName(kind),
-                    static_cast<unsigned long long>(next_time)));
-        }
-    }
-    if (cycleLimit_ != 0 && next_time > cycleLimit_) {
-        return raiseOrPanic(
-            AbortKind::CycleBudget,
-            log::format("cycle budget exceeded: next dispatch at cycle "
-                        "%llu is past the armed limit %llu",
-                        static_cast<unsigned long long>(next_time),
-                        static_cast<unsigned long long>(cycleLimit_)));
-    }
-    if (watchdogDue(next_time))
-        return watchdogCheck(next_time);
-    return false;
-}
-
-bool
-Engine::watchdogCheck(Cycles next_time)
-{
-    bool cycles_over =
-        wdCycles_ != 0 && next_time > progressTime_ + wdCycles_;
-    bool switches_over =
-        wdSwitches_ != 0 && switches_ > progressSwitches_ + wdSwitches_;
-    // Each enabled bound must independently expire: cycle expiry alone can
-    // be one long memory stall, switch expiry alone can be legitimate
-    // backoff spinning at a nearly frozen clock.
-    if ((wdCycles_ != 0 && !cycles_over) ||
-        (wdSwitches_ != 0 && !switches_over))
-        return false;
-
-    return raiseOrPanic(
-        AbortKind::Hang,
-        log::format("watchdog expired: no progress for %llu cycles / "
-                    "%llu switches (last progress at cycle %llu), "
-                    "global quiescence failure",
-                    static_cast<unsigned long long>(next_time -
-                                                    progressTime_),
-                    static_cast<unsigned long long>(switches_ -
-                                                    progressSwitches_),
-                    static_cast<unsigned long long>(progressTime_)));
+    throw SimAbort(std::move(abortSummary_), std::move(abortDump_));
 }
 
 } // namespace spmrt

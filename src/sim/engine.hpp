@@ -51,7 +51,6 @@
 #ifndef SPMRT_SIM_ENGINE_HPP
 #define SPMRT_SIM_ENGINE_HPP
 
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -317,74 +316,41 @@ class Engine
     /**
      * @name Hang watchdog
      *
-     * Once armed, the scheduler checks before every switch whether any
-     * progress (a noteProgress() call, normally one per completed task)
-     * happened within the last @p max_cycles simulated cycles and
-     * @p max_switches context switches. If both bounds are exceeded the
+     * Once armed, every dispatch checks whether any progress (a
+     * noteProgress() call, normally one per completed task) happened
+     * within the last @p max_cycles simulated cycles. If none did, the
      * engine prints @p dump plus its own per-core state table to stderr
      * and panics — turning a silent infinite hang into a diagnosable
-     * failure. Either bound can be 0 to disable that dimension; arming
-     * with both 0 disables the watchdog.
+     * failure. Arming with 0 disables the watchdog.
      * @{
      */
     void
-    armWatchdog(Cycles max_cycles, uint64_t max_switches,
-                std::function<std::string()> dump)
+    armWatchdog(Cycles max_cycles, std::function<std::string()> dump)
     {
         wdCycles_ = max_cycles;
-        wdSwitches_ = max_switches;
         wdDump_ = std::move(dump);
         noteProgressAt(maxTime());
     }
 
-    /** Disarm the watchdog (leaves progress markers untouched). */
+    /** Disarm the watchdog. */
     void
     disarmWatchdog()
     {
         wdCycles_ = 0;
-        wdSwitches_ = 0;
+        hangAt_ = kNoHang;
         wdDump_ = nullptr;
     }
 
     /**
-     * @name Supervised aborts
-     *
-     * With supervise(true), every interrupt source — the hang watchdog,
-     * the simulated-cycle limit, and the host-side cancel flag — raises
-     * a catchable SimAbort out of run() (thrown on the host stack, with
-     * the structured dump attached) instead of printing and panicking.
-     * The default stays unsupervised: standalone runs keep the
+     * With supervise(true), a watchdog expiry raises a catchable
+     * SimAbort out of run() (thrown on the host stack, with the
+     * structured dump attached) instead of printing and panicking. The
+     * default stays unsupervised: standalone runs keep the
      * print-and-abort behaviour. An aborted engine is dead — interrupted
      * guest stacks stay suspended — so catch the SimAbort, harvest the
-     * report, and destroy the Machine; retries need a fresh one.
-     * @{
+     * report, and destroy the Machine.
      */
     void supervise(bool on) { supervised_ = on; }
-
-    /** True when interrupts raise SimAbort instead of panicking. */
-    bool supervised() const { return supervised_; }
-
-    /**
-     * Arm (nonzero) or disarm (0) a simulated-cycle ceiling: the run is
-     * interrupted as soon as the next core to dispatch sits past
-     * @p limit on the global clock. The limit is absolute, so budgets
-     * on a reused machine are maxTime() + budget.
-     */
-    void armCycleLimit(Cycles limit) { cycleLimit_ = limit; }
-
-    /**
-     * Install (or clear, with nullptr) a host-shared cancel flag polled
-     * at every dispatch. Store kCancelDeadline or kCancelShutdown from
-     * any host thread to interrupt the run; the flag must outlive the
-     * run. This is the only engine input that may be written from
-     * another thread.
-     */
-    void
-    setCancelFlag(const std::atomic<uint32_t> *flag)
-    {
-        cancelFlag_ = flag;
-    }
-    /** @} */
 
     /** Record forward progress (called by the runtime per task retired). */
     void
@@ -456,6 +422,8 @@ class Engine
 
     static constexpr Cycles kNoOtherCore =
         std::numeric_limits<Cycles>::max();
+    /** hangAt_ of a disarmed watchdog: no dispatch time exceeds it. */
+    static constexpr Cycles kNoHang = std::numeric_limits<Cycles>::max();
 
     static void entryThunk(void *opaque);
 
@@ -463,58 +431,18 @@ class Engine
     noteProgressAt(Cycles t)
     {
         progressTime_ = t;
-        progressSwitches_ = switches_;
+        hangAt_ = wdCycles_ == 0 ? kNoHang : t + wdCycles_;
     }
 
     /**
-     * Inline armed-watchdog precheck: true when *some* enabled bound has
-     * expired. Conservative superset of watchdogCheck()'s expiry rule
-     * (which additionally requires every enabled bound to expire), so
-     * the out-of-line check — which never fires on a healthy run — only
-     * costs two compares per dispatch until a bound actually trips.
+     * Out-of-line watchdog expiry for a dispatch at @p next_time: record
+     * a pending SimAbort (supervised; the caller unwinds to run()) or
+     * print the dump and panic (unsupervised: no return).
      */
-    bool
-    watchdogDue(Cycles next_time) const
-    {
-        return (wdCycles_ != 0 && next_time > progressTime_ + wdCycles_) ||
-               (wdSwitches_ != 0 &&
-                switches_ > progressSwitches_ + wdSwitches_);
-    }
-
-    /**
-     * Inline per-dispatch interrupt precheck: watchdog bounds, cycle
-     * limit, cancel flag. Disarmed sources cost one compare each; only
-     * when something is (possibly) due does the out-of-line
-     * checkInterrupts() run.
-     */
-    bool
-    interruptDue(Cycles next_time) const
-    {
-        if (watchdogDue(next_time))
-            return true;
-        if (cycleLimit_ != 0 && next_time > cycleLimit_)
-            return true;
-        return cancelFlag_ != nullptr &&
-               cancelFlag_->load(std::memory_order_relaxed) != 0;
-    }
-
-    /**
-     * Re-verify every due interrupt source; on expiry either record a
-     * pending SimAbort (supervised: returns true, caller unwinds to
-     * run()) or print the dump and panic (unsupervised: no return).
-     * Returns false when nothing actually fired (the watchdog precheck
-     * is a conservative superset of its expiry rule).
-     */
-    bool checkInterrupts(Cycles next_time);
-
-    /** Check the watchdog bounds against @p next_time; raise on expiry. */
-    bool watchdogCheck(Cycles next_time);
+    void raiseHang(Cycles next_time);
 
     /** Per-core engine state table + the armed runtime dump, if any. */
     std::string stateDump() const;
-
-    /** Record @p kind as pending (supervised) or print + panic. */
-    bool raiseOrPanic(AbortKind kind, std::string summary);
 
     /** Throw the recorded pending abort (clears it first). */
     [[noreturn]] void throwPendingAbort();
@@ -645,20 +573,17 @@ class Engine
     Cycles cachedOtherMin_ = kNoOtherCore;
     Cycles highWater_ = 0; ///< max clock ever folded (see maxTime())
 
-    // Watchdog state. wdCycles_/wdSwitches_ of 0 = that bound disabled.
+    // Watchdog state. wdCycles_ of 0 = disarmed. A dispatch past hangAt_
+    // (progressTime_ + wdCycles_, or kNoHang when disarmed) is a hang:
+    // the per-dispatch check is that one compare.
     Cycles wdCycles_ = 0;
-    uint64_t wdSwitches_ = 0;
+    Cycles hangAt_ = kNoHang;
     std::function<std::string()> wdDump_;
     Cycles progressTime_ = 0;
-    uint64_t progressSwitches_ = 0;
 
-    // Supervised-abort state. The cancel flag is the one engine input
-    // another host thread may write; everything else is single-threaded.
+    // Supervised-abort state.
     bool supervised_ = false;
-    Cycles cycleLimit_ = 0; ///< 0 = no simulated-cycle ceiling
-    const std::atomic<uint32_t> *cancelFlag_ = nullptr;
     bool abortPending_ = false;
-    AbortKind abortKind_ = AbortKind::Hang;
     std::string abortSummary_;
     std::string abortDump_;
 

@@ -8,8 +8,9 @@
  * (workload, seed, FaultPlan) triple gives identical cycle counts across
  * fresh runs. A violation of (a) is a runtime protocol bug; a violation
  * of (b) is nondeterminism in the simulator. The suite also exercises
- * the engine watchdog, which must fire on a genuine quiescence failure
- * and stay quiet on healthy runs.
+ * the engine watchdog, which must fire on a genuine quiescence failure,
+ * replay it byte for byte on a fresh machine, and stay quiet on healthy
+ * runs.
  *
  * The fault matrix itself is routed through the FleetServer: each
  * (workload, chaos seed) cell is one supervised job with the standalone
@@ -22,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "runtime/ws_runtime.hpp"
 #include "serve/server.hpp"
@@ -295,7 +297,6 @@ TEST(Chaos, SupervisedWatchdogThrowsCatchableSimAbort)
         });
         FAIL() << "supervised hang did not abort";
     } catch (const SimAbort &abort) {
-        EXPECT_EQ(abort.kind(), AbortKind::Hang);
         EXPECT_NE(abort.summary().find("watchdog"), std::string::npos)
             << abort.summary();
         EXPECT_FALSE(abort.dump().empty())
@@ -303,19 +304,64 @@ TEST(Chaos, SupervisedWatchdogThrowsCatchableSimAbort)
     }
 }
 
-TEST(Chaos, SupervisedCycleLimitThrowsBudgetAbort)
+/**
+ * Run @p req once on a fresh supervised machine, as a fleet job does,
+ * and return the SimAbort its hang raises.
+ */
+SimAbort
+supervisedHang(const serve::JobRequest &req)
 {
-    Machine machine(MachineConfig::tiny());
+    Machine machine(req.machine);
     machine.engine().supervise(true);
-    machine.engine().armCycleLimit(machine.engine().maxTime() + 1000);
-    Addr out = machine.dramAlloc(8, 8);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
+    serve::AssetCache assets;
     try {
-        rt.run([&](TaskContext &tc) { fibKernel(tc, 13, out); });
-        FAIL() << "cycle budget did not abort";
+        serve::runJob(req, machine, assets);
     } catch (const SimAbort &abort) {
-        EXPECT_EQ(abort.kind(), AbortKind::CycleBudget);
-        EXPECT_NE(abort.summary().find("cycle budget"), std::string::npos);
+        return abort;
+    }
+    ADD_FAILURE() << req.name << " did not hang";
+    return SimAbort("", "");
+}
+
+TEST(Chaos, SupervisedHangIsReproducible)
+{
+    // A hang is a pure function of its spec: a second run on a fresh
+    // machine replays the same summary and dump byte for byte, which is
+    // why the fleet runs every job once.
+    serve::JobRequest denial;
+    denial.name = "hang/denial";
+    denial.runtime.watchdogCycles = 60'000;
+    denial.armChecker = false;
+    denial.prepare = [](Machine &, serve::AssetCache &) {
+        serve::PreparedJob prep;
+        prep.root = [](TaskContext &tc) {
+            tc.setReadyCount(1);
+            tc.waitChildren();
+        };
+        return prep;
+    };
+    // Core 0 stalls 1M cycles per operation against a 60k-cycle bound.
+    serve::JobRequest straggler = denial;
+    straggler.name = "hang/straggler";
+    straggler.prepare = [](Machine &machine, serve::AssetCache &) {
+        auto plan = std::make_shared<FaultPlan>();
+        plan->stallCore(0, 0, ~0ull, 1'000'000);
+        machine.setFaultPlan(plan.get());
+        Addr out = machine.dramAlloc(8, 8);
+        serve::PreparedJob prep;
+        prep.root = [plan, out](TaskContext &tc) {
+            fibKernel(tc, 10, out);
+        };
+        return prep;
+    };
+    for (const serve::JobRequest &req : {denial, straggler}) {
+        SimAbort first = supervisedHang(req);
+        SimAbort second = supervisedHang(req);
+        EXPECT_NE(first.summary().find("watchdog"), std::string::npos)
+            << req.name << ": " << first.summary();
+        EXPECT_FALSE(first.dump().empty()) << req.name;
+        EXPECT_EQ(first.summary(), second.summary()) << req.name;
+        EXPECT_EQ(first.dump(), second.dump()) << req.name;
     }
 }
 

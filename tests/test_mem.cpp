@@ -576,36 +576,6 @@ TEST(MemorySystem, DecodeHandlesInterleavedOwnersAndRegions)
         << "in-range accesses must never take the slow decode";
 }
 
-/**
- * invalidateDecodeCache() must be callable at any point without
- * changing results or timing: it only re-snaps the precomputed decode
- * constants (see its audit note).
- */
-TEST(MemorySystem, InvalidateDecodeCacheIsTimingNeutral)
-{
-    MachineConfig cfg = MachineConfig::tiny();
-    MemorySystem plain(cfg);
-    MemorySystem invalidated(cfg);
-    Addr local = plain.map().spmBase(0) + 8;
-    Addr remote = plain.map().spmBase(2) + 8;
-    plain.pokeAs<uint64_t>(local, 42);
-    invalidated.pokeAs<uint64_t>(local, 42);
-
-    Cycles ta = 0, tb = 0;
-    for (int i = 0; i < 10; ++i) {
-        uint64_t a = 0, b = 0;
-        ta = plain.load(0, ta, i % 2 ? local : remote, &a, 8);
-        invalidated.invalidateDecodeCache();
-        tb = invalidated.load(0, tb, i % 2 ? local : remote, &b, 8);
-        EXPECT_EQ(a, b);
-        EXPECT_EQ(ta, tb);
-    }
-    EXPECT_EQ(plain.stats().localSpmLoads,
-              invalidated.stats().localSpmLoads);
-    EXPECT_EQ(plain.stats().remoteSpmLoads,
-              invalidated.stats().remoteSpmLoads);
-}
-
 /** Old-style per-chunk burst, retained as the oracle for loadBurst(). */
 BurstResult
 chunkedLoad(MemorySystem &mem, CoreId core, Cycles issue, Addr addr,
