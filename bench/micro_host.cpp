@@ -79,22 +79,17 @@ BM_NocTraverse(benchmark::State &state)
 BENCHMARK(BM_NocTraverse);
 
 /**
- * Random traffic on the paper machine, toggling the compiled step
- * tables. Args: {compiled?, banks?}. The "walk" rows take the per-hop
- * routing walk (fault-plan fallback path); the "compiled" rows replay
- * the precomputed X and Y steps. The delta is the host cost the step
- * tables remove from every remote access. banks = 0 sends core to core
- * (remote SPM); banks = 1 alternates a core-to-bank request with a
- * bank-to-core response (every LLC access pays both).
+ * Random traffic on the paper machine through the precomputed X and Y
+ * step tables. Arg: banks?. banks = 0 sends core to core (remote SPM);
+ * banks = 1 alternates a core-to-bank request with a bank-to-core
+ * response (every LLC access pays both).
  */
 void
 BM_NocTraverseCompiled(benchmark::State &state)
 {
-    const bool compiled = state.range(0) != 0;
-    const bool banks = state.range(1) != 0;
+    const bool banks = state.range(0) != 0;
     MachineConfig cfg;
     MeshNoc noc(cfg);
-    noc.setCompiledRoutes(compiled);
     Xoshiro256StarStar rng(3);
     Cycles t = 0;
     bool request = true;
@@ -112,14 +107,9 @@ BM_NocTraverseCompiled(benchmark::State &state)
             benchmark::DoNotOptimize(noc.traverse(other, core, t++, 64));
         request = !request;
     }
-    state.SetLabel(std::string(compiled ? "compiled" : "walk") +
-                   (banks ? " core<->bank" : " core->core"));
+    state.SetLabel(banks ? "core<->bank" : "core->core");
 }
-BENCHMARK(BM_NocTraverseCompiled)
-    ->Args({0, 0})
-    ->Args({1, 0})
-    ->Args({0, 1})
-    ->Args({1, 1});
+BENCHMARK(BM_NocTraverseCompiled)->Arg(0)->Arg(1);
 
 /**
  * One LLC lookup on the paper geometry (32 banks x 64 sets x 8 ways):

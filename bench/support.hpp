@@ -20,7 +20,8 @@
  *
  * Setting SPMRT_TRACE_OUT=<path> makes the first machine a bench arms
  * with maybeArmTrace (fleet jobs through fleet_util.hpp's traceJob)
- * record a Chrome trace-event timeline there, viewable in Perfetto.
+ * record a Chrome trace-event timeline there, viewable in Perfetto. A
+ * trace that cannot be written makes Report::finish() exit 1.
  */
 
 #ifndef SPMRT_BENCH_SUPPORT_HPP
@@ -69,23 +70,33 @@ traceOutPath()
 }
 
 namespace detail {
+/** True once a machine's trace reached SPMRT_TRACE_OUT (first writer
+ *  wins). */
 inline bool &
 traceWritten()
 {
     static bool written = false;
     return written;
 }
+
+/** True when writing that trace failed; Report::finish() then fails. */
+inline bool &
+traceFailed()
+{
+    static bool failed = false;
+    return failed;
+}
 } // namespace detail
 
 /**
- * Arm telemetry on @p machine when SPMRT_TRACE_OUT requests a trace and
+ * Arm the tracer on @p machine when SPMRT_TRACE_OUT requests a trace and
  * none has been captured yet. Call before running the workload.
  */
 inline void
 maybeArmTrace(Machine &machine)
 {
     if (!traceOutPath().empty() && !detail::traceWritten())
-        machine.armTelemetry();
+        machine.armTracer();
 }
 
 /**
@@ -97,8 +108,8 @@ maybeWriteTrace(Machine &machine)
 {
     if (traceOutPath().empty() || detail::traceWritten())
         return;
-    if (obs::Telemetry *telemetry = machine.telemetry()) {
-        telemetry->tracer.writeChromeJson(traceOutPath().c_str());
+    if (obs::Tracer *tracer = machine.tracer()) {
+        detail::traceFailed() = !tracer->writeChromeJson(traceOutPath());
         detail::traceWritten() = true;
     }
 }
@@ -183,7 +194,8 @@ applyVariant(serve::JobRequest &req, const Variant &variant)
  * --filter=<substr> (run only matching cases), --out=<path> (also write
  * the rows as spmrt-bench-v1 JSON) and --help. finish() prints the
  * aligned table and returns the process exit code (nonzero after any
- * fail(), or when the --out file cannot be written).
+ * fail(), or when the --out file or the SPMRT_TRACE_OUT trace cannot be
+ * written).
  */
 class Report
 {
@@ -330,6 +342,8 @@ class Report
         printTable();
         if (!out_.empty() && !writeJson())
             fail("cannot write %s", out_.c_str());
+        if (detail::traceFailed())
+            fail("cannot write trace %s", traceOutPath().c_str());
         return failed_ ? 1 : 0;
     }
 

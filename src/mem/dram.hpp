@@ -89,10 +89,6 @@ class DramModel
     /** Total transfers performed (diagnostics). */
     uint64_t transfers() const { return transfers_; }
 
-    /** Stable pointers to the counters, for StatRegistry registration. */
-    const uint64_t *bytesMovedPtr() const { return &bytesMoved_; }
-    const uint64_t *transfersPtr() const { return &transfers_; }
-
     /** Forget channel occupancy (used between benchmark phases). */
     void
     reset()

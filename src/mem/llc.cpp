@@ -1,6 +1,5 @@
 #include "mem/llc.hpp"
 
-#include "obs/stats.hpp"
 #include "sim/fault.hpp"
 
 namespace spmrt {
@@ -47,37 +46,6 @@ LlcModel::bankHeatmap() const
                    {bankAccesses_[b], bankHits_[b], bankMisses_[b],
                     bankWaitCycles_[b]});
     return map;
-}
-
-void
-LlcModel::registerStats(obs::StatRegistry &registry) const
-{
-    registry.add("llc/hits", &hits_);
-    registry.add("llc/misses", &misses_);
-    registry.add("llc/writebacks", &writebacks_);
-    for (uint32_t b = 0; b < numBanks_; ++b) {
-        std::string prefix = log::format("llc/bank/%02u/", b);
-        registry.add(prefix + "accesses", &bankAccesses_[b]);
-        registry.add(prefix + "hits", &bankHits_[b]);
-        registry.add(prefix + "misses", &bankMisses_[b]);
-        registry.add(prefix + "wait_cycles", &bankWaitCycles_[b]);
-    }
-}
-
-void
-LlcModel::reset()
-{
-    for (UnitFluidServer &bank : banks_)
-        bank.reset();
-    std::fill(tags_.begin(), tags_.end(), Way{});
-    std::fill(bankAccesses_.begin(), bankAccesses_.end(), 0);
-    std::fill(bankHits_.begin(), bankHits_.end(), 0);
-    std::fill(bankMisses_.begin(), bankMisses_.end(), 0);
-    std::fill(bankWaitCycles_.begin(), bankWaitCycles_.end(), 0);
-    useClock_ = 0;
-    hits_ = 0;
-    misses_ = 0;
-    writebacks_ = 0;
 }
 
 Cycles

@@ -27,10 +27,6 @@
 
 namespace spmrt {
 
-namespace obs {
-class StatRegistry;
-} // namespace obs
-
 /**
  * All LLC banks plus their interface to DRAM.
  */
@@ -131,12 +127,6 @@ class LlcModel
      * server.
      */
     obs::Heatmap bankHeatmap() const;
-
-    /** Register counters under llc/ (aggregates + per-bank). */
-    void registerStats(obs::StatRegistry &registry) const;
-
-    /** Invalidate all lines and forget occupancy. */
-    void reset();
 
     /** Install (or clear, with nullptr) a fault plan consulted per access. */
     void setFaultPlan(FaultPlan *plan) { fault_ = plan; }

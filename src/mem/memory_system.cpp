@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stats.hpp"
-
 namespace spmrt {
 
 namespace {
@@ -29,29 +27,14 @@ MemorySystem::MemorySystem(const MachineConfig &cfg)
 }
 
 uint8_t *
-MemorySystem::backing(const DecodedAddr &decoded, uint32_t size)
-{
-    (void)size;
-    if (decoded.region == MemRegion::Spm) {
-        return &spmData_[static_cast<size_t>(decoded.owner) *
-                             cfg_.spmBytes +
-                         decoded.offset];
-    }
-    return dramBase_ + decoded.offset;
-}
-
-const uint8_t *
-MemorySystem::backing(const DecodedAddr &decoded, uint32_t size) const
-{
-    return const_cast<MemorySystem *>(this)->backing(decoded, size);
-}
-
-uint8_t *
 MemorySystem::resolveSlow(Addr addr, uint32_t size, DecodedAddr &decoded)
 {
-    decodeMisses_.fetch_add(1, std::memory_order_relaxed);
+    ++decodeMisses_;
     decoded = map_.decode(addr, size); // asserts bounds, panics unmapped
-    return backing(decoded, size);
+    if (decoded.region == MemRegion::Spm)
+        return spmBase_ + static_cast<size_t>(decoded.owner) * cfg_.spmBytes +
+               decoded.offset;
+    return dramBase_ + decoded.offset;
 }
 
 Cycles
@@ -274,22 +257,6 @@ MemorySystem::amo(CoreId core, Cycles start, Addr addr, AmoOp op,
     Cycles at_bank = noc_.traverse(self, bank, start, 8);
     Cycles served = llc_.access(at_bank, decoded.offset, 4, true) + 1;
     return noc_.traverse(bank, self, served, 4);
-}
-
-void
-MemorySystem::registerStats(obs::StatRegistry &registry) const
-{
-    registry.add("mem/local_spm_loads", &stats_.localSpmLoads);
-    registry.add("mem/local_spm_stores", &stats_.localSpmStores);
-    registry.add("mem/remote_spm_loads", &stats_.remoteSpmLoads);
-    registry.add("mem/remote_spm_stores", &stats_.remoteSpmStores);
-    registry.add("mem/dram_loads", &stats_.dramLoads);
-    registry.add("mem/dram_stores", &stats_.dramStores);
-    registry.add("mem/amos", &stats_.amos);
-    noc_.registerStats(registry);
-    llc_.registerStats(registry);
-    registry.add("dram/bytes_moved", dram_.bytesMovedPtr());
-    registry.add("dram/transfers", dram_.transfersPtr());
 }
 
 } // namespace spmrt

@@ -23,7 +23,6 @@
 #ifndef SPMRT_MEM_MEMORY_SYSTEM_HPP
 #define SPMRT_MEM_MEMORY_SYSTEM_HPP
 
-#include <atomic>
 #include <cstring>
 #include <vector>
 
@@ -90,12 +89,12 @@ class MemorySystem
      *
      *  load() and store() are defined in the header so the dominant case
      *  — the issuing core touching its own scratchpad — inlines into the
-     *  Core call sites as one predicted branch off the decode cache, a
-     *  byte copy, and the fixed port/2-cycle timing. Remote SPM, DRAM,
-     *  and decode-cache misses take the out-of-line slow paths. The fast
-     *  path is timing- and stats-identical to the generic one by
-     *  construction: it runs exactly the same spmService() charge and
-     *  the same counter increments, just without the dispatch overhead.
+     *  Core call sites as the computed resolve(), one predicted branch on
+     *  the owner, a byte copy, and the fixed port/2-cycle timing. Remote
+     *  SPM and DRAM take the out-of-line slow paths. The fast path is
+     *  timing- and stats-identical to the generic one by construction:
+     *  it runs exactly the same spmService() charge and the same counter
+     *  increments, just without the dispatch overhead.
      *  @{
      */
 
@@ -251,20 +250,9 @@ class MemorySystem
 
     /** Full AddressMap decodes taken so far (accesses that fell off the
      *  computed fast decode; testing — 0 proves full coverage). */
-    uint64_t
-    decodeMisses() const
-    {
-        return decodeMisses_.load(std::memory_order_relaxed);
-    }
-
-    /** Register every memory-side counter: mem/, noc/, llc/, dram/. */
-    void registerStats(obs::StatRegistry &registry) const;
+    uint64_t decodeMisses() const { return decodeMisses_; }
 
   private:
-    /** Host pointer backing a decoded address. */
-    uint8_t *backing(const DecodedAddr &decoded, uint32_t size);
-    const uint8_t *backing(const DecodedAddr &decoded, uint32_t size) const;
-
     /**
      * Decode @p addr and resolve its host backing pointer. The PGAS map
      * is static, so decode is a pure computation over spans precomputed
@@ -339,9 +327,7 @@ class MemorySystem
     MemStats stats_;
     ConcurrencyChecker *checker_ = nullptr;
 
-    /// Full decodes (slow path; testing). Atomic so the counter stays
-    /// race-free if timed accesses ever run on more than one host thread.
-    std::atomic<uint64_t> decodeMisses_{0};
+    uint64_t decodeMisses_ = 0; ///< full decodes (slow path; testing)
 
     // Decode constants, snapped from the AddressMap at construction.
     uint32_t spmSpan_ = 0;          ///< numCores * spmStride

@@ -1,6 +1,5 @@
 #include "mem/noc.hpp"
 
-#include "obs/stats.hpp"
 #include "sim/fault.hpp"
 
 namespace spmrt {
@@ -41,15 +40,6 @@ MeshNoc::linkHeatmap() const
     return map;
 }
 
-void
-MeshNoc::registerStats(obs::StatRegistry &registry) const
-{
-    registry.add("noc/packets", &packets_);
-    registry.add("noc/link_cycles_used", &linkCyclesUsed_);
-    registry.add("noc/compiled_traversals", &compiledTraversals_);
-    registry.add("noc/walked_traversals", &walkedTraversals_);
-}
-
 std::string
 MeshNoc::linkName(size_t index) const
 {
@@ -72,21 +62,8 @@ MeshNoc::reset()
     }
     linkCyclesUsed_ = 0;
     packets_ = 0;
-    compiledTraversals_ = 0;
     walkedTraversals_ = 0;
     // The step tables are pure topology; they survive a reset.
-}
-
-Cycles
-MeshNoc::hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits)
-{
-    LinkState &state = link(x, y, dir);
-    Cycles wait = state.server.charge(t, flits);
-    linkCyclesUsed_ += flits;
-    state.flits += flits;
-    state.waitCycles += wait;
-    Cycles extra = fault_ != nullptr ? fault_->linkDelay(x, y, t) : 0;
-    return t + wait + MachineConfig::kLinkLatency + extra;
 }
 
 void
@@ -164,51 +141,38 @@ MeshNoc::buildStepTables()
     }
 }
 
+template <bool kLinkDelays>
 Cycles
-MeshNoc::traverseWalk(uint32_t x, int32_t y, const NocEndpoint &dst,
-                      Cycles start, uint32_t flits)
+MeshNoc::route(const StepRange &xr, LinkState *row, const StepRange &yr,
+               LinkState *column, Cycles start, uint32_t flits)
 {
-    ++walkedTraversals_;
+    const uint32_t *xs = steps_.data() + xr.offset;
+    const uint32_t *ys = steps_.data() + yr.offset;
     Cycles t = start;
-
-    // The routing decisions buildStepTables() precomputes, taken hop by
-    // hop here so each hop can query the fault plan.
-    while (x != dst.x) {
-        uint32_t dist = x < dst.x ? dst.x - x : x - dst.x;
-        bool east = x < dst.x;
-        if (cfg_.rucheX > 1 && dist >= cfg_.rucheX) {
-            t = hop(x, static_cast<uint32_t>(y),
-                    east ? kRucheEast : kRucheWest, t, flits);
-            x = east ? x + cfg_.rucheX : x - cfg_.rucheX;
-        } else {
-            t = hop(x, static_cast<uint32_t>(y), east ? kEast : kWest, t,
-                    flits);
-            x = east ? x + 1 : x - 1;
+    auto charge = [&](LinkState &state) {
+        const Cycles arrival = t;
+        Cycles wait = state.server.charge(t, flits);
+        state.flits += flits;
+        state.waitCycles += wait;
+        t += wait + MachineConfig::kLinkLatency;
+        if constexpr (kLinkDelays) {
+            // The link's index names its source node, which is what a
+            // link-delay window is keyed by.
+            const size_t node =
+                static_cast<size_t>(&state - links_.data()) / kNumDirs;
+            t += fault_->linkDelay(node % cfg_.meshCols,
+                                   node / cfg_.meshCols, arrival);
         }
-    }
+    };
+    for (uint32_t i = 0; i < xr.count; ++i)
+        charge(row[xs[i]]);
+    for (uint32_t i = 0; i < yr.count; ++i)
+        charge(column[ys[i]]);
+    linkCyclesUsed_ +=
+        static_cast<uint64_t>(flits) * (xr.count + yr.count);
 
-    while (y != dst.y) {
-        bool north = y > dst.y;
-        uint32_t dist =
-            static_cast<uint32_t>(north ? y - dst.y : dst.y - y);
-        int32_t landing = north ? y - static_cast<int32_t>(cfg_.rucheY)
-                                : y + static_cast<int32_t>(cfg_.rucheY);
-        if (cfg_.rucheY > 1 && dist >= cfg_.rucheY && landing >= 0 &&
-            landing < static_cast<int32_t>(cfg_.meshRows)) {
-            t = hop(x, static_cast<uint32_t>(y),
-                    north ? kRucheNorth : kRucheSouth, t, flits);
-            y = landing;
-            continue;
-        }
-        uint32_t link_row = static_cast<uint32_t>(
-            north ? (y > 0 ? y : 0)
-                  : (y < static_cast<int32_t>(cfg_.meshRows) - 1
-                         ? y
-                         : static_cast<int32_t>(cfg_.meshRows) - 1));
-        t = hop(x, link_row, north ? kNorth : kSouth, t, flits);
-        y += north ? -1 : 1;
-    }
-
+    // Tail serialization: the body flits arrive one per cycle behind the
+    // head.
     return t + (flits - 1);
 }
 
@@ -230,40 +194,22 @@ MeshNoc::traverse(const NocEndpoint &src, const NocEndpoint &dst,
     if (y >= static_cast<int32_t>(cfg_.meshRows))
         y = static_cast<int32_t>(cfg_.meshRows) - 1;
 
-    // A plan with link-delay windows forces the per-hop walk — even
-    // outside the windows — so injected timing can never be skipped.
-    if (!compiledEnabled_ || (fault_ != nullptr && fault_->hasLinkDelays()))
-        return traverseWalk(x, y, dst, start, flits);
-
-    ++compiledTraversals_;
     const StepRange &xr =
         xSteps_[static_cast<size_t>(x) * cfg_.meshCols + dst.x];
     const StepRange &yr =
         ySteps_[static_cast<size_t>(y) * (cfg_.meshRows + 2) +
                 static_cast<size_t>(dst.y + 1)];
-    const uint32_t *xs = steps_.data() + xr.offset;
-    const uint32_t *ys = steps_.data() + yr.offset;
     LinkState *row = links_.data() +
                      static_cast<size_t>(y) * cfg_.meshCols * kNumDirs;
     LinkState *column = links_.data() + static_cast<size_t>(dst.x) * kNumDirs;
 
-    Cycles t = start;
-    auto charge = [&](LinkState &state) {
-        Cycles wait = state.server.charge(t, flits);
-        state.flits += flits;
-        state.waitCycles += wait;
-        t += wait + MachineConfig::kLinkLatency;
-    };
-    for (uint32_t i = 0; i < xr.count; ++i)
-        charge(row[xs[i]]);
-    for (uint32_t i = 0; i < yr.count; ++i)
-        charge(column[ys[i]]);
-    linkCyclesUsed_ +=
-        static_cast<uint64_t>(flits) * (xr.count + yr.count);
-
-    // Tail serialization: the body flits arrive one per cycle behind the
-    // head.
-    return t + (flits - 1);
+    // A plan with link-delay windows is queried on every hop — even
+    // outside the windows — so injected timing can never be skipped.
+    if (fault_ != nullptr && fault_->hasLinkDelays()) {
+        ++walkedTraversals_;
+        return route<true>(xr, row, yr, column, start, flits);
+    }
+    return route<false>(xr, row, yr, column, start, flits);
 }
 
 } // namespace spmrt

@@ -34,10 +34,6 @@ namespace spmrt {
 
 class FaultPlan;
 
-namespace obs {
-class StatRegistry;
-} // namespace obs
-
 /** A network endpoint in mesh coordinates. */
 struct NocEndpoint
 {
@@ -60,15 +56,13 @@ class MeshNoc
      * X-Y routing never consults time or occupancy — and it splits by
      * dimension: the X hops depend only on (src x, dst x) and run along
      * the source row, the Y hops only on (src row, dst row) and run
-     * along the destination column. The common case therefore replays
-     * two precomputed step lists, adding the row (or column) base to
-     * each step to get the link index, and touches only the live state
-     * (fluid backlog, flit/wait counters) per hop. The timing is
-     * identical to the per-hop walk by construction: the same links are
-     * charged the same flits in the same order. Whenever the installed
-     * FaultPlan carries link-delay windows (or compiled routes are
-     * disabled), the walk is taken instead so per-hop fault queries are
-     * never skipped.
+     * along the destination column. Every packet therefore replays two
+     * precomputed step lists, adding the row (or column) base to each
+     * step to get the link index, and touches only the live state
+     * (fluid backlog, flit/wait counters) per hop. When the installed
+     * FaultPlan carries link-delay windows, the same loop also asks the
+     * plan for each hop's extra latency, keyed by the link's source node
+     * and the hop's arrival time.
      *
      * @param src source endpoint.
      * @param dst destination endpoint.
@@ -79,14 +73,13 @@ class MeshNoc
     Cycles traverse(const NocEndpoint &src, const NocEndpoint &dst,
                     Cycles start, uint32_t payload_bytes);
 
-    /** Enable/disable the compiled step tables (testing; default on). */
-    void setCompiledRoutes(bool on) { compiledEnabled_ = on; }
-
-    /** Packets routed through the step tables (diagnostics). */
-    uint64_t compiledTraversals() const { return compiledTraversals_; }
-
-    /** Packets routed through the uncached per-hop walk (diagnostics:
-     *  proves the fault-window fallback actually engaged). */
+    /**
+     * Packets routed while the installed plan had link-delay windows,
+     * i.e. whose hops each queried FaultPlan::linkDelay() (diagnostics:
+     * proves the per-hop fault queries engaged). The name predates the
+     * single route loop, when these packets took a separate per-hop
+     * walk; perfbench reports it as mem.noc.walked_traversals.
+     */
     uint64_t walkedTraversals() const { return walkedTraversals_; }
 
     /** Endpoint of core @p id. */
@@ -154,9 +147,6 @@ class MeshNoc
      */
     obs::Heatmap linkHeatmap() const;
 
-    /** Register aggregate counters under noc/. */
-    void registerStats(obs::StatRegistry &registry) const;
-
     /** Human-readable name of link @p index (diagnostics). */
     std::string linkName(size_t index) const;
 
@@ -174,14 +164,6 @@ class MeshNoc
         kNumDirs
     };
 
-    /** Index of the @p dir link leaving node (x, y). */
-    size_t
-    linkIndex(uint32_t x, uint32_t y, Dir dir) const
-    {
-        return (static_cast<size_t>(y) * cfg_.meshCols + x) * kNumDirs +
-               dir;
-    }
-
     /**
      * Live state of one mesh link: its rate-1 fluid server and both
      * cumulative counters in one 32-byte record, aligned so two links
@@ -195,16 +177,6 @@ class MeshNoc
     };
     static_assert(sizeof(LinkState) == 32, "a link must fill half a line");
 
-    /** State of the @p dir link leaving node (x, y). */
-    LinkState &
-    link(uint32_t x, uint32_t y, Dir dir)
-    {
-        return links_[linkIndex(x, y, dir)];
-    }
-
-    /** Charge one hop across the @p dir link out of (x, y). */
-    Cycles hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits);
-
     /** The hops one dimension contributes to a route: a slice of
      *  steps_. */
     struct StepRange
@@ -216,10 +188,15 @@ class MeshNoc
     /** Build both dimensions' step tables (constructor). */
     void buildStepTables();
 
-    /** The per-hop routing walk (fault-window fallback and the oracle
-     *  the step tables are tested against). */
-    Cycles traverseWalk(uint32_t x, int32_t y, const NocEndpoint &dst,
-                        Cycles start, uint32_t flits);
+    /**
+     * Charge one packet of @p flits flits injected at @p start over the
+     * @p xr hops along @p row and the @p yr hops along @p column. With
+     * @p kLinkDelays each hop also pays the installed plan's link delay;
+     * the packet-level choice keeps that query off the fault-free loop.
+     */
+    template <bool kLinkDelays>
+    Cycles route(const StepRange &xr, LinkState *row, const StepRange &yr,
+                 LinkState *column, Cycles start, uint32_t flits);
 
     MachineConfig cfg_;
     std::vector<LinkState> links_;
@@ -232,9 +209,7 @@ class MeshNoc
     std::vector<uint32_t> steps_; ///< shared pool of both tables' steps
     uint64_t linkCyclesUsed_ = 0;
     uint64_t packets_ = 0;
-    uint64_t compiledTraversals_ = 0;
     uint64_t walkedTraversals_ = 0;
-    bool compiledEnabled_ = true;
     FaultPlan *fault_ = nullptr;
 };
 

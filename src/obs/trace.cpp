@@ -100,8 +100,9 @@ Tracer::writeChromeJson(const std::string &path) const
     }
     std::string json = chromeJson();
     size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    if (written != json.size()) {
+    // A full disk can surface only when fclose() flushes the buffer.
+    bool closed = std::fclose(f) == 0;
+    if (written != json.size() || !closed) {
         SPMRT_WARN("short write of trace to %s", path.c_str());
         return false;
     }

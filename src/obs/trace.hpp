@@ -19,7 +19,7 @@
  *
  * Compile-out: when the SPMRT_TELEMETRY CMake option is OFF the build
  * defines SPMRT_TELEMETRY_ENABLED=0 and every attachment accessor
- * (Core::tracer(), Engine::tracer(), Machine::armTelemetry()) returns a
+ * (Core::tracer(), Engine::tracer(), Machine::armTracer()) returns a
  * compile-time nullptr, so `if (obs::Tracer *t = ...)` hook sites fold
  * away entirely — the same zero-cost pattern as SPMRT_CHECKER.
  */
@@ -40,7 +40,7 @@
 namespace spmrt {
 namespace obs {
 
-/** Event categories; arm a subset to bound trace volume. */
+/** Event categories: each event's Chrome-trace "cat" field. */
 enum TraceCategory : uint32_t
 {
     kTraceTask = 1u << 0,   ///< task execution spans (B/E)
@@ -49,8 +49,7 @@ enum TraceCategory : uint32_t
     kTraceSync = 1u << 3,   ///< wait-for-children spans (B/E)
     kTraceSwitch = 1u << 4, ///< engine context switches (instants)
     kTraceSpill = 1u << 5,  ///< SPM-stack overflow spills to DRAM
-    kTraceFault = 1u << 6,  ///< fault-injection windows (complete spans)
-    kTraceAll = ~0u
+    kTraceFault = 1u << 6   ///< fault-injection windows (complete spans)
 };
 
 /** Synthetic track for events not owned by any core (fault windows). */
@@ -80,20 +79,12 @@ struct TraceEvent
 class Tracer
 {
   public:
-    explicit Tracer(uint32_t categories = kTraceAll,
-                    size_t max_events = kDefaultMaxEvents)
-        : categories_(categories), maxEvents_(max_events)
+    explicit Tracer(size_t max_events = kDefaultMaxEvents)
+        : maxEvents_(max_events)
     {
     }
 
-    /** Mask of armed categories. */
-    uint32_t categories() const { return categories_; }
-    /** Re-arm with a different category subset. */
-    void setCategories(uint32_t mask) { categories_ = mask; }
-    /** True when any bit of @p mask is armed. */
-    bool enabled(uint32_t mask) const { return (categories_ & mask) != 0; }
-
-    /** @name Hot-path hooks (no-ops for disarmed categories)
+    /** @name Hot-path hooks
      *  @{
      */
 
@@ -102,16 +93,14 @@ class Tracer
     begin(uint32_t cat, uint32_t track, Cycles ts, const char *name,
           const char *arg_name = nullptr, uint64_t arg = 0)
     {
-        if (enabled(cat))
-            push({ts, 0, arg, 0, name, arg_name, nullptr, track, cat, 'B'});
+        push({ts, 0, arg, 0, name, arg_name, nullptr, track, cat, 'B'});
     }
 
     /** Close the most recent open span of @p name on @p track. */
     void
     end(uint32_t cat, uint32_t track, Cycles ts, const char *name)
     {
-        if (enabled(cat))
-            push({ts, 0, 0, 0, name, nullptr, nullptr, track, cat, 'E'});
+        push({ts, 0, 0, 0, name, nullptr, nullptr, track, cat, 'E'});
     }
 
     /** A zero-duration instant on @p track. */
@@ -119,8 +108,7 @@ class Tracer
     instant(uint32_t cat, uint32_t track, Cycles ts, const char *name,
             const char *arg_name = nullptr, uint64_t arg = 0)
     {
-        if (enabled(cat))
-            push({ts, 0, arg, 0, name, arg_name, nullptr, track, cat, 'i'});
+        push({ts, 0, arg, 0, name, arg_name, nullptr, track, cat, 'i'});
     }
 
     /**
@@ -133,9 +121,8 @@ class Tracer
          const char *name, const char *arg_name = nullptr, uint64_t arg = 0,
          const char *arg_name2 = nullptr, uint64_t arg2 = 0)
     {
-        if (enabled(cat))
-            push({start, end - start, arg, arg2, name, arg_name, arg_name2,
-                  track, cat, 'X'});
+        push({start, end - start, arg, arg2, name, arg_name, arg_name2, track,
+              cat, 'X'});
     }
     /** @} */
 
@@ -143,7 +130,7 @@ class Tracer
     const std::vector<TraceEvent> &events() const { return events_; }
     /** Events discarded after the buffer filled (never silent). */
     uint64_t dropped() const { return dropped_; }
-    /** Discard all recorded events (capacity and mask are kept). */
+    /** Discard all recorded events (the capacity is kept). */
     void
     clear()
     {
@@ -170,7 +157,6 @@ class Tracer
         events_.push_back(event);
     }
 
-    uint32_t categories_;
     size_t maxEvents_;
     std::vector<TraceEvent> events_;
     uint64_t dropped_ = 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stats.hpp"
-
 namespace spmrt {
 
 namespace {
@@ -242,27 +240,6 @@ Core::executeHeadOp()
     opHead_ = (opHead_ + 1) & (static_cast<uint32_t>(opRing_.size()) - 1);
     return --opCount_ == 0 ? Engine::kNoPendingOp
                            : opRing_[opHead_].issue + kCommitDelta;
-}
-
-void
-Core::registerStats(obs::StatRegistry &registry) const
-{
-    std::string prefix = log::format("core/%03u/", id_);
-    auto add = [&](const char *name, const uint64_t &value) {
-        registry.add(prefix + name, &value);
-    };
-    add("isa/instructions", stats_.isa.instructions);
-    add("isa/loads", stats_.isa.loads);
-    add("isa/stores", stats_.isa.stores);
-    add("isa/amos", stats_.isa.amos);
-    add("isa/fences", stats_.isa.fences);
-    add("rt/tasks_executed", stats_.rt.tasksExecuted);
-    add("rt/tasks_spawned", stats_.rt.tasksSpawned);
-    add("rt/steal_attempts", stats_.rt.stealAttempts);
-    add("rt/steal_hits", stats_.rt.stealHits);
-    add("rt/stack_frames_pushed", stats_.rt.stackFramesPushed);
-    add("rt/stack_frames_overflowed", stats_.rt.stackFramesOverflowed);
-    add("rt/spawns_inlined", stats_.rt.spawnsInlined);
 }
 
 } // namespace spmrt

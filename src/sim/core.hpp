@@ -25,10 +25,6 @@
 
 namespace spmrt {
 
-namespace obs {
-class StatRegistry;
-} // namespace obs
-
 /**
  * ISA-level dynamic execution counters, charged by the Core itself (the
  * analogue of the paper's dynamic instruction counts).
@@ -56,9 +52,12 @@ struct RuntimeStats
 
 /**
  * Per-core dynamic execution counters: the ISA-level scope (what the
- * modelled hardware retires) and the runtime-level scope (what the task
- * runtime does with it), kept separate so the telemetry registry can
- * export them as distinct hierarchies (core/NNN/isa/... vs core/NNN/rt/...).
+ * modelled hardware retires, charged by the Core) and the runtime-level
+ * scope (what the task runtime does with it, charged by the runtime
+ * layers). Keeping the two scopes as separate structs lets
+ * Machine::totalStat() pick the scope from the member pointer's type
+ * (`totalStat(&RuntimeStats::stealHits)`), which is how every reader of
+ * these counters sums them.
  */
 struct CoreStats
 {
@@ -382,9 +381,6 @@ class Core : public CoreOpSink
         return nullptr;
 #endif
     }
-
-    /** Register this core's counters under core/NNN/{isa,rt}/. */
-    void registerStats(obs::StatRegistry &registry) const;
 
     /** Engine callback: commit this core's oldest captured op. */
     Cycles executeHeadOp() override;

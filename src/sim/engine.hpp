@@ -205,10 +205,6 @@ class Engine
     /** Number of syncPoint() calls observed (diagnostics). */
     uint64_t syncPointCount() const { return syncPoints_; }
 
-    /** Stable pointers to the counters, for StatRegistry registration. */
-    const uint64_t *switchCountPtr() const { return &switches_; }
-    const uint64_t *syncPointCountPtr() const { return &syncPoints_; }
-
     /** Attach (or detach, with nullptr) the timeline tracer. */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 

@@ -202,12 +202,10 @@ class FaultPlan
     }
 
     /**
-     * True when the plan carries any link-delay windows. The NoC consults
-     * this per packet to decide between the compiled step tables (which
-     * never query per-hop faults) and the per-hop walk (which does); a
-     * plan with link windows — even ones whose time windows have already
-     * passed — conservatively forces the walk, so fault timing can never
-     * be skipped by the step tables.
+     * True when the plan carries any link-delay windows. The NoC checks
+     * this once per packet: under such a plan — even one whose windows
+     * have already passed — every hop of the packet queries linkDelay(),
+     * so injected timing can never be skipped.
      */
     bool hasLinkDelays() const { return !linkDelays_.empty(); }
 
@@ -221,9 +219,6 @@ class FaultPlan
         injected_ = InjectedStats{};
         lockAcquisitions_.clear();
     }
-
-    /** The seed chaos() was built from (0 for hand-built plans). */
-    uint64_t seed() const { return seed_; }
 
     /** Registered windows (read-only, for tests and reports). */
     const std::vector<CoreStallWindow> &coreStalls() const
@@ -258,7 +253,7 @@ class FaultPlan
     std::vector<LockHolderFault> lockFaults_;
     std::vector<uint64_t> lockAcquisitions_;
     InjectedStats injected_;
-    uint64_t seed_ = 0;
+    uint64_t seed_ = 0; ///< the seed chaos() was built from (0 if hand-built)
 };
 
 } // namespace spmrt

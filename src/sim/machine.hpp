@@ -20,7 +20,7 @@
 #include "common/types.hpp"
 #include "mem/alloc.hpp"
 #include "mem/memory_system.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "sim/config.hpp"
 #include "sim/core.hpp"
 #include "sim/engine.hpp"
@@ -172,7 +172,7 @@ class Machine
             core->setFaultPlan(plan);
         mem_.setFaultPlan(plan);
 #if SPMRT_TELEMETRY_ENABLED
-        if (telemetry_ && plan != nullptr)
+        if (tracer_ && plan != nullptr)
             reportFaultPlan(*plan);
 #endif
     }
@@ -202,47 +202,38 @@ class Machine
     ConcurrencyChecker *checker() const { return mem_.checker(); }
 
     /**
-     * Arm the telemetry subsystem: lazily creates the Telemetry bundle,
-     * registers every layer's counters in its StatRegistry, and attaches
-     * its Tracer to the engine and all cores with @p categories armed.
-     * Hooks only read simulated state and charge no cycles, so an armed
-     * run stays bit-identical to a disarmed one (tests/test_obs.cpp).
-     * Returns nullptr (with a warning) when telemetry is compiled out
+     * Arm the timeline tracer: creates it (idempotently) and attaches it
+     * to the engine and all cores. Hooks only read simulated state and
+     * charge no cycles, so an armed run stays bit-identical to a
+     * disarmed one (tests/test_obs.cpp). Counters need no arming: each
+     * layer keeps its own and is read where it lives (core stats,
+     * mem().stats(), the NoC/LLC/DRAM accessors and heatmaps). Returns
+     * nullptr (with a warning) when telemetry is compiled out
      * (SPMRT_TELEMETRY=OFF).
      */
-    obs::Telemetry *
-    armTelemetry(uint32_t categories = obs::kTraceAll)
+    obs::Tracer *
+    armTracer()
     {
 #if SPMRT_TELEMETRY_ENABLED
-        if (!telemetry_) {
-            telemetry_ = std::make_unique<obs::Telemetry>();
-            for (const auto &core : cores_)
-                core->registerStats(telemetry_->stats);
-            mem_.registerStats(telemetry_->stats);
-            telemetry_->stats.add("engine/switches",
-                                  engine_.switchCountPtr());
-            telemetry_->stats.add("engine/sync_points",
-                                  engine_.syncPointCountPtr());
-        }
-        telemetry_->tracer.setCategories(categories);
-        engine_.setTracer(&telemetry_->tracer);
+        if (!tracer_)
+            tracer_ = std::make_unique<obs::Tracer>();
+        engine_.setTracer(tracer_.get());
         for (auto &core : cores_)
-            core->setTracer(&telemetry_->tracer);
-        return telemetry_.get();
+            core->setTracer(tracer_.get());
+        return tracer_.get();
 #else
-        (void)categories;
-        SPMRT_WARN("armTelemetry(): telemetry compiled out "
+        SPMRT_WARN("armTracer(): telemetry compiled out "
                    "(SPMRT_TELEMETRY=OFF)");
         return nullptr;
 #endif
     }
 
-    /** The armed telemetry bundle, or nullptr (never armed/compiled out). */
-    obs::Telemetry *
-    telemetry() const
+    /** The armed tracer, or nullptr (never armed or compiled out). */
+    obs::Tracer *
+    tracer() const
     {
 #if SPMRT_TELEMETRY_ENABLED
-        return telemetry_.get();
+        return tracer_.get();
 #else
         return nullptr;
 #endif
@@ -262,14 +253,14 @@ class Machine
 
 #if SPMRT_TELEMETRY_ENABLED
     /**
-     * Mirror an installed fault plan into the telemetry: every window
-     * becomes a complete span on the synthetic "faults" track, and the
-     * plan's injected-delay totals join the registry under fault/.
+     * Mirror an installed fault plan into the trace: every window
+     * becomes a complete span on the synthetic "faults" track. The
+     * injected-delay totals stay on the plan (FaultPlan::injected()).
      */
     void
-    reportFaultPlan(FaultPlan &plan)
+    reportFaultPlan(const FaultPlan &plan)
     {
-        obs::Tracer &tracer = telemetry_->tracer;
+        obs::Tracer &tracer = *tracer_;
         for (const auto &w : plan.coreStalls())
             tracer.span(obs::kTraceFault, obs::kTraceFaultTrack, w.start,
                         w.end, "core_stall", "core", w.core,
@@ -281,13 +272,6 @@ class Machine
             tracer.span(obs::kTraceFault, obs::kTraceFaultTrack, w.start,
                         w.end, "llc_slow", "bank", w.bank, "extra",
                         w.extra);
-        const FaultPlan::InjectedStats &injected = plan.injected();
-        obs::StatRegistry &stats = telemetry_->stats;
-        stats.add("fault/core_stall_cycles", &injected.coreStallCycles);
-        stats.add("fault/link_delay_cycles", &injected.linkDelayCycles);
-        stats.add("fault/llc_delay_cycles", &injected.llcDelayCycles);
-        stats.add("fault/lock_holder_cycles", &injected.lockHolderCycles);
-        stats.add("fault/lock_holder_hits", &injected.lockHolderHits);
     }
 #endif
 
@@ -297,7 +281,7 @@ class Machine
     RangeAllocator dramHeap_;
     std::vector<std::unique_ptr<Core>> cores_;
     std::unique_ptr<ConcurrencyChecker> checker_;
-    std::unique_ptr<obs::Telemetry> telemetry_;
+    std::unique_ptr<obs::Tracer> tracer_;
 };
 
 } // namespace spmrt

@@ -60,7 +60,7 @@ struct Outcome
     Cycles cycles = 0;
     uint64_t switches = 0;
     uint64_t syncPoints = 0;
-    uint64_t compiledTraversals = 0;
+    uint64_t packets = 0;
     uint64_t walkedTraversals = 0;
     size_t violations = 0;
     std::string report;
@@ -76,13 +76,11 @@ const serve::FleetWorkload kWorkloads[] = {
 
 /**
  * Run @p workload once under @p regime on the chosen scheduler, on an
- * arbitrary machine geometry. @p compiled_routes additionally toggles
- * the NoC's compiled route tables, so the memory fast paths can be
- * crossed against the uncached per-hop reference walk.
+ * arbitrary machine geometry.
  */
 Outcome
 runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
-          const Regime &regime, bool reference, bool compiled_routes = true)
+          const Regime &regime, bool reference)
 {
     serve::JobRequest req = serve::makeWorkloadRequest(workload);
     req.machine = cfg;
@@ -96,7 +94,6 @@ runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
     }
     Machine machine(req.machine);
     machine.engine().setReferenceScheduler(reference);
-    machine.mem().noc().setCompiledRoutes(compiled_routes);
     serve::AssetCache assets;
     serve::JobResult result = serve::runJob(req, machine, assets);
 
@@ -105,7 +102,7 @@ runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
     out.cycles = result.cycles;
     out.switches = machine.engine().switchCount();
     out.syncPoints = machine.engine().syncPointCount();
-    out.compiledTraversals = machine.mem().noc().compiledTraversals();
+    out.packets = machine.mem().noc().packetsRouted();
     out.walkedTraversals = machine.mem().noc().walkedTraversals();
     if (ConcurrencyChecker *ck = machine.checker()) {
         out.violations = ck->violations().size();
@@ -117,10 +114,9 @@ runOnceOn(const MachineConfig &cfg, const serve::FleetWorkload &workload,
 /** The historical single-geometry entry point: runs on tiny(). */
 Outcome
 runOnce(const serve::FleetWorkload &workload, const Regime &regime,
-        bool reference, bool compiled_routes = true)
+        bool reference)
 {
-    return runOnceOn(MachineConfig::tiny(), workload, regime, reference,
-                     compiled_routes);
+    return runOnceOn(MachineConfig::tiny(), workload, regime, reference);
 }
 
 /** Assert @p fast and @p oracle ran the identical simulation, cleanly. */
@@ -233,12 +229,13 @@ TEST(GeometryEquivalence, Big1024FastMatchesReference)
 // ---- Memory fast paths vs. the fully-uncached reference ------------------
 
 /**
- * Cross the memory hot paths against their reference implementations:
- * fast scheduler + compiled route tables vs. reference scheduler +
- * uncached per-hop walk. Every digest, cycle count, and switch/syncPoint
- * count must match, with the checker armed and silent — proving the
- * local-SPM fast path, burst accounting, and route tables are pure host
- * optimizations in combination, not just individually.
+ * Cross the memory hot paths under the fast scheduler against the
+ * reference scheduler on the strict, perturbed and fault-injected
+ * regimes. Every digest, cycle count, and switch/syncPoint count must
+ * match, with the checker armed and silent — proving the local-SPM fast
+ * path, burst accounting, and route tables stay pure host
+ * optimizations under every interleaving the schedulers produce. The
+ * route tables' own oracle is the per-hop walk in test_noc_routes.cpp.
  */
 TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
 {
@@ -251,21 +248,19 @@ TEST(SchedulerEquivalence, MemoryFastPathsMatchUncachedReference)
         SCOPED_TRACE(workload.kind);
         for (const Regime &regime : regimes) {
             SCOPED_TRACE(regime.name);
-            Outcome fast = runOnce(workload, regime, false, true);
-            Outcome oracle = runOnce(workload, regime, true, false);
+            Outcome fast = runOnce(workload, regime, false);
+            Outcome oracle = runOnce(workload, regime, true);
 
             EXPECT_EQ(fast.digest, serve::workloadReference(workload));
             expectSameRun(fast, oracle);
-            EXPECT_EQ(oracle.compiledTraversals, 0u)
-                << "reference run must not use compiled routes";
         }
     }
 }
 
 /**
- * The route-table fallback must provably engage whenever the fault plan
- * carries link-delay windows, and re-engage the compiled tables when it
- * does not.
+ * The per-hop fault queries must provably engage for every packet
+ * whenever the fault plan carries link-delay windows, and for none when
+ * it does not.
  */
 TEST(SchedulerEquivalence, RouteFallbackEngagesDuringFaultWindows)
 {
@@ -276,16 +271,16 @@ TEST(SchedulerEquivalence, RouteFallbackEngagesDuringFaultWindows)
         << "chaos seed 5 must include link-delay windows for this test";
 
     Outcome faulted = runOnce(workload, {"faulted", false, 0, true, 5},
-                              false, true);
-    EXPECT_EQ(faulted.compiledTraversals, 0u)
-        << "a plan with link windows must force the per-hop walk";
+                              false);
+    EXPECT_EQ(faulted.walkedTraversals, faulted.packets)
+        << "a plan with link windows must be queried for every packet";
     EXPECT_GT(faulted.walkedTraversals, 0u);
 
     Outcome strict = runOnce(workload, {"strict", false, 0, false, 0},
-                             false, true);
+                             false);
     EXPECT_EQ(strict.walkedTraversals, 0u)
-        << "without link windows every packet takes the compiled tables";
-    EXPECT_GT(strict.compiledTraversals, 0u);
+        << "without link windows no packet queries the plan";
+    EXPECT_GT(strict.packets, 0u);
 }
 
 // ---- Engine-level equivalence of the primitive operations ----------------

@@ -2,26 +2,181 @@
  * @file
  * Property tests for the compiled NoC step tables.
  *
- * The contract is that compiled traversal is a pure host optimization:
- * for any (src, dst, time, payload) sequence, a MeshNoc with compiled
- * routes produces delivery times and link statistics identical to one
- * forced onto the per-hop walk, because both charge the same
- * links the same flits in the same order. Whenever a FaultPlan carries
- * link-delay windows the compiled instance must itself fall back to the
- * walk, so injected timing is never skipped — including for packets
- * straddling the edges of the delay windows.
+ * MeshNoc routes every packet through precomputed X and Y step lists.
+ * The oracle here is an independent implementation of the same routing
+ * rule: the per-hop walk, which decides each X-Y (and ruche express)
+ * hop as it goes and keeps its own link state. For any (src, dst, time,
+ * payload) sequence both must produce identical delivery times and link
+ * statistics, because both charge the same links the same flits in the
+ * same order. Under a FaultPlan with link-delay windows both query the
+ * plan on every hop, so injected timing must match too — including for
+ * packets straddling the edges of the delay windows.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/bits.hpp"
+#include "mem/fluid_server.hpp"
 #include "mem/noc.hpp"
 #include "sim/config.hpp"
 #include "sim/fault.hpp"
 
 namespace spmrt {
 namespace {
+
+/**
+ * The per-hop routing walk, with its own link state: the oracle the
+ * step tables are tested against. Links are indexed like
+ * MeshNoc::linkFlits(), so the two instances' per-link counters compare
+ * element for element.
+ */
+class WalkOracle
+{
+  public:
+    explicit WalkOracle(const MachineConfig &cfg) : cfg_(cfg)
+    {
+        links_.assign(static_cast<size_t>(cfg_.meshCols) * cfg_.meshRows *
+                          kNumDirs,
+                      LinkState{});
+    }
+
+    /** Install (or clear, with nullptr) a fault plan consulted per hop. */
+    void setFaultPlan(FaultPlan *plan) { fault_ = plan; }
+
+    /** MeshNoc::traverse()'s contract, routed by the walk. */
+    Cycles
+    traverse(const NocEndpoint &src, const NocEndpoint &dst, Cycles start,
+             uint32_t payload_bytes)
+    {
+        ++packets_;
+        const uint32_t flits =
+            1 + divCeil(payload_bytes, MachineConfig::kFlitBytes);
+        int32_t y = src.y;
+        if (y < 0)
+            y = 0;
+        if (y >= static_cast<int32_t>(cfg_.meshRows))
+            y = static_cast<int32_t>(cfg_.meshRows) - 1;
+        return traverseWalk(src.x, y, dst, start, flits);
+    }
+
+    uint64_t linkCyclesUsed() const { return linkCyclesUsed_; }
+    uint64_t packetsRouted() const { return packets_; }
+
+    std::vector<uint64_t>
+    linkFlits() const
+    {
+        std::vector<uint64_t> flits(links_.size());
+        for (size_t i = 0; i < links_.size(); ++i)
+            flits[i] = links_[i].flits;
+        return flits;
+    }
+
+    std::vector<uint64_t>
+    linkWaitCycles() const
+    {
+        std::vector<uint64_t> waits(links_.size());
+        for (size_t i = 0; i < links_.size(); ++i)
+            waits[i] = links_[i].waitCycles;
+        return waits;
+    }
+
+  private:
+    enum Dir : uint32_t
+    {
+        kEast = 0,
+        kWest,
+        kNorth,
+        kSouth,
+        kRucheEast,
+        kRucheWest,
+        kRucheNorth,
+        kRucheSouth,
+        kNumDirs
+    };
+
+    struct LinkState
+    {
+        UnitFluidServer server;
+        uint64_t flits = 0;
+        uint64_t waitCycles = 0;
+    };
+
+    LinkState &
+    link(uint32_t x, uint32_t y, Dir dir)
+    {
+        return links_[(static_cast<size_t>(y) * cfg_.meshCols + x) *
+                          kNumDirs +
+                      dir];
+    }
+
+    /** Charge one hop across the @p dir link out of (x, y). */
+    Cycles
+    hop(uint32_t x, uint32_t y, Dir dir, Cycles t, uint32_t flits)
+    {
+        LinkState &state = link(x, y, dir);
+        Cycles wait = state.server.charge(t, flits);
+        linkCyclesUsed_ += flits;
+        state.flits += flits;
+        state.waitCycles += wait;
+        Cycles extra = fault_ != nullptr ? fault_->linkDelay(x, y, t) : 0;
+        return t + wait + MachineConfig::kLinkLatency + extra;
+    }
+
+    Cycles
+    traverseWalk(uint32_t x, int32_t y, const NocEndpoint &dst,
+                 Cycles start, uint32_t flits)
+    {
+        Cycles t = start;
+
+        // The routing decisions MeshNoc's step tables precompute, taken
+        // hop by hop here.
+        while (x != dst.x) {
+            uint32_t dist = x < dst.x ? dst.x - x : x - dst.x;
+            bool east = x < dst.x;
+            if (cfg_.rucheX > 1 && dist >= cfg_.rucheX) {
+                t = hop(x, static_cast<uint32_t>(y),
+                        east ? kRucheEast : kRucheWest, t, flits);
+                x = east ? x + cfg_.rucheX : x - cfg_.rucheX;
+            } else {
+                t = hop(x, static_cast<uint32_t>(y), east ? kEast : kWest,
+                        t, flits);
+                x = east ? x + 1 : x - 1;
+            }
+        }
+
+        while (y != dst.y) {
+            bool north = y > dst.y;
+            uint32_t dist =
+                static_cast<uint32_t>(north ? y - dst.y : dst.y - y);
+            int32_t landing = north ? y - static_cast<int32_t>(cfg_.rucheY)
+                                    : y + static_cast<int32_t>(cfg_.rucheY);
+            if (cfg_.rucheY > 1 && dist >= cfg_.rucheY && landing >= 0 &&
+                landing < static_cast<int32_t>(cfg_.meshRows)) {
+                t = hop(x, static_cast<uint32_t>(y),
+                        north ? kRucheNorth : kRucheSouth, t, flits);
+                y = landing;
+                continue;
+            }
+            uint32_t link_row = static_cast<uint32_t>(
+                north ? (y > 0 ? y : 0)
+                      : (y < static_cast<int32_t>(cfg_.meshRows) - 1
+                             ? y
+                             : static_cast<int32_t>(cfg_.meshRows) - 1));
+            t = hop(x, link_row, north ? kNorth : kSouth, t, flits);
+            y += north ? -1 : 1;
+        }
+
+        return t + (flits - 1);
+    }
+
+    MachineConfig cfg_;
+    std::vector<LinkState> links_;
+    uint64_t linkCyclesUsed_ = 0;
+    uint64_t packets_ = 0;
+    FaultPlan *fault_ = nullptr;
+};
 
 /** Deterministic 64-bit mix (splitmix64) — no global RNG state. */
 uint64_t
@@ -77,7 +232,7 @@ makeTraffic(uint64_t seed, size_t num_endpoints, size_t count)
 
 /** Both instances charged the same links the same flits and waits. */
 void
-expectSameLinkState(const MeshNoc &compiled, const MeshNoc &walked)
+expectSameLinkState(const MeshNoc &compiled, const WalkOracle &walked)
 {
     EXPECT_EQ(compiled.linkCyclesUsed(), walked.linkCyclesUsed());
     EXPECT_EQ(compiled.packetsRouted(), walked.packetsRouted());
@@ -86,16 +241,15 @@ expectSameLinkState(const MeshNoc &compiled, const MeshNoc &walked)
 }
 
 /**
- * Drive identical traffic through a compiled and a walk-forced MeshNoc
- * (same optional fault plan on both) and require identical delivery
- * times and link statistics.
+ * Drive identical traffic through a MeshNoc and the walk oracle (same
+ * optional fault plan on both) and require identical delivery times and
+ * link statistics.
  */
 void
 expectEquivalent(const MachineConfig &cfg, uint64_t seed, FaultPlan *plan)
 {
     MeshNoc compiled(cfg);
-    MeshNoc walked(cfg);
-    walked.setCompiledRoutes(false);
+    WalkOracle walked(cfg);
     // Each instance needs its own plan object: the plan accumulates
     // injected-delay totals as it is queried.
     FaultPlan plan_copy;
@@ -118,15 +272,14 @@ expectEquivalent(const MachineConfig &cfg, uint64_t seed, FaultPlan *plan)
 
 /**
  * Every core to every LLC bank and back — the request and response legs
- * of each DRAM access — on a compiled and a walk-forced MeshNoc,
- * requiring identical delivery times and link statistics.
+ * of each DRAM access — on a MeshNoc and the walk oracle, requiring
+ * identical delivery times and link statistics.
  */
 void
 expectBankSweepEquivalent(const MachineConfig &cfg)
 {
     MeshNoc compiled(cfg);
-    MeshNoc walked(cfg);
-    walked.setCompiledRoutes(false);
+    WalkOracle walked(cfg);
     Cycles t = 0;
     for (CoreId id = 0; id < cfg.numCores(); ++id) {
         const NocEndpoint core = compiled.coreEndpoint(id);
@@ -224,7 +377,7 @@ TEST(NocRoutes, CoreBankSweepsMatchWalkOnEveryPreset)
 
 TEST(NocRoutes, RucheYFaultWindowsStillMatchWalk)
 {
-    // Chaos plans force the per-hop walk; a Y-ruched mesh must inject
+    // Chaos plans carry link-delay windows; a Y-ruched mesh must inject
     // identical delays on both sides (the Y express hop is charged on
     // the launching node, exactly like the X express hop).
     MachineConfig cfg = MachineConfig::small(); // 8x4
@@ -238,8 +391,8 @@ TEST(NocRoutes, RucheYFaultWindowsStillMatchWalk)
 
 TEST(NocRoutes, FaultMatrixMatchesWalkCycleForCycle)
 {
-    // Chaos plans include link-delay windows, so the compiled instance
-    // falls back to the walk; both sides must still agree exactly.
+    // Chaos plans include link-delay windows, so every hop queries the
+    // plan; both sides must still agree exactly.
     for (uint64_t plan_seed = 1; plan_seed <= 6; ++plan_seed) {
         MachineConfig cfg = MachineConfig::small();
         FaultPlan plan = FaultPlan::chaos(plan_seed, cfg);
@@ -259,8 +412,7 @@ TEST(NocRoutes, WindowEdgeStraddlesMatchWalk)
     plan.delayLinks(0, 0, kStart, kEnd, 7);
 
     MeshNoc compiled(cfg);
-    MeshNoc walked(cfg);
-    walked.setCompiledRoutes(false);
+    WalkOracle walked(cfg);
     FaultPlan plan_copy = plan;
     compiled.setFaultPlan(&plan);
     walked.setFaultPlan(&plan_copy);
@@ -291,14 +443,14 @@ TEST(NocRoutes, FallbackEngagesAndDisengagesWithThePlan)
     NocEndpoint dst = noc.coreEndpoint(cfg.numCores() - 1);
 
     noc.traverse(src, dst, 0, 4);
-    EXPECT_EQ(noc.compiledTraversals(), 1u);
+    EXPECT_EQ(noc.packetsRouted(), 1u);
     EXPECT_EQ(noc.walkedTraversals(), 0u);
 
-    // Installing a plan with link windows forces the walk — even for
-    // packets entirely outside the window.
+    // Installing a plan with link windows makes every hop query it —
+    // even for packets entirely outside the window.
     noc.setFaultPlan(&plan);
     noc.traverse(src, dst, 1000, 4);
-    EXPECT_EQ(noc.compiledTraversals(), 1u);
+    EXPECT_EQ(noc.packetsRouted(), 2u);
     EXPECT_EQ(noc.walkedTraversals(), 1u);
 
     // A plan without link windows does not.
@@ -306,42 +458,34 @@ TEST(NocRoutes, FallbackEngagesAndDisengagesWithThePlan)
     no_links.stallCore(0, 0, 100, 2);
     noc.setFaultPlan(&no_links);
     noc.traverse(src, dst, 2000, 4);
-    EXPECT_EQ(noc.compiledTraversals(), 2u);
+    EXPECT_EQ(noc.packetsRouted(), 3u);
     EXPECT_EQ(noc.walkedTraversals(), 1u);
 
-    // Clearing the plan re-engages the compiled tables.
+    // Clearing the plan stops the queries.
     noc.setFaultPlan(nullptr);
     noc.traverse(src, dst, 3000, 4);
-    EXPECT_EQ(noc.compiledTraversals(), 3u);
+    EXPECT_EQ(noc.packetsRouted(), 4u);
     EXPECT_EQ(noc.walkedTraversals(), 1u);
-
-    // Disabling compiled routes outright forces the walk.
-    noc.setCompiledRoutes(false);
-    noc.traverse(src, dst, 4000, 4);
-    EXPECT_EQ(noc.compiledTraversals(), 3u);
-    EXPECT_EQ(noc.walkedTraversals(), 2u);
 }
 
 TEST(NocRoutes, ResetKeepsRoutesAndClearsCounters)
 {
     MachineConfig cfg = MachineConfig::tiny();
     MeshNoc compiled(cfg);
-    MeshNoc walked(cfg);
-    walked.setCompiledRoutes(false);
 
     NocEndpoint src = compiled.coreEndpoint(0);
     NocEndpoint dst = compiled.coreEndpoint(cfg.numCores() - 1);
     compiled.traverse(src, dst, 0, 16);
-    walked.traverse(src, dst, 0, 16);
 
     compiled.reset();
-    walked.reset();
-    EXPECT_EQ(compiled.compiledTraversals(), 0u);
+    EXPECT_EQ(compiled.packetsRouted(), 0u);
 
     // Routes compiled before the reset must still match a fresh walk.
+    WalkOracle walked(cfg);
     Cycles a = compiled.traverse(src, dst, 5, 16);
     Cycles b = walked.traverse(src, dst, 5, 16);
     EXPECT_EQ(a, b);
+    expectSameLinkState(compiled, walked);
 }
 
 } // namespace

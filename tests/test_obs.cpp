@@ -2,13 +2,13 @@
  * @file
  * Telemetry subsystem tests.
  *
- * The load-bearing property is cycle-neutrality: arming the tracer and
- * stat registry must not change the simulation. Fib, CilkSort, and UTS
- * are run twice — telemetry off and armed — and compared bit-identically
- * on result digest, final simulated time, context switches, and sync
- * points. The rest checks the trace-event schema (per-track monotonic
- * timestamps, balanced begin/end nesting), heatmap geometry against the
- * mesh, StatRegistry snapshots against the live counters, and the
+ * The load-bearing property is cycle-neutrality: arming the tracer must
+ * not change the simulation. Fib, CilkSort, and UTS are run twice —
+ * tracer off and armed — and compared bit-identically on result digest,
+ * final simulated time, context switches, and sync points. The rest
+ * checks the trace-event schema (per-track monotonic timestamps,
+ * balanced begin/end nesting), heatmap geometry against the mesh, that
+ * the counters each layer keeps are live when read mid-run, and the
  * tracer's bounded-buffer drop accounting.
  */
 
@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "common/env.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 #include "runtime/queue_ops.hpp"
 #include "runtime/ws_runtime.hpp"
 #include "serve/assets.hpp"
@@ -45,7 +45,7 @@ struct RunCapture
     uint64_t syncPoints = 0;
 };
 
-/** Run @p workload, optionally with telemetry armed. */
+/** Run @p workload, optionally with the tracer armed. */
 RunCapture
 runWorkload(const serve::FleetWorkload &workload, bool armed)
 {
@@ -53,7 +53,7 @@ runWorkload(const serve::FleetWorkload &workload, bool armed)
     req.armChecker = false;
     Machine machine(req.machine);
     if (armed)
-        machine.armTelemetry();
+        machine.armTracer();
     serve::AssetCache assets;
     RunCapture capture;
     capture.digest = serve::runJob(req, machine, assets).digest;
@@ -83,7 +83,7 @@ TEST(TelemetryNeutrality, ReferenceSchedulerAlsoUnperturbed)
         Machine machine(MachineConfig::tiny());
         machine.engine().setReferenceScheduler(true);
         if (armed)
-            machine.armTelemetry();
+            machine.armTracer();
         WorkStealingRuntime rt(machine, RuntimeConfig::full());
         Addr out = machine.dramAlloc(8, 8);
         rt.run([&](TaskContext &tc) { fibKernel(tc, 10, out); });
@@ -92,6 +92,67 @@ TEST(TelemetryNeutrality, ReferenceSchedulerAlsoUnperturbed)
                                machine.engine().switchCount());
     };
     EXPECT_EQ(run(false), run(true));
+}
+
+TEST(Counters, AreLiveInsideAGuestBody)
+{
+    // Every layer's counters are read where they live, so a read from
+    // guest code mid-run must already include every access the guest
+    // made, not lag until the run ends.
+    Machine machine(MachineConfig::tiny());
+    FaultPlan plan;
+    plan.stallCore(0, 0, 1'000'000, 3);
+    plan.delayLockHolder(0, 1, 5);
+    machine.setFaultPlan(&plan);
+    const MemStats &mem = machine.mem().stats();
+    const FaultPlan::InjectedStats &injected = plan.injected();
+    const char *const names[] = {
+        "local_spm_loads",   "local_spm_stores",   "amos",
+        "core_stall_cycles", "lock_holder_cycles", "lock_holder_hits",
+    };
+    constexpr size_t kCounters = std::size(names);
+    auto sample = [&] {
+        return std::array<uint64_t, kCounters>{
+            mem.localSpmLoads,         mem.localSpmStores,
+            mem.amos,                  injected.coreStallCycles,
+            injected.lockHolderCycles, injected.lockHolderHits,
+        };
+    };
+    std::array<uint64_t, kCounters> before{}, after{};
+
+    machine.run([&](Core &core) {
+        if (core.id() != 0)
+            return;
+        const Addr word = core.spmBase();
+        const Addr lock = core.spmBase() + 64;
+        before = sample();
+        for (uint32_t i = 0; i < 100; ++i)
+            core.load<uint32_t>(word);
+        for (uint32_t i = 0; i < 50; ++i)
+            core.store<uint32_t>(word, i);
+        for (uint32_t i = 0; i < 10; ++i)
+            core.amoAdd(word, 1);
+        QueueOps ops(core);
+        for (uint32_t i = 0; i < 4; ++i) {
+            ops.lockAcquire(lock);
+            ops.lockRelease(lock);
+        }
+        after = sample();
+    });
+    machine.setFaultPlan(nullptr);
+
+    // 4 lock rounds add one local AMO (acquire) and one local store
+    // (release) each; every period-1 acquisition holds 5 extra cycles.
+    EXPECT_EQ(after[0] - before[0], 100u) << names[0];
+    EXPECT_EQ(after[1] - before[1], 54u) << names[1];
+    EXPECT_EQ(after[2] - before[2], 14u) << names[2];
+    EXPECT_GT(after[3], before[3]) << names[3];
+    EXPECT_EQ(after[4] - before[4], 20u) << names[4];
+    EXPECT_EQ(after[5] - before[5], 4u) << names[5];
+    // The run tail adds nothing the guest did not already see.
+    const std::array<uint64_t, kCounters> end = sample();
+    for (size_t i = 0; i < kCounters; ++i)
+        EXPECT_EQ(end[i], after[i]) << names[i];
 }
 
 #if SPMRT_TELEMETRY_ENABLED
@@ -112,18 +173,17 @@ sixteenCores()
 TEST(TraceSchema, CilkSortTimelineWellFormed)
 {
     Machine machine(sixteenCores());
-    obs::Telemetry *telemetry = machine.armTelemetry();
-    ASSERT_NE(telemetry, nullptr);
+    obs::Tracer *tracer = machine.armTracer();
+    ASSERT_NE(tracer, nullptr);
     uint64_t switches_at_arm = machine.engine().switchCount();
 
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
     CilkSortData data = cilksortSetup(machine, 800, 7);
     rt.run([&](TaskContext &tc) { cilksortKernel(tc, data); });
 
-    const std::vector<obs::TraceEvent> &events =
-        telemetry->tracer.events();
+    const std::vector<obs::TraceEvent> &events = tracer->events();
     ASSERT_FALSE(events.empty());
-    EXPECT_EQ(telemetry->tracer.dropped(), 0u);
+    EXPECT_EQ(tracer->dropped(), 0u);
 
     // Per-track timestamps must be monotonic in emission order for
     // B/E/i events (X spans on the fault track are plan-install-time
@@ -136,9 +196,10 @@ TEST(TraceSchema, CilkSortTimelineWellFormed)
         if (event.phase == 'X')
             continue;
         auto it = last_ts.find(event.track);
-        if (it != last_ts.end())
+        if (it != last_ts.end()) {
             EXPECT_GE(event.ts, it->second)
                 << "track " << event.track << " event " << event.name;
+        }
         last_ts[event.track] = event.ts;
         if (event.phase == 'B') {
             open[event.track].push_back(event.name);
@@ -160,7 +221,7 @@ TEST(TraceSchema, CilkSortTimelineWellFormed)
               machine.engine().switchCount() - switches_at_arm);
 
     // The serialized form is one JSON object per event plus metadata.
-    std::string json = telemetry->tracer.chromeJson();
+    std::string json = tracer->chromeJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"spmrt-trace-v1\""), std::string::npos);
     EXPECT_NE(json.find("thread_name"), std::string::npos);
@@ -169,20 +230,20 @@ TEST(TraceSchema, CilkSortTimelineWellFormed)
     // validates the file with tools/check_trace.py.
     std::string out = env::stringValue("SPMRT_TRACE_OUT");
     if (!out.empty())
-        telemetry->tracer.writeChromeJson(out.c_str());
+        tracer->writeChromeJson(out);
 }
 
 TEST(TraceSchema, FaultWindowsLandOnFaultTrack)
 {
     Machine machine(MachineConfig::tiny());
-    obs::Telemetry *telemetry = machine.armTelemetry();
-    ASSERT_NE(telemetry, nullptr);
+    obs::Tracer *tracer = machine.armTracer();
+    ASSERT_NE(tracer, nullptr);
     FaultPlan plan;
     plan.stallCore(1, 100, 2000, 7);
     machine.setFaultPlan(&plan);
 
     bool saw_window = false;
-    for (const obs::TraceEvent &event : telemetry->tracer.events()) {
+    for (const obs::TraceEvent &event : tracer->events()) {
         if (event.phase != 'X')
             continue;
         saw_window = true;
@@ -199,7 +260,7 @@ TEST(Heatmaps, GeometryMatchesMesh)
 {
     MachineConfig cfg = sixteenCores();
     Machine machine(cfg);
-    machine.armTelemetry();
+    machine.armTracer();
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
     CilkSortData data = cilksortSetup(machine, 400, 3);
     rt.run([&](TaskContext &tc) { cilksortKernel(tc, data); });
@@ -242,99 +303,9 @@ TEST(Heatmaps, GeometryMatchesMesh)
     EXPECT_EQ(csv.rfind("link,x,y,dir,", 0), 0u);
 }
 
-TEST(StatRegistry, SnapshotsTrackLiveCounters)
-{
-    Machine machine(MachineConfig::tiny());
-    obs::Telemetry *telemetry = machine.armTelemetry();
-    ASSERT_NE(telemetry, nullptr);
-    WorkStealingRuntime rt(machine, RuntimeConfig::full());
-    Addr out = machine.dramAlloc(8, 8);
-    rt.run([&](TaskContext &tc) { fibKernel(tc, 10, out); });
-
-    obs::StatRegistry &stats = telemetry->stats;
-    EXPECT_EQ(stats.value("core/000/isa/instructions"),
-              machine.core(0).stats().isa.instructions);
-    EXPECT_EQ(stats.value("engine/switches"),
-              machine.engine().switchCount());
-    EXPECT_EQ(stats.sum("core/", "/rt/tasks_executed"),
-              machine.totalStat(&RuntimeStats::tasksExecuted));
-    EXPECT_EQ(stats.sum("core/", "/isa/instructions"),
-              machine.totalInstructions());
-    EXPECT_GT(stats.value("mem/dram_loads"), 0u);
-
-    std::string json = stats.json();
-    EXPECT_NE(json.find("\"core/000/isa/instructions\""),
-              std::string::npos);
-
-    // Re-arming must not duplicate entries (add() replaces in place).
-    size_t count = 0;
-    stats.forEach([&](const std::string &, uint64_t) { ++count; });
-    machine.armTelemetry();
-    size_t count_after = 0;
-    stats.forEach([&](const std::string &, uint64_t) { ++count_after; });
-    EXPECT_EQ(count, count_after);
-}
-
-TEST(StatRegistry, CountersAreLiveInsideAGuestBody)
-{
-    // A snapshot is always current: sampled from guest code mid-run, the
-    // memory and fault-injection totals must already include every
-    // access the guest made, not lag until the run ends.
-    Machine machine(MachineConfig::tiny());
-    obs::Telemetry *telemetry = machine.armTelemetry();
-    ASSERT_NE(telemetry, nullptr);
-    FaultPlan plan;
-    plan.stallCore(0, 0, 1'000'000, 3);
-    plan.delayLockHolder(0, 1, 5);
-    machine.setFaultPlan(&plan);
-    const obs::StatRegistry &stats = telemetry->stats;
-    const char *const names[] = {
-        "mem/local_spm_loads",      "mem/local_spm_stores",
-        "mem/amos",                 "fault/core_stall_cycles",
-        "fault/lock_holder_cycles", "fault/lock_holder_hits",
-    };
-    constexpr size_t kCounters = std::size(names);
-    std::array<uint64_t, kCounters> before{}, after{};
-
-    machine.run([&](Core &core) {
-        if (core.id() != 0)
-            return;
-        const Addr word = core.spmBase();
-        const Addr lock = core.spmBase() + 64;
-        for (size_t i = 0; i < kCounters; ++i)
-            before[i] = stats.value(names[i]);
-        for (uint32_t i = 0; i < 100; ++i)
-            core.load<uint32_t>(word);
-        for (uint32_t i = 0; i < 50; ++i)
-            core.store<uint32_t>(word, i);
-        for (uint32_t i = 0; i < 10; ++i)
-            core.amoAdd(word, 1);
-        QueueOps ops(core);
-        for (uint32_t i = 0; i < 4; ++i) {
-            ops.lockAcquire(lock);
-            ops.lockRelease(lock);
-        }
-        for (size_t i = 0; i < kCounters; ++i)
-            after[i] = stats.value(names[i]);
-    });
-    machine.setFaultPlan(nullptr);
-
-    // 4 lock rounds add one local AMO (acquire) and one local store
-    // (release) each; every period-1 acquisition holds 5 extra cycles.
-    EXPECT_EQ(after[0] - before[0], 100u) << names[0];
-    EXPECT_EQ(after[1] - before[1], 54u) << names[1];
-    EXPECT_EQ(after[2] - before[2], 14u) << names[2];
-    EXPECT_GT(after[3], before[3]) << names[3];
-    EXPECT_EQ(after[4] - before[4], 20u) << names[4];
-    EXPECT_EQ(after[5] - before[5], 4u) << names[5];
-    // The run tail adds nothing the guest did not already see.
-    for (size_t i = 0; i < kCounters; ++i)
-        EXPECT_EQ(stats.value(names[i]), after[i]) << names[i];
-}
-
 TEST(Tracer, BoundedBufferCountsDrops)
 {
-    obs::Tracer tracer(obs::kTraceAll, 4);
+    obs::Tracer tracer(4);
     for (uint32_t i = 0; i < 6; ++i)
         tracer.instant(obs::kTraceTask, 0, i, "tick");
     EXPECT_EQ(tracer.events().size(), 4u);
@@ -344,22 +315,13 @@ TEST(Tracer, BoundedBufferCountsDrops)
     EXPECT_EQ(tracer.dropped(), 0u);
 }
 
-TEST(Tracer, CategoryMaskFilters)
-{
-    obs::Tracer tracer(obs::kTraceTask);
-    tracer.instant(obs::kTraceSteal, 0, 1, "steal_attempt");
-    tracer.instant(obs::kTraceTask, 0, 2, "task");
-    EXPECT_EQ(tracer.events().size(), 1u);
-    EXPECT_STREQ(tracer.events()[0].name, "task");
-}
-
 #else // !SPMRT_TELEMETRY_ENABLED
 
 TEST(Telemetry, CompiledOutArmReturnsNull)
 {
     Machine machine(MachineConfig::tiny());
-    EXPECT_EQ(machine.armTelemetry(), nullptr);
-    EXPECT_EQ(machine.telemetry(), nullptr);
+    EXPECT_EQ(machine.armTracer(), nullptr);
+    EXPECT_EQ(machine.tracer(), nullptr);
 }
 
 #endif // SPMRT_TELEMETRY_ENABLED
