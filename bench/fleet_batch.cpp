@@ -135,17 +135,12 @@ main(int argc, char **argv)
     expectEq("totals.quarantined", totals.quarantinedRefusals, 1);
     expectEq("totals.attempts", totals.attempts, 4);
 
-    std::string json = server.reportJson();
-    FILE *file = std::fopen(out_path.c_str(), "w");
-    if (file == nullptr) {
-        std::fprintf(stderr, "FAIL: cannot open %s for writing\n",
-                     out_path.c_str());
-        ++failures;
-    } else {
-        std::fputs(json.c_str(), file);
-        std::fputc('\n', file);
-        std::fclose(file);
+    if (log::writeText(out_path, server.reportJson() + "\n",
+                       "fleet report")) {
         std::printf("# wrote %s\n", out_path.c_str());
+    } else {
+        std::fprintf(stderr, "FAIL: cannot write %s\n", out_path.c_str());
+        ++failures;
     }
 
     if (failures != 0) {

@@ -314,13 +314,10 @@ main(int argc, char **argv)
 
     if (!report.listing()) {
         const char *path = "BENCH_host_perf.json";
-        if (FILE *f = std::fopen(path, "w")) {
-            std::fputs(json.c_str(), f);
-            std::fclose(f);
+        if (log::writeText(path, json, "host-perf JSON"))
             std::printf("wrote %s\n", path);
-        } else {
+        else
             report.fail("cannot write %s", path);
-        }
     }
     return report.finish();
 }

@@ -477,26 +477,21 @@ class Report
     bool
     writeJson() const
     {
-        FILE *file = std::fopen(out_.c_str(), "w");
-        if (file == nullptr)
-            return false;
-        std::fprintf(file,
-                     "{\"schema\": \"spmrt-bench-v1\", \"bench\": \"%s\", "
-                     "\"quick\": %s, \"rows\": [",
-                     log::jsonEscape(bench_).c_str(),
-                     quickMode() ? "true" : "false");
+        std::string json = log::format(
+            "{\"schema\": \"spmrt-bench-v1\", \"bench\": \"%s\", "
+            "\"quick\": %s, \"rows\": [",
+            log::jsonEscape(bench_).c_str(), quickMode() ? "true" : "false");
         for (size_t r = 0; r < rows_.size(); ++r) {
-            std::fprintf(file, "%s\n  {", r == 0 ? "" : ",");
+            json += r == 0 ? "\n  {" : ",\n  {";
             const Row &row = rows_[r];
             for (size_t c = 0; c < row.size(); ++c)
-                std::fprintf(file, "%s\"%s\": %s", c == 0 ? "" : ", ",
-                             log::jsonEscape(row[c].first).c_str(),
-                             jsonValue(row[c].second).c_str());
-            std::fprintf(file, "}");
+                json += log::format("%s\"%s\": %s", c == 0 ? "" : ", ",
+                                    log::jsonEscape(row[c].first).c_str(),
+                                    jsonValue(row[c].second).c_str());
+            json += "}";
         }
-        std::fprintf(file, "\n]}\n");
-        const bool written = !std::ferror(file);
-        if (std::fclose(file) != 0 || !written)
+        json += "\n]}\n";
+        if (!log::writeText(out_, json, "bench JSON"))
             return false;
         std::printf("# wrote %s\n", out_.c_str());
         return true;

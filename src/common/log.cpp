@@ -57,6 +57,24 @@ jsonEscape(const std::string &raw)
     return out;
 }
 
+bool
+writeText(const std::string &path, const std::string &text,
+          const char *what)
+{
+    FILE *f = std::fopen(path.c_str(), "w");
+    if (f == nullptr) {
+        SPMRT_WARN("cannot write %s to %s", what, path.c_str());
+        return false;
+    }
+    size_t written = std::fwrite(text.data(), 1, text.size(), f);
+    bool closed = std::fclose(f) == 0;
+    if (written != text.size() || !closed) {
+        SPMRT_WARN("short write of %s to %s", what, path.c_str());
+        return false;
+    }
+    return true;
+}
+
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {

@@ -3,7 +3,8 @@
  * Logging and error-reporting helpers in the spirit of gem5's
  * base/logging.hh: panic() for internal invariant violations, fatal() for
  * user/configuration errors, warn() for status messages, plus the
- * printf-style format() and the JSON string escaper every writer shares.
+ * printf-style format(), the JSON string escaper and the checked file
+ * writer every output shares.
  */
 
 #ifndef SPMRT_COMMON_LOG_HPP
@@ -26,6 +27,15 @@ std::string format(const char *fmt, ...)
  * short forms, and other control bytes a six-character unicode escape.
  */
 std::string jsonEscape(const std::string &raw);
+
+/**
+ * Replace the file at @p path with @p text. A file that cannot be
+ * opened, a short write or a failed final flush (a full disk can surface
+ * only when fclose() flushes the buffer) warns, naming @p what, and
+ * returns false.
+ */
+bool writeText(const std::string &path, const std::string &text,
+               const char *what);
 
 /** Internal sinks; prefer the macros below which add location info. */
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);

@@ -225,20 +225,8 @@ class MemorySystem
     /** Install (or clear, with nullptr) the concurrency checker. */
     void setChecker(ConcurrencyChecker *checker) { checker_ = checker; }
 
-    /**
-     * The armed checker, or nullptr. When the checker is compiled out this
-     * is a compile-time nullptr, so `if (auto *ck = mem.checker())` hook
-     * sites fold away entirely.
-     */
-    ConcurrencyChecker *
-    checker() const
-    {
-#if SPMRT_CHECKER_ENABLED
-        return checker_;
-#else
-        return nullptr;
-#endif
-    }
+    /** The armed checker, or nullptr. */
+    ConcurrencyChecker *checker() const { return checker_; }
 
     const AddressMap &map() const { return map_; }
     MeshNoc &noc() { return noc_; }

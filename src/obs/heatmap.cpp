@@ -1,31 +1,11 @@
 #include "obs/heatmap.hpp"
 
-#include <cstdio>
-
 #include "common/log.hpp"
 
 namespace spmrt {
 namespace obs {
 
 namespace {
-
-bool
-writeText(const std::string &path, const std::string &text,
-          const char *what)
-{
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        SPMRT_WARN("cannot write %s to %s", what, path.c_str());
-        return false;
-    }
-    size_t written = std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-    if (written != text.size()) {
-        SPMRT_WARN("short write of %s to %s", what, path.c_str());
-        return false;
-    }
-    return true;
-}
 
 /** RFC 4180 quoting: labels like "(0,0)E" contain the separator. */
 std::string
@@ -67,7 +47,7 @@ Heatmap::csv() const
 bool
 Heatmap::writeCsv(const std::string &path) const
 {
-    return writeText(path, csv(), "heatmap CSV");
+    return log::writeText(path, csv(), "heatmap CSV");
 }
 
 } // namespace obs

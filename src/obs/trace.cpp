@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
 #include <map>
 #include <set>
 
@@ -93,20 +92,7 @@ Tracer::chromeJson() const
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        SPMRT_WARN("cannot write trace to %s", path.c_str());
-        return false;
-    }
-    std::string json = chromeJson();
-    size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    // A full disk can surface only when fclose() flushes the buffer.
-    bool closed = std::fclose(f) == 0;
-    if (written != json.size() || !closed) {
-        SPMRT_WARN("short write of trace to %s", path.c_str());
-        return false;
-    }
-    return true;
+    return log::writeText(path, chromeJson(), "trace");
 }
 
 } // namespace obs

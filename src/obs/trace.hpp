@@ -17,11 +17,8 @@
  *    allocation on the hot path beyond vector growth);
  *  - the buffer is bounded (dropped events are counted, never silent).
  *
- * Compile-out: when the SPMRT_TELEMETRY CMake option is OFF the build
- * defines SPMRT_TELEMETRY_ENABLED=0 and every attachment accessor
- * (Core::tracer(), Engine::tracer(), Machine::armTracer()) returns a
- * compile-time nullptr, so `if (obs::Tracer *t = ...)` hook sites fold
- * away entirely — the same zero-cost pattern as SPMRT_CHECKER.
+ * An unarmed tracer costs each `if (obs::Tracer *t = ...)` hook site
+ * one null test (Core::tracer(), Engine::tracer()).
  */
 
 #ifndef SPMRT_OBS_TRACE_HPP
@@ -33,9 +30,9 @@
 
 #include "common/types.hpp"
 
-#ifndef SPMRT_TELEMETRY_ENABLED
+/** Always 1: the tracer is part of every build. Kept only because
+ *  benchmark provenance records it. */
 #define SPMRT_TELEMETRY_ENABLED 1
-#endif
 
 namespace spmrt {
 namespace obs {

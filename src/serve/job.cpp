@@ -50,10 +50,8 @@ jobStatusIsFailure(JobStatus status)
 JobResult
 runJob(const JobRequest &req, Machine &machine, AssetCache &assets)
 {
-#if SPMRT_CHECKER_ENABLED
     if (req.armChecker)
         machine.armChecker();
-#endif
     if (req.scheduleSeed != 0)
         machine.engine().perturbSchedule(req.scheduleSeed,
                                          req.scheduleWindow);

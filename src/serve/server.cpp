@@ -235,7 +235,6 @@ FleetServer::runAttempt(const JobRequest &req, JobReport &report)
         report.cycles = result.cycles;
         report.digest = result.digest;
         report.status = JobStatus::Ok;
-#if SPMRT_CHECKER_ENABLED
         ConcurrencyChecker *checker = machine.checker();
         if (checker != nullptr && !checker->violations().empty()) {
             report.status = JobStatus::CheckerViolation;
@@ -244,7 +243,6 @@ FleetServer::runAttempt(const JobRequest &req, JobReport &report)
                             checker->violations().size());
             report.dump = truncateDump(checker->report());
         }
-#endif
         if (report.status == JobStatus::Ok && req.hasExpectedDigest &&
             report.digest != req.expectedDigest) {
             report.status = JobStatus::DigestMismatch;

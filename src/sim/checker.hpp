@@ -47,10 +47,9 @@
  * single structured report instead of a cascade.
  *
  * Hot-path hooks are inline so spmrt_mem can call them without linking
- * against spmrt_sim (the same arrangement as FaultPlan). Defining
- * SPMRT_CHECKER_ENABLED=0 (CMake option SPMRT_CHECKER=OFF) compiles every
- * hook call site down to nothing. Even when compiled in and armed, the
- * checker charges no cycles: enabling it never changes timing.
+ * against spmrt_sim (the same arrangement as FaultPlan). An unarmed
+ * checker costs each hook site one null test; armed, the checker still
+ * charges no cycles: enabling it never changes timing.
  */
 
 #ifndef SPMRT_SIM_CHECKER_HPP
@@ -66,9 +65,9 @@
 #include "common/log.hpp"
 #include "common/types.hpp"
 
-#ifndef SPMRT_CHECKER_ENABLED
+/** Always 1: the checker is part of every build. Kept only because
+ *  benchmark provenance records it. */
 #define SPMRT_CHECKER_ENABLED 1
-#endif
 
 namespace spmrt {
 

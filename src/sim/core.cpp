@@ -1,7 +1,5 @@
 #include "sim/core.hpp"
 
-#include <algorithm>
-
 namespace spmrt {
 
 namespace {
@@ -14,21 +12,16 @@ wholeRangeLocal(const Core &core, Addr addr, uint32_t bytes)
            (core.isLocalSpm(addr) && core.isLocalSpm(addr + bytes - 1));
 }
 
-/** Number of issue slots a burst occupies (chunks split on LLC lines). */
+/** Issue slots a burst occupies: one per LLC line (MemorySystem::kMaxChunk)
+ *  it touches, as the memory system splits it. */
 uint32_t
 burstChunks(Addr addr, uint32_t bytes)
 {
-    uint32_t chunks = 0;
-    uint32_t offset = 0;
-    while (offset < bytes) {
-        uint32_t chunk =
-            std::min(bytes - offset,
-                     MemorySystem::kMaxChunk -
-                         ((addr + offset) % MemorySystem::kMaxChunk));
-        offset += chunk;
-        ++chunks;
-    }
-    return chunks;
+    if (bytes == 0)
+        return 0;
+    constexpr uint64_t kLine = MemorySystem::kMaxChunk;
+    return static_cast<uint32_t>((uint64_t{addr} + bytes - 1) / kLine -
+                                 addr / kLine + 1);
 }
 
 } // namespace
@@ -37,27 +30,21 @@ void
 Core::read(Addr addr, void *out, uint32_t bytes)
 {
     engine_.syncPoint(id_);
-    // The burst splits on LLC lines (MemorySystem::kMaxChunk), issues one
-    // chunk per cycle, and completes at the slowest chunk; stats and
-    // checker bookkeeping stay hoisted out of the per-chunk loop. A burst
-    // that leaves this core's scratchpad is globally visible traffic and
-    // follows the capture protocol like a scalar load.
+    // The burst issues one chunk per cycle and completes at the slowest
+    // chunk; stats and checker bookkeeping stay hoisted out of the
+    // per-chunk loop. A burst that leaves this core's scratchpad is
+    // globally visible traffic and follows the issue protocol of a
+    // scalar load (see issueLoad()).
     const bool local = wholeRangeLocal(*this, addr, bytes);
-    if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-        BurstResult burst = mem_.loadBurst(id_, now(), addr, out, bytes);
-        stats_.isa.loads += burst.chunks;
-        stats_.isa.instructions += burst.chunks;
-        engine_.advanceTo(id_, burst.lastDone);
-        if (ConcurrencyChecker *ck = mem_.checker())
-            ck->onLoad(id_, addr, bytes, now());
-        if (!local) // completion gate, see Core::load()
-            engine_.syncPoint(id_);
-    } else {
-        captureBlocking(CapturedOp::LoadBurst, addr, out, bytes);
-        uint32_t chunks = burstChunks(addr, bytes);
-        stats_.isa.loads += chunks;
-        stats_.isa.instructions += chunks;
-    }
+    if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta))
+        engine_.advanceTo(id_, performLoadBurst(now(), addr, out, bytes));
+    else
+        capture(OpKind::LoadBurst, addr, bytes, nullptr, out);
+    if (!local) // completion gate, see issueLoad()
+        engine_.syncPoint(id_);
+    const uint32_t chunks = burstChunks(addr, bytes);
+    stats_.isa.loads += chunks;
+    stats_.isa.instructions += chunks;
 }
 
 void
@@ -65,38 +52,42 @@ Core::write(Addr addr, const void *in, uint32_t bytes)
 {
     // Posted per chunk: the core advances only past the issue slots, not
     // the stores' arrival (fence() waits on the drain time).
-    // Checker hooks ride the memory-system call (see Core::load);
-    // captured bursts hook at the commit instead.
-    if (wholeRangeLocal(*this, addr, bytes)) {
-        BurstResult burst = mem_.storeBurst(id_, now(), addr, in, bytes);
-        stats_.isa.stores += burst.chunks;
-        stats_.isa.instructions += burst.chunks;
-        engine_.advanceTo(id_, burst.lastIssue);
-        if (ConcurrencyChecker *ck = mem_.checker())
-            ck->onStore(id_, addr, bytes, now());
-    } else {
+    const bool local = wholeRangeLocal(*this, addr, bytes);
+    if (!local)
         engine_.syncPoint(id_);
-        if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-            BurstResult burst =
-                mem_.storeBurst(id_, now(), addr, in, bytes);
-            stats_.isa.stores += burst.chunks;
-            stats_.isa.instructions += burst.chunks;
-            engine_.advanceTo(id_, burst.lastIssue);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStore(id_, addr, bytes, now());
-        } else {
-            uint32_t chunks = burstChunks(addr, bytes);
-            capturePostedBurst(addr, in, bytes);
-            stats_.isa.stores += chunks;
-            stats_.isa.instructions += chunks;
-        }
-    }
+    if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta))
+        engine_.advanceTo(id_, performStoreBurst(now(), addr, in, bytes));
+    else
+        capture(OpKind::StoreBurst, addr, bytes, in, nullptr);
+    const uint32_t chunks = burstChunks(addr, bytes);
+    stats_.isa.stores += chunks;
+    stats_.isa.instructions += chunks;
+}
+
+Cycles
+Core::performLoadBurst(Cycles issue, Addr addr, void *dst, uint32_t bytes)
+{
+    Cycles done = mem_.loadBurst(id_, issue, addr, dst, bytes).lastDone;
+    if (ConcurrencyChecker *ck = mem_.checker())
+        ck->onLoad(id_, addr, bytes, done);
+    return done;
+}
+
+Cycles
+Core::performStoreBurst(Cycles issue, Addr addr, const void *src,
+                        uint32_t bytes)
+{
+    Cycles done = mem_.storeBurst(id_, issue, addr, src, bytes).lastIssue;
+    if (ConcurrencyChecker *ck = mem_.checker())
+        ck->onStore(id_, addr, bytes, done);
+    return done;
 }
 
 // ---- Remote-op capture and commit ----------------------------------------
 
-Core::CapturedOp &
-Core::enqueueOp(CapturedOp::Kind kind, Addr addr, uint32_t bytes)
+void
+Core::capture(OpKind kind, Addr addr, uint32_t bytes, const void *src,
+              void *dst, AmoOp amo_op)
 {
     if (opCount_ == opRing_.size()) {
         // Full: unroll into a ring twice the size, oldest op first.
@@ -109,62 +100,27 @@ Core::enqueueOp(CapturedOp::Kind kind, Addr addr, uint32_t bytes)
     }
     CapturedOp &op = opRing_[(opHead_ + opCount_) & (opRing_.size() - 1)];
     op.kind = kind;
+    op.amoOp = amo_op;
     op.issue = now();
     op.addr = addr;
     op.bytes = bytes;
+    op.dst = dst;
+    if (src != nullptr) {
+        const auto *first = static_cast<const uint8_t *>(src);
+        op.payload.assign(first, first + bytes);
+    }
     if (opCount_++ == 0)
         engine_.scheduleRemoteOp(id_, op.issue + kCommitDelta);
-    return op;
-}
-
-void
-Core::captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
-                      uint32_t bytes)
-{
-    enqueueOp(kind, addr, bytes).dst = dst;
-    // Parked until the commit computes the completion time; the guest
-    // resumes with *dst filled and the clock advanced to the done time.
-    engine_.block(id_, Engine::ParkKind::Commit);
-    // Completion gate, matching the inline path (see Core::load): the
-    // wake jumped the clock to the op's done time.
-    engine_.syncPoint(id_);
-}
-
-void
-Core::captureAmo(Addr addr, AmoOp amo_op, uint32_t operand, void *dst)
-{
-    CapturedOp &op = enqueueOp(CapturedOp::Amo, addr, sizeof(uint32_t));
-    op.amoOp = amo_op;
-    op.amoOperand = operand;
-    op.dst = dst;
-    engine_.block(id_, Engine::ParkKind::Commit);
-    engine_.syncPoint(id_); // completion gate, see captureBlocking()
-}
-
-void
-Core::capturePostedStore(CapturedOp::Kind kind, Addr addr,
-                         const void *src, uint32_t bytes)
-{
-    SPMRT_ASSERT(bytes <= sizeof(uint64_t),
-                 "scalar store of %u bytes exceeds the inline payload",
-                 bytes);
-    std::memcpy(&enqueueOp(kind, addr, bytes).value, src, bytes);
+    if (!posted(kind)) {
+        engine_.block(id_, Engine::ParkKind::Commit);
+        return;
+    }
+    // A remote store returns issue + 1 and a burst issue + chunks
+    // whatever the memory state, so the issue slots are charged now.
     ++pendingPosted_;
-    // The posted issue cost: storeRemote returns start + 1 regardless of
-    // memory state, so the core charges it here and runs on.
-    engine_.advance(id_, 1);
-}
-
-void
-Core::capturePostedBurst(Addr addr, const void *src, uint32_t bytes)
-{
-    const auto *first = static_cast<const uint8_t *>(src);
-    enqueueOp(CapturedOp::StoreBurst, addr, bytes)
-        .payload.assign(first, first + bytes);
-    ++pendingPosted_;
-    // One issue slot per chunk (BurstResult::lastIssue is issue + chunks
-    // on every path), charged here so the core can run on.
-    engine_.advance(id_, burstChunks(addr, bytes));
+    engine_.advance(id_,
+                    kind == OpKind::StoreBurst ? burstChunks(addr, bytes)
+                                               : 1);
 }
 
 Cycles
@@ -174,69 +130,40 @@ Core::executeHeadOp()
                  id_);
     // The slot stays valid through the commit: only this core's guest
     // code captures into the ring, and it cannot run until we return.
+    // The perform call fires the kind's checker hook here, where the
+    // op's effect lands. The guest's task context cannot have moved past
+    // the op: blocking issuers are parked until the commit, and posted
+    // issuers fence before every task boundary.
     const CapturedOp &op = opRing_[opHead_];
-    // Checker hooks fire here, at the commit: this is where the op's
-    // effect lands in the memory system, so the checker observes it in
-    // true effect order (see Core::load). The guest's task context
-    // cannot have moved past the op — blocking issuers are parked until
-    // the commit, and posted issuers fence before every task boundary.
-    ConcurrencyChecker *ck = mem_.checker();
     switch (op.kind) {
-      case CapturedOp::Load:
-      case CapturedOp::LoadSync: {
-        Cycles done = mem_.load(id_, op.issue, op.addr, op.dst, op.bytes);
-        if (ck != nullptr) {
-            if (op.kind == CapturedOp::LoadSync)
-                ck->onLoadSync(id_, op.addr, op.bytes);
-            else
-                ck->onLoad(id_, op.addr, op.bytes, done);
-        }
-        engine_.commitWake(id_, done);
+      case OpKind::Load:
+      case OpKind::LoadSync:
+        engine_.commitWake(
+            id_, performLoad(op.kind, op.issue, op.addr, op.dst, op.bytes));
+        break;
+      case OpKind::LoadBurst:
+        engine_.commitWake(
+            id_, performLoadBurst(op.issue, op.addr, op.dst, op.bytes));
+        break;
+      case OpKind::Amo: {
+        uint32_t operand;
+        std::memcpy(&operand, op.payload.data(), sizeof(operand));
+        engine_.commitWake(id_, performAmo(op.issue, op.addr, op.amoOp,
+                                           operand,
+                                           *static_cast<uint32_t *>(op.dst)));
         break;
       }
-      case CapturedOp::LoadBurst: {
-        BurstResult burst =
-            mem_.loadBurst(id_, op.issue, op.addr, op.dst, op.bytes);
-        if (ck != nullptr)
-            ck->onLoad(id_, op.addr, op.bytes, burst.lastDone);
-        engine_.commitWake(id_, burst.lastDone);
+      case OpKind::Store:
+      case OpKind::StoreRelease:
+        performStore(op.kind, op.issue, op.addr, op.payload.data(),
+                     op.bytes);
         break;
-      }
-      case CapturedOp::Amo: {
-        uint32_t old_value = 0;
-        Cycles done = mem_.amo(id_, op.issue, op.addr, op.amoOp,
-                               op.amoOperand, old_value);
-        std::memcpy(op.dst, &old_value, sizeof(old_value));
-        if (ck != nullptr)
-            ck->onAmo(id_, op.addr, done);
-        engine_.commitWake(id_, done);
+      case OpKind::StoreBurst:
+        performStoreBurst(op.issue, op.addr, op.payload.data(), op.bytes);
         break;
-      }
-      case CapturedOp::Store:
-      case CapturedOp::StoreRelease: {
-        Cycles done =
-            mem_.store(id_, op.issue, op.addr, &op.value, op.bytes);
-        if (ck != nullptr) {
-            if (op.kind == CapturedOp::StoreRelease)
-                ck->onStoreRelease(id_, op.addr);
-            else
-                ck->onStore(id_, op.addr, op.bytes, done);
-        }
-        if (--pendingPosted_ == 0 && fenceWaiting_)
-            engine_.commitWake(id_, 0);
-        break;
-      }
-      case CapturedOp::StoreBurst: {
-        Cycles done = mem_.storeBurst(id_, op.issue, op.addr,
-                                      op.payload.data(), op.bytes)
-                          .lastIssue;
-        if (ck != nullptr)
-            ck->onStore(id_, op.addr, op.bytes, done);
-        if (--pendingPosted_ == 0 && fenceWaiting_)
-            engine_.commitWake(id_, 0);
-        break;
-      }
     }
+    if (posted(op.kind) && --pendingPosted_ == 0 && fenceWaiting_)
+        engine_.commitWake(id_, 0);
     opHead_ = (opHead_ + 1) & (static_cast<uint32_t>(opRing_.size()) - 1);
     return --opCount_ == 0 ? Engine::kNoPendingOp
                            : opRing_[opHead_].issue + kCommitDelta;

@@ -83,8 +83,18 @@ struct CoreStats
  * is globally next: blocking ops park the core until the commit
  * computes their completion time, posted stores charge the issue cost
  * and continue (fence() waits for stragglers).
+ *
+ * Each op kind has one home, a perform function that makes the kind's
+ * memory-system call at a given issue time and fires its checker hook.
+ * The local path, the inline remote path and the commit all call it, so
+ * the checker's happens-before graph observes accesses in exactly the
+ * order their effects land: the guest site for local and inline ops, the
+ * commit for captured ones. Hooking captured ops at the issue or wake
+ * site instead would reorder them against other cores' effects within
+ * the commit-delta window, and the checker would report phantom races
+ * (or miss real ones).
  */
-class Core : public CoreOpSink
+class Core
 {
   public:
     Core(Engine &engine, MemorySystem &mem, CoreId id,
@@ -92,7 +102,7 @@ class Core : public CoreOpSink
         : engine_(engine), mem_(mem), id_(id), cfg_(cfg),
           localSpmBase_(mem.map().spmBase(id))
     {
-        engine.setOpSink(id, this);
+        engine.setCore(id, this);
     }
 
     Core(const Core &) = delete;
@@ -124,35 +134,8 @@ class Core : public CoreOpSink
     load(Addr addr)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        engine_.syncPoint(id_);
         T value;
-        // Checker hooks ride the memory-system call: the checker's
-        // happens-before graph must observe accesses in exactly the
-        // order their effects land, which is the mem_ call order — the
-        // guest site for local and inline ops, the commit
-        // (executeHeadOp) for captured ones. Hooking captured ops at
-        // the issue or wake site instead reorders them against other
-        // cores' effects within the commit-delta window and the checker
-        // reports phantom races (or misses real ones).
-        const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-            Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onLoad(id_, addr, sizeof(T), now());
-            // Completion gate (remote only): the clock jumped to the
-            // response time while other cores may still sit below it, so
-            // re-enter admission before running on. The capture path
-            // gates identically after its wake, which keeps every
-            // engine's segment boundaries — and therefore the host order
-            // of stateful memory-model charges — the same.
-            if (!local)
-                engine_.syncPoint(id_);
-        } else {
-            captureBlocking(CapturedOp::Load, addr, &value, sizeof(T));
-        }
-        ++stats_.isa.loads;
-        ++stats_.isa.instructions;
+        issueLoad<OpKind::Load>(addr, value);
         return value;
     }
 
@@ -168,24 +151,8 @@ class Core : public CoreOpSink
     loadSync(Addr addr)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        engine_.syncPoint(id_);
         T value;
-        // Acquire edge at the memory-system call (see load() for why);
-        // the LoadSync capture kind carries the hook to the commit.
-        const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-            Cycles done = mem_.load(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onLoadSync(id_, addr, sizeof(T));
-            if (!local) // completion gate, see load()
-                engine_.syncPoint(id_);
-        } else {
-            captureBlocking(CapturedOp::LoadSync, addr, &value,
-                            sizeof(T));
-        }
-        ++stats_.isa.loads;
-        ++stats_.isa.instructions;
+        issueLoad<OpKind::LoadSync>(addr, value);
         return value;
     }
 
@@ -195,32 +162,7 @@ class Core : public CoreOpSink
     store(Addr addr, T value)
     {
         static_assert(std::is_trivially_copyable_v<T>);
-        // Checker hooks ride the memory-system call (see load()):
-        // captured posted stores hook at the commit instead.
-        if (isLocalSpm(addr)) {
-            Cycles done = mem_.store(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStore(id_, addr, sizeof(T), now());
-        } else {
-            // Remote and DRAM stores are globally visible traffic; order
-            // them. The posted issue cost is one cycle either way
-            // (MemorySystem::storeRemote returns start + 1), so the
-            // capture path charges it directly and moves on.
-            engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-                Cycles done =
-                    mem_.store(id_, now(), addr, &value, sizeof(T));
-                engine_.advanceTo(id_, done);
-                if (ConcurrencyChecker *ck = mem_.checker())
-                    ck->onStore(id_, addr, sizeof(T), now());
-            } else {
-                capturePostedStore(CapturedOp::Store, addr, &value,
-                                   sizeof(T));
-            }
-        }
-        ++stats_.isa.stores;
-        ++stats_.isa.instructions;
+        issueStore<OpKind::Store>(addr, value);
     }
 
     /**
@@ -235,28 +177,7 @@ class Core : public CoreOpSink
     {
         static_assert(std::is_trivially_copyable_v<T>);
         fence();
-        // Release edge at the memory-system call (see load()); the
-        // StoreRelease capture kind carries the hook to the commit.
-        if (isLocalSpm(addr)) {
-            Cycles done = mem_.store(id_, now(), addr, &value, sizeof(T));
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onStoreRelease(id_, addr);
-        } else {
-            engine_.syncPoint(id_);
-            if (engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-                Cycles done =
-                    mem_.store(id_, now(), addr, &value, sizeof(T));
-                engine_.advanceTo(id_, done);
-                if (ConcurrencyChecker *ck = mem_.checker())
-                    ck->onStoreRelease(id_, addr);
-            } else {
-                capturePostedStore(CapturedOp::StoreRelease, addr,
-                                   &value, sizeof(T));
-            }
-        }
-        ++stats_.isa.stores;
-        ++stats_.isa.instructions;
+        issueStore<OpKind::StoreRelease>(addr, value);
     }
 
     /**
@@ -274,20 +195,16 @@ class Core : public CoreOpSink
     {
         engine_.syncPoint(id_);
         uint32_t old_value = 0;
-        // Acquire+release edges at the memory-system call (see load()
-        // for why); captured AMOs hook at the commit.
         const bool local = isLocalSpm(addr);
-        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta)) {
-            Cycles done =
-                mem_.amo(id_, now(), addr, op, operand, old_value);
-            engine_.advanceTo(id_, done);
-            if (ConcurrencyChecker *ck = mem_.checker())
-                ck->onAmo(id_, addr, now());
-            if (!local) // completion gate, see load()
-                engine_.syncPoint(id_);
-        } else {
-            captureAmo(addr, op, operand, &old_value);
-        }
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta))
+            engine_.advanceTo(id_,
+                              performAmo(now(), addr, op, operand,
+                                         old_value));
+        else
+            capture(OpKind::Amo, addr, sizeof(operand), &operand,
+                    &old_value, op);
+        if (!local) // completion gate, see issueLoad()
+            engine_.syncPoint(id_);
         ++stats_.isa.amos;
         ++stats_.isa.instructions;
         return old_value;
@@ -323,8 +240,8 @@ class Core : public CoreOpSink
         engine_.advanceTo(id_, mem_.storeDrainTime(id_));
         // Completion gate: the drain time can jump far past other cores'
         // clocks (remote store arrivals), so re-enter admission before
-        // running on — see load() for why every engine must split its
-        // segments at the same points.
+        // running on — see issueLoad() for why every engine must split
+        // its segments at the same points.
         engine_.syncPoint(id_);
         ++stats_.isa.fences;
         ++stats_.isa.instructions;
@@ -367,78 +284,174 @@ class Core : public CoreOpSink
     /** Attach (or detach, with nullptr) the timeline tracer. */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
-    /**
-     * The attached tracer, or nullptr. A compile-time nullptr when the
-     * telemetry subsystem is compiled out, so `if (auto *t = tracer())`
-     * hook sites in the runtime and stack model fold away entirely.
-     */
-    obs::Tracer *
-    tracer() const
-    {
-#if SPMRT_TELEMETRY_ENABLED
-        return tracer_;
-#else
-        return nullptr;
-#endif
-    }
+    /** The attached tracer, or nullptr. */
+    obs::Tracer *tracer() const { return tracer_; }
 
-    /** Engine callback: commit this core's oldest captured op. */
-    Cycles executeHeadOp() override;
+    /**
+     * Engine callback: commit this core's oldest captured op. Returns the
+     * commit time of the next captured op, or Engine::kNoPendingOp when
+     * the FIFO is drained.
+     */
+    Cycles executeHeadOp();
 
   private:
+    /** The memory-op kinds; each has one perform function below. */
+    enum class OpKind : uint8_t
+    {
+        Load,         ///< blocking scalar load
+        LoadSync,     ///< as Load, with an acquire checker edge
+        LoadBurst,    ///< blocking bulk read
+        Store,        ///< posted scalar store
+        StoreRelease, ///< as Store, with a release checker edge
+        StoreBurst,   ///< posted bulk write
+        Amo,          ///< blocking read-modify-write
+    };
+
+    /** True for the posted kinds, whose issuer runs on past the issue. */
+    static bool
+    posted(OpKind kind)
+    {
+        return kind == OpKind::Store || kind == OpKind::StoreRelease ||
+               kind == OpKind::StoreBurst;
+    }
+
     /**
      * A globally visible operation captured at its issue gate, waiting
      * for the engine to commit it in global (commit time, core id)
      * order. Blocking kinds keep the issuing core parked, so their
-     * guest-owned destination buffer (dst) stays alive; posted-store
-     * payloads are copied because the issuing core runs on. Slots are
-     * reused in place, so each kind sets every field it reads and a
-     * burst payload keeps its capacity from one use to the next.
+     * guest-owned destination (dst) stays alive; source bytes (a store's
+     * data, an AMO's operand) are copied into payload because a posted
+     * issuer runs on. Slots are reused in place, so the payload keeps
+     * its capacity from one use to the next.
      */
     struct CapturedOp
     {
-        enum Kind : uint8_t
-        {
-            Load,         ///< blocking scalar load (dst, bytes)
-            LoadSync,     ///< as Load; commits an acquire checker edge
-            LoadBurst,    ///< blocking bulk read (dst, bytes)
-            Store,        ///< posted scalar store (value, bytes)
-            StoreRelease, ///< as Store; commits a release checker edge
-            StoreBurst,   ///< posted bulk write (payload)
-            Amo,          ///< blocking read-modify-write (dst = old)
-        };
-        Kind kind = Load;
+        OpKind kind = OpKind::Load;
         AmoOp amoOp = AmoOp::Add;
         Cycles issue = 0;
         Addr addr = 0;
         uint32_t bytes = 0;
-        uint32_t amoOperand = 0;
         void *dst = nullptr;
-        uint64_t value = 0;
         std::vector<uint8_t> payload;
     };
 
     /**
-     * Claim the FIFO's next slot for a @p kind op issued now, announce
-     * the head when it is new, and return the slot for the caller to
-     * fill in the kind's remaining fields.
+     * @name One home per op kind
+     * Each makes its kind's memory-system call for an op issued at
+     * @p issue, fires the kind's checker hook, and returns the time the
+     * issuer may run on (the completion time of a blocking op, the end
+     * of a posted op's issue slots).
+     * @{
      */
-    CapturedOp &enqueueOp(CapturedOp::Kind kind, Addr addr,
-                          uint32_t bytes);
 
-    /** Capture a blocking op and park until the commit completes it. */
-    void captureBlocking(CapturedOp::Kind kind, Addr addr, void *dst,
-                         uint32_t bytes);
+    /** Load and LoadSync. */
+    Cycles
+    performLoad(OpKind kind, Cycles issue, Addr addr, void *dst,
+                uint32_t bytes)
+    {
+        Cycles done = mem_.load(id_, issue, addr, dst, bytes);
+        if (ConcurrencyChecker *ck = mem_.checker()) {
+            if (kind == OpKind::LoadSync)
+                ck->onLoadSync(id_, addr, bytes);
+            else
+                ck->onLoad(id_, addr, bytes, done);
+        }
+        return done;
+    }
 
-    /** Capture a blocking AMO (old value lands in *dst at commit). */
-    void captureAmo(Addr addr, AmoOp op, uint32_t operand, void *dst);
+    /** Store and StoreRelease. */
+    Cycles
+    performStore(OpKind kind, Cycles issue, Addr addr, const void *src,
+                 uint32_t bytes)
+    {
+        Cycles done = mem_.store(id_, issue, addr, src, bytes);
+        if (ConcurrencyChecker *ck = mem_.checker()) {
+            if (kind == OpKind::StoreRelease)
+                ck->onStoreRelease(id_, addr);
+            else
+                ck->onStore(id_, addr, bytes, done);
+        }
+        return done;
+    }
 
-    /** Capture a posted scalar store; charges the one issue cycle. */
-    void capturePostedStore(CapturedOp::Kind kind, Addr addr,
-                            const void *src, uint32_t bytes);
+    /** Amo. */
+    Cycles
+    performAmo(Cycles issue, Addr addr, AmoOp op, uint32_t operand,
+               uint32_t &old_value)
+    {
+        Cycles done = mem_.amo(id_, issue, addr, op, operand, old_value);
+        if (ConcurrencyChecker *ck = mem_.checker())
+            ck->onAmo(id_, addr, done);
+        return done;
+    }
 
-    /** Capture a posted burst; charges the per-chunk issue slots. */
-    void capturePostedBurst(Addr addr, const void *src, uint32_t bytes);
+    /** LoadBurst. */
+    Cycles performLoadBurst(Cycles issue, Addr addr, void *dst,
+                            uint32_t bytes);
+
+    /** StoreBurst. */
+    Cycles performStoreBurst(Cycles issue, Addr addr, const void *src,
+                             uint32_t bytes);
+    /** @} */
+
+    /**
+     * Issue a blocking scalar load (Load or LoadSync) into @p dst. The
+     * kind and size are template arguments so that an out-of-line
+     * instance, which the compiler may emit for a hot caller, still
+     * folds them to constants.
+     */
+    template <OpKind kind, typename T>
+    void
+    issueLoad(Addr addr, T &dst)
+    {
+        engine_.syncPoint(id_);
+        const bool local = isLocalSpm(addr);
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta))
+            engine_.advanceTo(
+                id_, performLoad(kind, now(), addr, &dst, sizeof(T)));
+        else
+            capture(kind, addr, sizeof(T), nullptr, &dst);
+        // Completion gate (remote only): the clock jumped to the
+        // response time while other cores may still sit below it, so
+        // re-enter admission before running on. Both the inline and the
+        // capture path pass it, which keeps every engine's segment
+        // boundaries — and therefore the host order of stateful
+        // memory-model charges — the same.
+        if (!local)
+            engine_.syncPoint(id_);
+        ++stats_.isa.loads;
+        ++stats_.isa.instructions;
+    }
+
+    /** Issue a posted scalar store (Store or StoreRelease) of @p value;
+     *  templated like issueLoad(). */
+    template <OpKind kind, typename T>
+    void
+    issueStore(Addr addr, const T &value)
+    {
+        // Remote and DRAM stores are globally visible traffic: order them.
+        const bool local = isLocalSpm(addr);
+        if (!local)
+            engine_.syncPoint(id_);
+        if (local || engine_.remoteInlineOk(id_, now() + kCommitDelta))
+            engine_.advanceTo(
+                id_, performStore(kind, now(), addr, &value, sizeof(T)));
+        else
+            capture(kind, addr, sizeof(T), &value, nullptr);
+        ++stats_.isa.stores;
+        ++stats_.isa.instructions;
+    }
+
+    /**
+     * Capture an op whose commit key is not yet globally next: queue it
+     * (copying @p bytes of @p src into the slot when @p src is set) and
+     * announce the head when it is new. A blocking kind then parks until
+     * executeHeadOp() performs it into @p dst and wakes the core at the
+     * op's done time. A posted kind charges its issue slots and runs on;
+     * fence() waits for the commit.
+     */
+    void capture(OpKind kind, Addr addr, uint32_t bytes, const void *src,
+                 void *dst, AmoOp amo_op = AmoOp::Add);
 
     Engine &engine_;
     MemorySystem &mem_;

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/env.hpp"
+#include "sim/core.hpp"
 
 namespace spmrt {
 
@@ -396,14 +397,14 @@ Engine::executeOneEvent()
 {
     SPMRT_ASSERT(!commits_.empty(), "no pending remote op to execute");
     const CoreId issuer = keyId(commits_.min());
-    SPMRT_ASSERT(issuer < opSinks_.size() && opSinks_[issuer] != nullptr,
-                 "remote op scheduled by core %u without a sink", issuer);
-    // The sink performs the memory-system call (with the captured issue
-    // time) and wakes the issuer if the op was blocking; no context
+    SPMRT_ASSERT(issuer < cores_.size() && cores_[issuer] != nullptr,
+                 "remote op scheduled by core %u without a Core", issuer);
+    // The issuer's Core performs the memory-system call (with the
+    // captured issue time) and wakes it if the op was blocking; no context
     // switch happens here, so events drain inline on whichever path
     // noticed them. No guest code runs during the call, so the queue
     // is unchanged until the issuer's leaf is rewritten below.
-    const Cycles next = opSinks_[issuer]->executeHeadOp();
+    const Cycles next = cores_[issuer]->executeHeadOp();
     commits_.set(issuer, next == kNoPendingOp ? WinnerTree::kAbsent
                                               : packKey(issuer, next));
     cachedEventMin_ =

@@ -45,7 +45,8 @@
  * Globally visible memory operations that do not target the issuing
  * core's own scratchpad commit a uniform delta after their issue gate,
  * in (commit time, core id) order, through a per-core capture FIFO and
- * the engine's commit queue (see CoreOpSink and DESIGN.md Sec. 10).
+ * the engine's commit queue (see Core::executeHeadOp and DESIGN.md
+ * Sec. 10).
  */
 
 #ifndef SPMRT_SIM_ENGINE_HPP
@@ -66,29 +67,7 @@
 
 namespace spmrt {
 
-/**
- * Per-core executor for captured remote operations (implemented by Core).
- *
- * Every globally visible memory operation that does not target the
- * issuing core's own scratchpad commits a uniform delta after its issue
- * gate (see DESIGN.md Sec. 10). The issuing core captures the operation
- * into its per-core FIFO and tells the engine the head's commit time;
- * the engine calls executeHeadOp() when that commit key is globally next.
- */
-class CoreOpSink
-{
-  public:
-    /**
-     * Execute this core's oldest captured operation against the memory
-     * system (waking the core if the op was blocking). Returns the
-     * commit time of the next captured op, or Engine::kNoPendingOp when
-     * the FIFO is drained.
-     */
-    virtual Cycles executeHeadOp() = 0;
-
-  protected:
-    ~CoreOpSink() = default;
-};
+class Core;
 
 /**
  * Coroutine scheduler with per-core virtual clocks.
@@ -208,20 +187,8 @@ class Engine
     /** Attach (or detach, with nullptr) the timeline tracer. */
     void setTracer(obs::Tracer *tracer) { tracer_ = tracer; }
 
-    /**
-     * The attached tracer, or nullptr — a compile-time nullptr when
-     * telemetry is compiled out, so the context-switch hook in the
-     * dispatch path folds away.
-     */
-    obs::Tracer *
-    tracer() const
-    {
-#if SPMRT_TELEMETRY_ENABLED
-        return tracer_;
-#else
-        return nullptr;
-#endif
-    }
+    /** The attached tracer, or nullptr. */
+    obs::Tracer *tracer() const { return tracer_; }
 
     /**
      * Largest clock reached by any core so far. O(1): the engine folds
@@ -275,13 +242,13 @@ class Engine
      * @{
      */
 
-    /** Register @p sink as the executor for ops issued by core @p id. */
+    /** Register @p core as the committer of the ops core @p id issues. */
     void
-    setOpSink(CoreId id, CoreOpSink *sink)
+    setCore(CoreId id, Core *core)
     {
-        if (opSinks_.size() < numCores_)
-            opSinks_.resize(numCores_, nullptr);
-        opSinks_[id] = sink;
+        if (cores_.size() < numCores_)
+            cores_.resize(numCores_, nullptr);
+        cores_[id] = core;
     }
 
     /**
@@ -550,7 +517,7 @@ class Engine
 
     // Remote-op commit queue (see the public @name block).
     WinnerTree commits_; ///< issuer id -> packed (commit time, id) head
-    std::vector<CoreOpSink *> opSinks_;
+    std::vector<Core *> cores_; ///< issuer id -> its Core (commits ops)
     Cycles cachedEventMin_ = kNoOtherCore;
 
     // Winner-tree scheduler state.

@@ -171,34 +171,26 @@ class Machine
         for (auto &core : cores_)
             core->setFaultPlan(plan);
         mem_.setFaultPlan(plan);
-#if SPMRT_TELEMETRY_ENABLED
         if (tracer_ && plan != nullptr)
             reportFaultPlan(*plan);
-#endif
     }
 
     /**
      * Arm the concurrency checker: creates it (idempotently) and attaches
      * it to the memory system so every timed access is observed. Arm
      * *before* constructing a runtime — region registration happens in
-     * runtime constructors. Returns nullptr (with a warning) when the
-     * checker is compiled out (SPMRT_CHECKER=OFF).
+     * runtime constructors.
      */
     ConcurrencyChecker *
     armChecker()
     {
-#if SPMRT_CHECKER_ENABLED
         if (!checker_)
             checker_ = std::make_unique<ConcurrencyChecker>(numCores());
         mem_.setChecker(checker_.get());
         return checker_.get();
-#else
-        SPMRT_WARN("armChecker(): checker compiled out (SPMRT_CHECKER=OFF)");
-        return nullptr;
-#endif
     }
 
-    /** The armed checker, or nullptr (disarmed or compiled out). */
+    /** The armed checker, or nullptr. */
     ConcurrencyChecker *checker() const { return mem_.checker(); }
 
     /**
@@ -207,37 +199,21 @@ class Machine
      * charge no cycles, so an armed run stays bit-identical to a
      * disarmed one (tests/test_obs.cpp). Counters need no arming: each
      * layer keeps its own and is read where it lives (core stats,
-     * mem().stats(), the NoC/LLC/DRAM accessors and heatmaps). Returns
-     * nullptr (with a warning) when telemetry is compiled out
-     * (SPMRT_TELEMETRY=OFF).
+     * mem().stats(), the NoC/LLC/DRAM accessors and heatmaps).
      */
     obs::Tracer *
     armTracer()
     {
-#if SPMRT_TELEMETRY_ENABLED
         if (!tracer_)
             tracer_ = std::make_unique<obs::Tracer>();
         engine_.setTracer(tracer_.get());
         for (auto &core : cores_)
             core->setTracer(tracer_.get());
         return tracer_.get();
-#else
-        SPMRT_WARN("armTracer(): telemetry compiled out "
-                   "(SPMRT_TELEMETRY=OFF)");
-        return nullptr;
-#endif
     }
 
-    /** The armed tracer, or nullptr (never armed or compiled out). */
-    obs::Tracer *
-    tracer() const
-    {
-#if SPMRT_TELEMETRY_ENABLED
-        return tracer_.get();
-#else
-        return nullptr;
-#endif
-    }
+    /** The armed tracer, or nullptr (never armed). */
+    obs::Tracer *tracer() const { return tracer_.get(); }
 
   private:
     /** Fail fast on an inconsistent geometry, before any layer sizes
@@ -251,7 +227,6 @@ class Machine
         return cfg;
     }
 
-#if SPMRT_TELEMETRY_ENABLED
     /**
      * Mirror an installed fault plan into the trace: every window
      * becomes a complete span on the synthetic "faults" track. The
@@ -273,7 +248,6 @@ class Machine
                         w.end, "llc_slow", "bank", w.bank, "extra",
                         w.extra);
     }
-#endif
 
     MachineConfig cfg_;
     Engine engine_;

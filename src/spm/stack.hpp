@@ -42,6 +42,7 @@ struct StackConfig
     uint32_t dramBytes = 0;    ///< DRAM overflow buffer size
     bool spmResident = true;   ///< false: stack entirely in DRAM
     bool swOverflowCheck = false; ///< charge the 2-instr software scheme
+                                  ///< (SPM-resident stacks only)
     uint32_t regSaveWords = 2; ///< callee-saved words stored per frame
 };
 
@@ -101,9 +102,11 @@ class StackModel
         ++core_.stats().rt.stackFramesPushed;
 
         // Call overhead: sp adjust + jal (2 ops), plus the software
-        // overflow check when the CSR hardware is not modelled.
+        // overflow check when the CSR hardware is not modelled. The check
+        // guards the SPM stack's bound, so a stack that lives in DRAM
+        // never runs it.
         core_.tick(2, 2);
-        if (cfg_.swOverflowCheck)
+        if (cfg_.swOverflowCheck && cfg_.spmResident)
             core_.tick(2, 2);
         // Callee-save spills at the frame's home location.
         for (uint32_t w = 0; w < cfg_.regSaveWords; ++w)
@@ -145,7 +148,7 @@ class StackModel
         for (uint32_t w = 0; w < cfg_.regSaveWords; ++w)
             (void)core_.load<uint32_t>(frame.base + w * 4);
         core_.tick(2, 2);
-        if (cfg_.swOverflowCheck)
+        if (cfg_.swOverflowCheck && cfg_.spmResident)
             core_.tick(2, 2);
         if (frame.inSpm) {
             SPMRT_ASSERT(frame.base == spmSp_, "out-of-order SPM pop");

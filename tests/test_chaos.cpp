@@ -115,17 +115,13 @@ template <typename Kernel>
 Cycles
 runPerturbed(Machine &machine, FaultPlan *plan, const Kernel &kernel)
 {
-#if SPMRT_CHECKER_ENABLED
     ConcurrencyChecker *ck = machine.armChecker();
-#endif
     WorkStealingRuntime rt(machine, RuntimeConfig::full());
     if (plan != nullptr)
         machine.setFaultPlan(plan);
     Cycles cycles = rt.run([&](TaskContext &tc) { kernel(tc); });
     machine.setFaultPlan(nullptr);
-#if SPMRT_CHECKER_ENABLED
     EXPECT_EQ(ck->violations().size(), 0u) << ck->report();
-#endif
     return cycles;
 }
 

@@ -30,23 +30,10 @@ namespace {
 
 using VK = ConcurrencyChecker::ViolationKind;
 
-#if SPMRT_CHECKER_ENABLED
-constexpr bool kCheckerCompiledIn = true;
-#else
-constexpr bool kCheckerCompiledIn = false;
-#endif
-
-#define REQUIRE_CHECKER() \
-    do { \
-        if (!kCheckerCompiledIn) \
-            GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)"; \
-    } while (0)
-
 // ---- Clock/edge unit behaviour ------------------------------------------
 
 TEST(CheckerEdges, AmoReleaseOrdersCrossCoreHandoff)
 {
-    REQUIRE_CHECKER();
     // The runtime's join idiom: producer writes data, amoAddRelease on a
     // flag word; consumer polls the flag with a plain load (which joins
     // the word's sync clock), then reads the data. Clean.
@@ -75,7 +62,6 @@ TEST(CheckerEdges, AmoReleaseOrdersCrossCoreHandoff)
 
 TEST(CheckerEdges, UnsynchronizedHandoffIsARace)
 {
-    REQUIRE_CHECKER();
     // Same data flow with the synchronization removed: consumer reads the
     // word on a timer instead of a flag. Exactly one race (per-pair
     // dedupe), reported with both cores.
@@ -108,7 +94,6 @@ TEST(CheckerEdges, UnsynchronizedHandoffIsARace)
 
 TEST(CheckerEdges, StoreReleaseLoadSyncPairIsExempt)
 {
-    REQUIRE_CHECKER();
     // The termination-flag idiom: single writer storeRelease, many
     // loadSync pollers, and data published through the release.
     Machine machine(MachineConfig::tiny());
@@ -136,7 +121,6 @@ TEST(CheckerEdges, StoreReleaseLoadSyncPairIsExempt)
 
 TEST(CheckerEdges, PhaseBarrierOrdersEpisodes)
 {
-    REQUIRE_CHECKER();
     // Core 0 writes in episode 1; core 1 reads in episode 2 with no
     // simulated synchronization. Machine::run's clock alignment is a
     // real global barrier and must be mirrored in happens-before.
@@ -170,7 +154,6 @@ TEST(CheckerEdges, PhaseBarrierOrdersEpisodes)
 
 TEST(CheckerNegative, ForgottenLockStealReportsExactlyOneRace)
 {
-    REQUIRE_CHECKER();
     // A thief that skips lockAcquire: it probes, then reads the slot and
     // publishes a new head with plain accesses. Its slot read is
     // unordered against the owner's locked slot write — one structured
@@ -231,7 +214,6 @@ TEST(CheckerNegative, ForgottenLockStealReportsExactlyOneRace)
 
 TEST(CheckerPositive, LockedStealPathIsClean)
 {
-    REQUIRE_CHECKER();
     // The same traffic with the lock taken: no reports.
     Machine machine(MachineConfig::tiny());
     ConcurrencyChecker *ck = machine.armChecker();
@@ -268,7 +250,6 @@ TEST(CheckerPositive, LockedStealPathIsClean)
 
 TEST(CheckerNegative, RoDupWriteReportsExactlyOnce)
 {
-    REQUIRE_CHECKER();
     // A range registered read-only-duplicated is written twice by the
     // same core: one structured RoDupWrite report (per core x range).
     Machine machine(MachineConfig::tiny());
@@ -316,7 +297,6 @@ TEST(CheckerNegative, RoDupWriteReportsExactlyOnce)
 
 TEST(CheckerNegative, ForeignWriteIntoLiveFrameIsFrameCorruption)
 {
-    REQUIRE_CHECKER();
     // Core 0 holds a live frame; core 1 writes into its callee-save
     // area. The checker reports FrameCorruption (once), independent of
     // the canary value surviving.
@@ -369,7 +349,6 @@ TEST(CheckerNegative, ForeignWriteIntoLiveFrameIsFrameCorruption)
 
 TEST(CheckerPositive, OwnFrameWritesAndFrameReuseAreClean)
 {
-    REQUIRE_CHECKER();
     // A core writing its own callee-save area and reusing popped frame
     // addresses is the normal idiom and must not be flagged.
     Machine machine(MachineConfig::tiny());
@@ -405,7 +384,6 @@ TEST(CheckerPositive, OwnFrameWritesAndFrameReuseAreClean)
 
 TEST(CheckerUnit, RegionRegistrationAndKinds)
 {
-    REQUIRE_CHECKER();
     ConcurrencyChecker ck(4);
     ck.registerRegion(RegionKind::Queue, 0x1000, 64, 2, 0x1008);
     ck.registerRegion(RegionKind::Ctrl, 0x1040, 8, 2);
@@ -422,7 +400,6 @@ TEST(CheckerUnit, RegionRegistrationAndKinds)
 
 TEST(CheckerUnit, ResetClearsShadowProtectionsAndDedupe)
 {
-    REQUIRE_CHECKER();
     ConcurrencyChecker ck(2);
     ck.protectRange(RegionKind::RoDup, 0x3000, 16, 0);
     ck.onStore(1, 0x3000, 4, 5);
@@ -443,7 +420,6 @@ TEST(CheckerUnit, ResetClearsShadowProtectionsAndDedupe)
 
 TEST(CheckerRuntime, HealthyWorkStealingRunIsClean)
 {
-    REQUIRE_CHECKER();
     Machine machine(MachineConfig::tiny());
     ConcurrencyChecker *ck = machine.armChecker();
     ASSERT_NE(ck, nullptr);
@@ -469,7 +445,6 @@ TEST(CheckerRuntime, HealthyWorkStealingRunIsClean)
  */
 TEST(CheckerRuntime, BfsFrontierRaceIsConfinedToJoinLevel)
 {
-    REQUIRE_CHECKER();
     // The quick Table-1 "uniform" graph (bench/rows.hpp).
     const HostGraph graph = genUniformRandom(1024, 8, 1001);
     for (bool static_runtime : {false, true}) {
@@ -501,12 +476,12 @@ TEST(CheckerRuntime, BfsFrontierRaceIsConfinedToJoinLevel)
 
 TEST(CheckerRuntime, ArmCheckerIsNullWhenCompiledOut)
 {
+    // No build compiles the checker out any more, so arming always
+    // yields the checker that the memory system then reports.
     Machine machine(MachineConfig::tiny());
     ConcurrencyChecker *ck = machine.armChecker();
-    if (kCheckerCompiledIn)
-        EXPECT_NE(ck, nullptr);
-    else
-        EXPECT_EQ(ck, nullptr);
+    EXPECT_NE(ck, nullptr);
+    EXPECT_EQ(machine.checker(), ck);
 }
 
 } // namespace

@@ -128,10 +128,8 @@ expectSameRun(const Outcome &fast, const Outcome &oracle)
     EXPECT_EQ(fast.switches, oracle.switches) << "switch counts diverged";
     EXPECT_EQ(fast.syncPoints, oracle.syncPoints)
         << "syncPoint counts diverged";
-#if SPMRT_CHECKER_ENABLED
     EXPECT_EQ(fast.violations, 0u) << "fast:\n" << fast.report;
     EXPECT_EQ(oracle.violations, 0u) << "reference:\n" << oracle.report;
-#endif
 }
 
 class SchedulerEquivalence : public ::testing::TestWithParam<size_t>

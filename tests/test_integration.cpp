@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "graph/generators.hpp"
 #include "matrix/generators.hpp"
 #include "workloads/bfs.hpp"
@@ -130,6 +132,28 @@ TEST(Integration, SwOverflowCheckCostsCyclesNotCorrectness)
     };
     EXPECT_GT(run_fib(true), run_fib(false))
         << "the 2-instruction software scheme must cost extra cycles";
+}
+
+TEST(Integration, SwOverflowCheckIsFreeForADramStack)
+{
+    // The software scheme guards the SPM stack's bound, so with the stack
+    // in DRAM (Fig. 7's both-DRAM and queue-in-SPM cells) Fib-S is Fib:
+    // the same cycles, instructions and result.
+    for (const RuntimeConfig &base :
+         {RuntimeConfig::naive(), RuntimeConfig::queueOnly()}) {
+        auto run_fib = [&base](bool sw_check) {
+            Machine machine(MachineConfig::tiny());
+            Addr out = machine.dramAlloc(8, 8);
+            RuntimeConfig cfg = base;
+            cfg.swOverflowCheck = sw_check;
+            WorkStealingRuntime rt(machine, cfg);
+            Cycles cycles =
+                rt.run([&](TaskContext &tc) { fibKernel(tc, 13, out); });
+            return std::make_tuple(cycles, machine.totalInstructions(),
+                                   machine.mem().peekAs<int64_t>(out));
+        };
+        EXPECT_EQ(run_fib(true), run_fib(false)) << base.name();
+    }
 }
 
 TEST(Integration, PointerTableCostsCyclesNotCorrectness)

@@ -155,8 +155,6 @@ TEST(Counters, AreLiveInsideAGuestBody)
         EXPECT_EQ(end[i], after[i]) << names[i];
 }
 
-#if SPMRT_TELEMETRY_ENABLED
-
 /** A 16-core machine, the acceptance scenario for Perfetto traces. */
 MachineConfig
 sixteenCores()
@@ -314,17 +312,6 @@ TEST(Tracer, BoundedBufferCountsDrops)
     EXPECT_TRUE(tracer.events().empty());
     EXPECT_EQ(tracer.dropped(), 0u);
 }
-
-#else // !SPMRT_TELEMETRY_ENABLED
-
-TEST(Telemetry, CompiledOutArmReturnsNull)
-{
-    Machine machine(MachineConfig::tiny());
-    EXPECT_EQ(machine.armTracer(), nullptr);
-    EXPECT_EQ(machine.tracer(), nullptr);
-}
-
-#endif // SPMRT_TELEMETRY_ENABLED
 
 } // namespace
 } // namespace spmrt

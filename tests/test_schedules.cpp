@@ -90,9 +90,6 @@ class ScheduleSweep : public ::testing::TestWithParam<size_t>
 
 TEST_P(ScheduleSweep, SeededPerturbationIsCleanAndDeterministic)
 {
-#if !SPMRT_CHECKER_ENABLED
-    GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
-#endif
     const serve::FleetWorkload &spec = kWorkloads[GetParam()];
     SCOPED_TRACE(spec.kind);
 
@@ -145,9 +142,6 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, ScheduleSweep,
 
 TEST(ScheduleSweep, UnperturbedRunIsCleanToo)
 {
-#if !SPMRT_CHECKER_ENABLED
-    GTEST_SKIP() << "checker compiled out (SPMRT_CHECKER=OFF)";
-#endif
     for (const serve::FleetWorkload &workload : kWorkloads) {
         Outcome out = runOnce(workload, false, 0, true);
         EXPECT_EQ(out.violations, 0u)
@@ -160,9 +154,7 @@ TEST(ScheduleSweep, UnperturbedRunIsCleanToo)
 TEST(ScheduleSweep, ArmingTheCheckerChangesNoCycle)
 {
     // The checker is a pure observer: with it armed and disarmed the
-    // same program must take exactly the same number of cycles. This is
-    // the compiled-IN zero-overhead guarantee; the SPMRT_CHECKER=OFF
-    // build enforces the compiled-OUT one by construction.
+    // same program must take exactly the same number of cycles.
     for (const serve::FleetWorkload &workload : kWorkloads) {
         Outcome armed = runOnce(workload, false, 0, true);
         Outcome bare = runOnce(workload, false, 0, false);

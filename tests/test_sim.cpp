@@ -364,5 +364,140 @@ TEST(Machine, PerCoreBodiesAndSyncClocks)
         EXPECT_EQ(machine.engine().time(i), elapsed);
 }
 
+// ---- Inline and captured remote ops agree --------------------------------
+
+/** The seven memory-op kinds a guest can issue. */
+enum class OpKind { Load, LoadSync, Read, Store, StoreRelease, Write, Amo };
+
+constexpr OpKind kOpKinds[] = {OpKind::Load,  OpKind::LoadSync,
+                               OpKind::Read,  OpKind::Store,
+                               OpKind::StoreRelease, OpKind::Write,
+                               OpKind::Amo};
+
+/** Everything an observer can read after one issued op. */
+struct OpRun
+{
+    Cycles latency = 0;  ///< clock after the op minus its issue time
+    Cycles drained = 0;  ///< the same after a trailing fence()
+    uint64_t switches = 0; ///< context switches across the op and fence
+    std::vector<uint8_t> value; ///< what the op returned (loads, AMO)
+    std::vector<uint8_t> image; ///< the target bytes after the run
+    IsaStats isa;        ///< the issuer's counters
+    size_t violations = 0;
+    std::string report;
+};
+
+/**
+ * Core 0 of a fresh, checker-armed tiny() machine issues one @p kind op
+ * at a remote-SPM or a DRAM target. Core 2 first stores to the target
+ * word unsynchronized, so the plain kinds race and the sync kinds do
+ * not. With @p captured false every other core has finished by the
+ * issue, so the op's commit key is globally next and it runs inline;
+ * with @p captured true core 1 is still runnable at core 0's clock, so
+ * the op is captured and committed by the engine.
+ */
+OpRun
+runOp(OpKind kind, bool dram, bool captured)
+{
+    constexpr uint32_t kBytes = 100; // from mid-line: three LLC lines
+    Machine machine(MachineConfig::tiny());
+    ConcurrencyChecker *ck = machine.armChecker();
+    const Addr target = (dram ? machine.dramAlloc(256, 64)
+                              : machine.mem().map().spmBase(5)) +
+                        40;
+    std::vector<uint8_t> pattern(kBytes);
+    for (uint32_t i = 0; i < kBytes; ++i)
+        pattern[i] = static_cast<uint8_t>(i * 13 + 5);
+    machine.mem().poke(target, pattern.data(), kBytes);
+
+    OpRun run;
+    std::vector<std::function<void(Core &)>> bodies(machine.numCores(),
+                                                    [](Core &) {});
+    bodies[2] = [&](Core &core) {
+        core.store<uint32_t>(target, 0x5a5a5a5au);
+    };
+    if (captured)
+        bodies[1] = [](Core &core) { core.idle(10); };
+    bodies[0] = [&](Core &core) {
+        core.idle(10); // the others finish, or core 1 ties at 10
+        const Cycles t0 = core.now();
+        const uint64_t s0 = core.engine().switchCount();
+        auto keep = [&run](const auto &v) {
+            const auto *first = reinterpret_cast<const uint8_t *>(&v);
+            run.value.assign(first, first + sizeof(v));
+        };
+        switch (kind) {
+          case OpKind::Load:
+            keep(core.load<uint64_t>(target));
+            break;
+          case OpKind::LoadSync:
+            keep(core.loadSync<uint32_t>(target));
+            break;
+          case OpKind::Read:
+            run.value.resize(kBytes);
+            core.read(target, run.value.data(), kBytes);
+            break;
+          case OpKind::Store:
+            core.store<uint64_t>(target, 0x1122334455667788ull);
+            break;
+          case OpKind::StoreRelease:
+            core.storeRelease<uint32_t>(target, 0xcafef00du);
+            break;
+          case OpKind::Write:
+            core.write(target, pattern.data() + 1, kBytes - 1);
+            break;
+          case OpKind::Amo:
+            keep(core.amo(target, AmoOp::Add, 7));
+            break;
+        }
+        run.latency = core.now() - t0;
+        core.fence();
+        run.drained = core.now() - t0;
+        run.switches = core.engine().switchCount() - s0;
+        run.isa = core.stats().isa;
+    };
+    machine.runPerCore(bodies);
+
+    run.image.resize(kBytes);
+    machine.mem().peek(target, run.image.data(), kBytes);
+    run.violations = ck->violations().size();
+    run.report = ck->report();
+    return run;
+}
+
+TEST(Machine, InlineAndCapturedRemoteOpsAgree)
+{
+    for (bool dram : {false, true}) {
+        for (OpKind kind : kOpKinds) {
+            SCOPED_TRACE(::testing::Message()
+                         << (dram ? "DRAM" : "remote SPM") << " kind "
+                         << static_cast<int>(kind));
+            const OpRun in = runOp(kind, dram, false);
+            const OpRun cap = runOp(kind, dram, true);
+            // Different paths: only the captured op parks its issuer
+            // (a blocking op until its commit, a posted one in fence()).
+            EXPECT_EQ(in.switches, 0u);
+            EXPECT_GT(cap.switches, 0u);
+            // The same op: timing, results, memory, counters, checker.
+            EXPECT_EQ(in.latency, cap.latency);
+            EXPECT_EQ(in.drained, cap.drained);
+            EXPECT_GT(in.drained, 0u);
+            EXPECT_EQ(in.value, cap.value);
+            EXPECT_EQ(in.image, cap.image);
+            EXPECT_EQ(in.isa.instructions, cap.isa.instructions);
+            EXPECT_EQ(in.isa.loads, cap.isa.loads);
+            EXPECT_EQ(in.isa.stores, cap.isa.stores);
+            EXPECT_EQ(in.isa.amos, cap.isa.amos);
+            EXPECT_EQ(in.isa.fences, cap.isa.fences);
+            EXPECT_EQ(in.violations, cap.violations);
+            EXPECT_EQ(in.report, cap.report);
+            const bool plain = kind == OpKind::Load || kind == OpKind::Read ||
+                               kind == OpKind::Store ||
+                               kind == OpKind::Write;
+            EXPECT_EQ(in.violations, plain ? 1u : 0u) << in.report;
+        }
+    }
+}
+
 } // namespace
 } // namespace spmrt
