@@ -9,9 +9,8 @@
  * while stealing corrects it reactively. This ablation measures both
  * schedulers on a balanced loop, a skewed loop, and UTS.
  *
- * Every (workload, scheduler) cell is one supervised FleetServer job;
- * the whole sweep is submitted up front and the batch totals are
- * asserted per status at the end.
+ * Every (workload, scheduler) cell is one job of the bench's fleet
+ * batch (fleet_util.hpp's runCells).
  */
 
 #include "bench/fleet_util.hpp"
@@ -30,13 +29,11 @@ loopRequest(const char *shape, bool dealing, int64_t n,
     serve::JobRequest req;
     req.name = log::format("abl_dealing/%s/%s", shape,
                            dealing ? "dealing" : "stealing");
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime = RuntimeConfig::full();
     req.runtime.workDealing = dealing;
     req.armChecker = false;
-    req.prepare = [n, cost](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
+    req.prepare = [n, cost](Machine &, serve::AssetCache &) {
         serve::PreparedJob prep;
         prep.root = [n, cost](TaskContext &tc) {
             ForOptions opts;
@@ -47,10 +44,6 @@ loopRequest(const char *shape, bool dealing, int64_t n,
                     btc.core().tick(cost(i));
                 },
                 opts);
-        };
-        prep.digest = [](Machine &m) {
-            maybeWriteTrace(m);
-            return 0ull;
         };
         return prep;
     };
@@ -64,11 +57,9 @@ utsRequest(bool dealing, const serve::FleetWorkload &tree)
     serve::JobRequest req = serve::makeWorkloadRequest(tree);
     req.name = log::format("abl_dealing/uts/%s",
                            dealing ? "dealing" : "stealing");
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime.workDealing = dealing;
     req.armChecker = false;
-    traceJob(req);
     return req;
 }
 
@@ -99,48 +90,41 @@ main(int argc, char **argv)
                                        scaled<double>(0.24, 0.2),
                                        "binomial", 4};
 
-    serve::FleetServer server(benchFleetConfig());
-    struct PendingPair
-    {
-        const char *workload;
-        serve::FleetServer::JobId stealing;
-        serve::FleetServer::JobId dealing;
-    };
-    std::vector<PendingPair> pending;
-    if (report.wants("uniform-loop"))
-        pending.push_back(
-            {"uniform loop",
-             server.submit(loopRequest("uniform", false, n, uniformCost)),
-             server.submit(loopRequest("uniform", true, n, uniformCost))});
-    if (report.wants("skewed-loop"))
-        pending.push_back(
-            {"skewed loop",
-             server.submit(loopRequest("skewed", false, n, skewedCost)),
-             server.submit(loopRequest("skewed", true, n, skewedCost))});
-    if (report.wants("uts"))
-        pending.push_back({"UTS", server.submit(utsRequest(false, tree)),
-                           server.submit(utsRequest(true, tree))});
+    // Each workload is a (stealing, dealing) pair of cells.
+    std::vector<Cell> cells;
+    std::vector<const char *> workloads;
+    if (report.wants("uniform-loop")) {
+        cells.push_back(loopRequest("uniform", false, n, uniformCost));
+        cells.push_back(loopRequest("uniform", true, n, uniformCost));
+        workloads.push_back("uniform loop");
+    }
+    if (report.wants("skewed-loop")) {
+        cells.push_back(loopRequest("skewed", false, n, skewedCost));
+        cells.push_back(loopRequest("skewed", true, n, skewedCost));
+        workloads.push_back("skewed loop");
+    }
+    if (report.wants("uts")) {
+        cells.push_back(utsRequest(false, tree));
+        cells.push_back(utsRequest(true, tree));
+        workloads.push_back("UTS");
+    }
 
-    for (const PendingPair &p : pending) {
-        serve::JobReport steal = server.wait(p.stealing);
-        serve::JobReport deal = server.wait(p.dealing);
-        for (const serve::JobReport *job : {&steal, &deal})
-            if (job->status != serve::JobStatus::Ok)
-                report.fail("%s: %s (%s)", job->name.c_str(),
-                            serve::jobStatusName(job->status),
-                            job->error.c_str());
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t w = 0; w < workloads.size(); ++w) {
+        const Cycles steal = results[2 * w].job.cycles;
+        const Cycles deal = results[2 * w + 1].job.cycles;
         report.row()
-            .cell("workload", p.workload)
-            .cell("stealing_cycles", steal.cycles)
-            .cell("dealing_cycles", deal.cycles)
-            .cell("ratio", static_cast<double>(deal.cycles) /
-                               static_cast<double>(steal.cycles));
+            .cell("workload", workloads[w])
+            .cell("stealing_cycles", steal)
+            .cell("dealing_cycles", deal)
+            .cell("ratio", static_cast<double>(deal) /
+                               static_cast<double>(steal));
     }
     report.comment("expected: dealing loses across the board — every "
                    "spawn pays a remote enqueue round trip, and "
                    "imbalance baked in at spawn time is never corrected "
                    "— experimentally supporting the paper's choice of "
                    "stealing");
-    assertFleetTotals(report, server, pending.size() * 2);
     return report.finish();
 }

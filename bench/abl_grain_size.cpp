@@ -7,10 +7,8 @@
  * email-like graph. Small grains pay task overhead; large grains strand
  * heavy iterations inside unstealable leaves.
  *
- * Every (grain, loop-shape) cell is one supervised FleetServer job:
- * the whole sweep is submitted up front, cells parallelize across host
- * workers behind the hang watchdog, and the batch totals are asserted
- * per status at the end.
+ * Every (grain, loop-shape) cell is one job of the bench's fleet batch
+ * (fleet_util.hpp's runCells).
  */
 
 #include <memory>
@@ -31,13 +29,11 @@ cellRequest(int64_t grain, bool skewed_loop, int64_t iterations,
     serve::JobRequest req;
     req.name = log::format("abl_grain/%s/grain-%" PRId64,
                            skewed_loop ? "skewed" : "uniform", grain);
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime = RuntimeConfig::full();
     req.armChecker = false;
     req.prepare = [grain, skewed_loop, iterations,
-                   skewed](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
+                   skewed](Machine &, serve::AssetCache &) {
         serve::PreparedJob prep;
         prep.root = [grain, skewed_loop, iterations,
                      skewed](TaskContext &tc) {
@@ -60,10 +56,6 @@ cellRequest(int64_t grain, bool skewed_loop, int64_t iterations,
                     opts);
             }
         };
-        prep.digest = [](Machine &m) {
-            maybeWriteTrace(m);
-            return 0ull;
-        };
         return prep;
     };
     return req;
@@ -83,45 +75,25 @@ main(int argc, char **argv)
                    " iterations on 128 cores",
                    iterations);
 
-    serve::FleetServer server(benchFleetConfig());
-    report.comment("batch of supervised fleet jobs across %u host workers",
-                   server.workerCount());
-
-    struct PendingGrain
-    {
-        int64_t grain;
-        serve::FleetServer::JobId uniform;
-        serve::FleetServer::JobId skewed;
-    };
-    std::vector<PendingGrain> pending;
+    // Each grain is a (uniform, skewed) pair of cells.
+    std::vector<Cell> cells;
+    std::vector<int64_t> grains;
     for (int64_t grain : {1, 4, 16, 32, 64, 128, 512}) {
         if (!report.wants(log::format("grain-%" PRId64, grain)))
             continue;
-        PendingGrain p;
-        p.grain = grain;
-        p.uniform = server.submit(
-            cellRequest(grain, false, iterations, skewed));
-        p.skewed = server.submit(
-            cellRequest(grain, true, iterations, skewed));
-        pending.push_back(p);
+        cells.push_back(cellRequest(grain, false, iterations, skewed));
+        cells.push_back(cellRequest(grain, true, iterations, skewed));
+        grains.push_back(grain);
     }
 
-    for (const PendingGrain &p : pending) {
-        serve::JobReport uniform = server.wait(p.uniform);
-        serve::JobReport skewed_job = server.wait(p.skewed);
-        for (const serve::JobReport *job : {&uniform, &skewed_job})
-            if (job->status != serve::JobStatus::Ok &&
-                job->status != serve::JobStatus::CacheHit)
-                report.fail("%s: %s (%s)", job->name.c_str(),
-                            serve::jobStatusName(job->status),
-                            job->error.c_str());
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t g = 0; g < grains.size(); ++g)
         report.row()
-            .cell("grain", p.grain)
-            .cell("uniform_cycles", uniform.cycles)
-            .cell("skewed_cycles", skewed_job.cycles);
-    }
+            .cell("grain", grains[g])
+            .cell("uniform_cycles", results[2 * g].job.cycles)
+            .cell("skewed_cycles", results[2 * g + 1].job.cycles);
     report.comment("expected: uniform loops tolerate coarse grains; "
                    "skewed loops need fine ones");
-    assertFleetTotals(report, server, pending.size() * 2);
     return report.finish();
 }

@@ -10,14 +10,11 @@
  * addressing vs. SPM queues behind a DRAM pointer table, on steal-heavy
  * workloads.
  *
- * Every (workload, addressing) cell is one supervised FleetServer job,
- * checked against the registry's host reference digest; the batch
- * totals are asserted per status at the end. Instruction and
- * steal counters flow back through a side-channel filled by each job's
- * digest stage (the last point where the worker's machine is alive).
+ * Every (workload, addressing) cell is one job of the bench's fleet
+ * batch (fleet_util.hpp's runCells), checked against the registry's
+ * host reference digest; its instruction and steal counters come back
+ * with the cell's result.
  */
-
-#include <memory>
 
 #include "bench/fleet_util.hpp"
 #include "serve/workloads.hpp"
@@ -27,37 +24,22 @@ using namespace spmrt::bench;
 
 namespace {
 
-/** Machine counters a cell reports beyond its cycle count. */
-struct CellStats
-{
-    uint64_t instructions = 0;
-    uint64_t steals = 0;
-};
-
 struct Mode
 {
     const char *label;
     bool pointer_table;
 };
 
-/**
- * One (workload, addressing) cell; its digest stage copies the
- * machine's instruction and steal counters into @p stats.
- */
+/** One (workload, addressing) cell as a fleet job. */
 serve::JobRequest
 cellRequest(const char *workload, const serve::FleetWorkload &spec,
-            const Mode &mode, std::shared_ptr<CellStats> stats)
+            const Mode &mode)
 {
     serve::JobRequest req = serve::makeWorkloadRequest(spec);
     req.name = log::format("abl_queue/%s/%s", workload, mode.label);
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime.queuePointerTable = mode.pointer_table;
     req.armChecker = false;
-    traceJob(req, [stats](Machine &m) {
-        stats->instructions = m.totalInstructions();
-        stats->steals = m.totalStat(&RuntimeStats::stealHits);
-    });
     return req;
 }
 
@@ -80,42 +62,27 @@ main(int argc, char **argv)
          {"uts", scaled<uint32_t>(9, 7), 42, scaled<double>(2.7, 2.0)}},
     };
 
-    serve::FleetServer server(benchFleetConfig());
-    struct PendingCell
-    {
-        const char *workload;
-        const char *addressing;
-        serve::FleetServer::JobId id;
-        std::shared_ptr<CellStats> stats;
-    };
-    std::vector<PendingCell> pending;
+    std::vector<Cell> cells;
+    std::vector<std::pair<const char *, const char *>> labels;
     for (const auto &[workload, spec] : workloads) {
         for (const Mode &mode : modes) {
             if (!report.wants(std::string(workload) + "/" + mode.label))
                 continue;
-            auto stats = std::make_shared<CellStats>();
-            pending.push_back(
-                {workload, mode.label,
-                 server.submit(cellRequest(workload, spec, mode, stats)),
-                 stats});
+            cells.push_back(cellRequest(workload, spec, mode));
+            labels.emplace_back(workload, mode.label);
         }
     }
 
-    for (const PendingCell &cell : pending) {
-        serve::JobReport job = server.wait(cell.id);
-        if (job.status != serve::JobStatus::Ok)
-            report.fail("%s/%s: %s (%s)", cell.workload, cell.addressing,
-                        serve::jobStatusName(job.status),
-                        job.error.c_str());
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t i = 0; i < results.size(); ++i)
         report.row()
-            .cell("workload", cell.workload)
-            .cell("addressing", cell.addressing)
-            .cell("cycles", job.cycles)
-            .cell("ops", cell.stats->instructions)
-            .cell("steals", cell.stats->steals);
-    }
+            .cell("workload", labels[i].first)
+            .cell("addressing", labels[i].second)
+            .cell("cycles", results[i].job.cycles)
+            .cell("ops", results[i].instructions)
+            .cell("steals", results[i].stealHits);
     report.comment("expected: the pointer table adds a DRAM load per "
                    "steal attempt, slowing steal-heavy workloads");
-    assertFleetTotals(report, server, pending.size());
     return report.finish();
 }

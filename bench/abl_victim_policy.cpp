@@ -9,13 +9,10 @@
  * sweep). This ablation measures all three on a steal-heavy dynamic
  * workload (UTS) and a skewed loop workload (PageRank, email-like).
  *
- * Every (workload, policy) cell is one supervised FleetServer job,
- * checked against the registry's digest; steal counters flow
- * back through a side-channel filled by each job's digest stage, and
- * the batch totals are asserted per status at the end.
+ * Every (workload, policy) cell is one job of the bench's fleet batch
+ * (fleet_util.hpp's runCells), checked against the registry's digest;
+ * its steal counters come back with the cell's result.
  */
-
-#include <memory>
 
 #include "bench/fleet_util.hpp"
 #include "serve/workloads.hpp"
@@ -25,37 +22,22 @@ using namespace spmrt::bench;
 
 namespace {
 
-/** Steal counters a cell reports beyond its cycle count. */
-struct CellStats
-{
-    uint64_t steals = 0;
-    uint64_t stealAttempts = 0;
-};
-
 struct Policy
 {
     const char *label;
     VictimPolicy policy;
 };
 
-/**
- * One (workload, policy) cell; its digest stage copies the machine's
- * steal counters into @p stats.
- */
+/** One (workload, policy) cell as a fleet job. */
 serve::JobRequest
 cellRequest(const char *workload, const serve::FleetWorkload &spec,
-            const Policy &policy, std::shared_ptr<CellStats> stats)
+            const Policy &policy)
 {
     serve::JobRequest req = serve::makeWorkloadRequest(spec);
     req.name = log::format("abl_victim/%s/%s", workload, policy.label);
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime.victimPolicy = policy.policy;
     req.armChecker = false;
-    traceJob(req, [stats](Machine &m) {
-        stats->steals = m.totalStat(&RuntimeStats::stealHits);
-        stats->stealAttempts = m.totalStat(&RuntimeStats::stealAttempts);
-    });
     return req;
 }
 
@@ -82,44 +64,28 @@ main(int argc, char **argv)
          {"pagerank", scaled<uint32_t>(8192, 1024), 77, 0.0, "email", 16}},
     };
 
-    serve::FleetServer server(benchFleetConfig());
-    struct PendingCell
-    {
-        const char *workload;
-        const char *policy;
-        serve::FleetServer::JobId id;
-        std::shared_ptr<CellStats> stats;
-    };
-    std::vector<PendingCell> pending;
+    std::vector<Cell> cells;
+    std::vector<std::pair<const char *, const char *>> labels;
     for (const auto &[workload, spec] : workloads) {
         for (const Policy &policy : policies) {
             if (!report.wants(std::string(workload) + "/" + policy.label))
                 continue;
-            auto stats = std::make_shared<CellStats>();
-            pending.push_back(
-                {workload, policy.label,
-                 server.submit(cellRequest(workload, spec, policy, stats)),
-                 stats});
+            cells.push_back(cellRequest(workload, spec, policy));
+            labels.emplace_back(workload, policy.label);
         }
     }
 
-    for (const PendingCell &cell : pending) {
-        serve::JobReport job = server.wait(cell.id);
-        bool ok = job.status == serve::JobStatus::Ok;
-        if (!ok)
-            report.fail("%s/%s: %s (%s)", cell.workload, cell.policy,
-                        serve::jobStatusName(job.status),
-                        job.error.c_str());
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t i = 0; i < results.size(); ++i)
         report.row()
-            .cell("workload", cell.workload)
-            .cell("policy", cell.policy)
-            .cell("cycles", job.cycles)
-            .cell("steals", cell.stats->steals)
-            .cell("steal_tries", cell.stats->stealAttempts)
-            .cell("ok", ok);
-    }
+            .cell("workload", labels[i].first)
+            .cell("policy", labels[i].second)
+            .cell("cycles", results[i].job.cycles)
+            .cell("steals", results[i].stealHits)
+            .cell("steal_tries", results[i].stealAttempts)
+            .cell("ok", results[i].ok());
     report.comment("expected: round-robin is the slowest policy on both "
                    "workloads");
-    assertFleetTotals(report, server, pending.size());
     return report.finish();
 }

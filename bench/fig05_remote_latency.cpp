@@ -5,12 +5,12 @@
  * created by reference-captured lambda environments before the read-only
  * duplication optimization).
  *
- * The grid is one supervised FleetServer job using the raw-body job
- * mode (PreparedJob::rawBody): the measurement loop runs every core's
- * body directly under Machine::run with no task runtime in the way, yet
- * still sits behind the fleet's hang watchdog, and the batch totals are
- * asserted per status at the end. The distance-gradient contract
- * (farthest mesh row slower than the nearest) folds into the digest.
+ * The grid is one fleet job (fleet_util.hpp's runCells) using the
+ * raw-body job mode (PreparedJob::rawBody): the measurement loop runs
+ * every core's body directly under Machine::run with no task runtime in
+ * the way, yet still sits behind the fleet's hang watchdog. The
+ * distance-gradient contract (farthest mesh row slower than the
+ * nearest) folds into the digest.
  *
  * Expected shape: latency grows with mesh distance from core 0, with the
  * Y-direction distance mattering more than X (X-Y routing concentrates
@@ -36,13 +36,12 @@ main(int argc, char **argv)
     const uint32_t loads = scaled<uint32_t>(200, 40);
 
     // Side-channel for the per-core measurements: filled by the job's
-    // raw body on the fleet worker, read back after wait().
+    // raw body on the fleet worker, read back after runCells.
     auto avg_latency =
         std::make_shared<std::vector<double>>(cfg.numCores(), 0.0);
 
     serve::JobRequest jobreq;
     jobreq.name = "fig05/remote-latency-grid";
-    jobreq.cacheKey = jobreq.name;
     jobreq.machine = cfg;
     jobreq.armChecker = false;
     // The digest folds the figure's headline shape claim into the job
@@ -51,7 +50,6 @@ main(int argc, char **argv)
     jobreq.hasExpectedDigest = true;
     jobreq.prepare = [avg_latency, cfg,
                       loads](Machine &machine, serve::AssetCache &) {
-        maybeArmTrace(machine);
         Addr hot = machine.mem().map().spmBase(0);
         serve::PreparedJob prep;
         prep.rawBody = [avg_latency, hot, loads](Core &core) {
@@ -70,8 +68,7 @@ main(int argc, char **argv)
             (*avg_latency)[core.id()] =
                 static_cast<double>(load_time) / loads;
         };
-        prep.digest = [avg_latency, cfg](Machine &m) {
-            maybeWriteTrace(m);
+        prep.digest = [avg_latency, cfg](Machine &) {
             double near = 0, far = 0;
             for (uint32_t x = 0; x < cfg.meshCols; ++x) {
                 near += (*avg_latency)[cfg.coreAt(x, 0)];
@@ -82,13 +79,8 @@ main(int argc, char **argv)
         return prep;
     };
 
-    serve::FleetServer server(benchFleetConfig());
     report.comment("supervised fleet job (raw machine body, no runtime)");
-    serve::FleetServer::JobId id = server.submit(std::move(jobreq));
-    serve::JobReport job = server.wait(id);
-    if (job.status != serve::JobStatus::Ok)
-        report.fail("remote-latency-grid: %s (%s)",
-                    serve::jobStatusName(job.status), job.error.c_str());
+    runCells(report, {std::move(jobreq)});
 
     double max_latency = 0;
     for (double latency : *avg_latency)
@@ -135,6 +127,5 @@ main(int argc, char **argv)
             .cell("normalized", rowAvg(y) / rowAvg(cfg.meshRows - 1));
     report.comment("gradient check: farthest row %.2fx the nearest row",
                    rowAvg(cfg.meshRows - 1) / rowAvg(0));
-    assertFleetTotals(report, server, 1);
     return report.finish();
 }

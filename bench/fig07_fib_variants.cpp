@@ -4,11 +4,9 @@
  * of the work-stealing runtime, plus the Fib-S estimate of the software
  * 2-instruction stack-overflow checking scheme.
  *
- * Every (series, variant) cell is one supervised FleetServer job: the
- * whole figure is submitted up front, cells parallelize across host
- * workers behind the hang watchdog, each result is checked against the
- * registry's host reference digest, and the batch totals are asserted
- * per status at the end.
+ * Every (series, variant) cell is one job of the bench's fleet batch
+ * (fleet_util.hpp's runCells), checked against the registry's host
+ * reference digest.
  *
  * Expected shape (paper): both-in-DRAM slowest; SPM stack matters more
  * than SPM queue; both-in-SPM fastest; Fib-S slightly below Fib for the
@@ -31,12 +29,10 @@ cellRequest(const char *series, const Variant &variant, uint32_t n)
 {
     serve::JobRequest req = serve::makeWorkloadRequest({"fib", n});
     req.name = log::format("fig07/%s/%s", series, variant.label);
-    req.cacheKey = req.name;
     req.machine = MachineConfig{};
     req.runtime = variant.cfg;
     req.runtime.swOverflowCheck = std::string(series) == "Fib-S";
     req.armChecker = false;
-    traceJob(req);
     return req;
 }
 
@@ -52,48 +48,32 @@ main(int argc, char **argv)
                    "both-in-DRAM runtime",
                    n);
 
-    serve::FleetServer server(benchFleetConfig());
-    report.comment("batch of supervised fleet jobs across %u host workers",
-                   server.workerCount());
-
-    // Submit the whole figure up front, then settle cells in order.
-    struct PendingCell
-    {
-        const char *series;
-        const char *variant;
-        serve::FleetServer::JobId id;
-    };
-    std::vector<PendingCell> pending;
+    std::vector<Cell> cells;
+    std::vector<std::pair<const char *, const char *>> labels;
     for (const char *series : {"Fib", "Fib-S"}) {
         for (const Variant &variant : wsVariants()) {
             if (!report.wants(std::string(series) + "/" + variant.label))
                 continue;
-            pending.push_back(
-                {series, variant.label,
-                 server.submit(cellRequest(series, variant, n))});
+            cells.push_back(cellRequest(series, variant, n));
+            labels.emplace_back(series, variant.label);
         }
     }
 
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
     Cycles baseline = 0;
-    for (const PendingCell &cell : pending) {
-        serve::JobReport job = server.wait(cell.id);
-        if (job.status != serve::JobStatus::Ok &&
-            job.status != serve::JobStatus::CacheHit)
-            report.fail("%s/%s: %s (%s)", cell.series, cell.variant,
-                        serve::jobStatusName(job.status),
-                        job.error.c_str());
+    for (size_t i = 0; i < results.size(); ++i) {
+        const Cycles cycles = results[i].job.cycles;
         if (baseline == 0)
-            baseline = job.cycles;
+            baseline = cycles;
         report.row()
-            .cell("series", cell.series)
-            .cell("variant", cell.variant)
-            .cell("cycles", job.cycles)
-            .cell("speedup",
-                  static_cast<double>(baseline) /
-                      static_cast<double>(job.cycles));
+            .cell("series", labels[i].first)
+            .cell("variant", labels[i].second)
+            .cell("cycles", cycles)
+            .cell("speedup", static_cast<double>(baseline) /
+                                 static_cast<double>(cycles));
     }
 
-    assertFleetTotals(report, server, pending.size());
     report.comment("paper: best variant ~2x the naive one; Fib-S "
                    "slightly below Fib");
     return report.finish();

@@ -4,14 +4,10 @@
  * static runtime with stack in SPM, for the workloads that have a static
  * baseline.
  *
- * Every (workload, variant) cell is one supervised FleetServer job —
- * static cells run the static runtime via JobRequest::staticRuntime —
- * so the whole figure is a single batch submitted up front: cells
- * parallelize across host workers, each run sits behind the hang
- * watchdog, each result is checked against the registry's digest, and
- * the batch totals are asserted per status at the end (as fleet_batch
- * does), so a shed or quarantined cell cannot silently vanish from the
- * figure.
+ * Every (workload, variant) cell is one job of the bench's fleet batch
+ * (fleet_util.hpp's runCells); static cells run the static runtime via
+ * JobRequest::staticRuntime, and each result is checked against the
+ * registry's digest.
  *
  * Expected shape (paper): 1.2x-28.5x speedups for irregular inputs
  * (PageRank/BFS/SpMV/SpMT on skewed inputs, NQueens, UTS), minimal
@@ -21,7 +17,6 @@
 
 #include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
-#include "serve/server.hpp"
 
 using namespace spmrt;
 using namespace spmrt::bench;
@@ -36,7 +31,6 @@ cellRequest(const WorkloadRow &row, const Variant &variant,
     serve::JobRequest req = serve::makeWorkloadRequest(row.spec);
     req.name = log::format("fig09/%s/%s/%s", row.workload.c_str(),
                            row.input.c_str(), variant.label);
-    req.cacheKey = req.name;
     req.machine = machine_cfg;
     applyVariant(req, variant);
     req.armChecker = false;
@@ -54,21 +48,11 @@ main(int argc, char **argv)
     if (quickMode())
         report.comment("QUICK MODE: shrunken inputs");
 
-    serve::FleetServer server(benchFleetConfig());
-    report.comment("batch of supervised fleet jobs across %u host workers",
-                   server.workerCount());
-
-    // Submit the whole figure up front, then settle row by row.
+    // The whole figure is one batch; rows settle in submission order.
     MachineConfig machine_cfg;
     const std::vector<Variant> variants = table1Variants();
-    struct PendingRow
-    {
-        std::string workload;
-        std::string input;
-        std::vector<serve::FleetServer::JobId> ids;
-    };
-    std::vector<PendingRow> pending;
-    uint64_t submitted = 0;
+    std::vector<WorkloadRow> rows;
+    std::vector<Cell> cells;
     for (const WorkloadRow &row : table1Rows()) {
         if (!row.hasStatic)
             continue; // Fig. 10 covers the spawn-sync workloads
@@ -85,44 +69,33 @@ main(int argc, char **argv)
             continue;
         if (!report.wants(row.workload + "/" + row.input))
             continue;
-        PendingRow p;
-        p.workload = row.workload;
-        p.input = row.input;
         for (const Variant &variant : variants)
-            p.ids.push_back(
-                server.submit(cellRequest(row, variant, machine_cfg)));
-        submitted += p.ids.size();
-        pending.push_back(std::move(p));
+            cells.push_back(cellRequest(row, variant, machine_cfg));
+        rows.push_back(row);
     }
 
-    for (const PendingRow &p : pending) {
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t r = 0; r < rows.size(); ++r) {
+        const CellResult *cell = &results[r * variants.size()];
         double baseline = 0;
-        std::vector<double> cycles(variants.size(), 0);
         bool all_ok = true;
         for (size_t i = 0; i < variants.size(); ++i) {
-            serve::JobReport job = server.wait(p.ids[i]);
-            bool ok = job.status == serve::JobStatus::Ok ||
-                      job.status == serve::JobStatus::CacheHit;
-            if (!ok)
-                report.fail("%s/%s %s: %s (%s)", p.workload.c_str(),
-                            p.input.c_str(), variants[i].label,
-                            serve::jobStatusName(job.status),
-                            job.error.c_str());
-            all_ok = all_ok && ok;
-            cycles[i] = static_cast<double>(job.cycles);
+            all_ok = all_ok && cell[i].ok();
             if (std::string(variants[i].label) == "static spm-stack")
-                baseline = static_cast<double>(job.cycles);
+                baseline = static_cast<double>(cell[i].job.cycles);
         }
-        Report &r = report.row()
-                         .cell("workload", p.workload)
-                         .cell("input", p.input);
-        for (size_t i = 0; i < variants.size(); ++i)
-            r.cell(variants[i].label,
-                   cycles[i] != 0 ? baseline / cycles[i] : 0.0);
-        r.cell("ok", all_ok);
+        Report &out = report.row()
+                          .cell("workload", rows[r].workload)
+                          .cell("input", rows[r].input);
+        for (size_t i = 0; i < variants.size(); ++i) {
+            const double cycles = static_cast<double>(cell[i].job.cycles);
+            out.cell(variants[i].label,
+                     cycles != 0 ? baseline / cycles : 0.0);
+        }
+        out.cell("ok", all_ok);
     }
 
-    assertFleetTotals(report, server, submitted);
     report.comment("paper: up to 3.94x for statically schedulable "
                    "workloads, up to 28.5x for dynamic ones");
     return report.finish();

@@ -5,11 +5,12 @@
  * Runs fib/cilksort/uts/nqueens under the work-stealing runtime at 16 and
  * 128 cores, once with the winner-tree scheduler and once with the
  * linear-scan reference scheduler, and records host wall-clock, context
- * switches, sync points, and simulated cycles. Results go to
- * BENCH_host_perf.json (schema documented in EXPERIMENTS.md) so every PR
- * leaves a recorded perf point; CI's bench-smoke job compares the
- * fast-vs-reference speedup against the committed baseline, which is
- * machine-independent in a way absolute wall-clock is not.
+ * switches, sync points, and simulated cycles. With --out=<path> the
+ * rows go to a spmrt-bench-v1 document (fields documented in
+ * EXPERIMENTS.md) that tools/check_host_perf.py gates: CI's bench-smoke
+ * job compares the fast-vs-reference speedup against the committed
+ * baseline, which is machine-independent in a way absolute wall-clock
+ * is not, and can append the rows as a trajectory point.
  *
  * The two schedulers must agree on results, cycles, switches, and sync
  * points, and the result must equal the workload registry's host
@@ -25,9 +26,8 @@
  */
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/support.hpp"
@@ -206,13 +206,6 @@ main(int argc, char **argv)
     // scales with host cores.
     const uint32_t host_cores = usableCpus();
 
-    // The trajectory file keeps its own schema (spmrt-host-perf-v1):
-    // CI's bench-smoke gate and the committed baseline both parse it.
-    std::string json = "{\n  \"schema\": \"spmrt-host-perf-v1\",\n";
-    json += log::format("  \"quick\": %s,\n  \"rows\": [\n",
-                        bench::quickMode() ? "true" : "false");
-
-    bool first = true;
     for (const serve::FleetWorkload &spec : specs) {
         const serve::JobRequest req = serve::makeWorkloadRequest(spec);
         const char *name = spec.kind.c_str();
@@ -225,39 +218,25 @@ main(int argc, char **argv)
             // identical, correct simulation.
             const char *diverged =
                 divergence(fast, ref, req.expectedDigest);
-            bool ok = diverged == nullptr;
-            if (!ok)
+            bool equivalent = diverged == nullptr;
+            if (!equivalent)
                 report.fail("%s at %u cores: the fast scheduler, the "
                             "reference scheduler and the host reference "
                             "disagree on %s",
                             name, cores, diverged);
-            double speedup = fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0;
             report.row()
                 .cell("workload", name)
                 .cell("cores", cores)
+                .cell("geometry", machineFor(cores).geometry())
+                .cell("host_cores", host_cores)
                 .cell("wall_ms", fast.wallMs)
-                .cell("wall_ms_ref", ref.wallMs)
-                .cell("speedup", speedup)
+                .cell("wall_ms_reference", ref.wallMs)
+                .cell("speedup",
+                      fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0.0)
                 .cell("switches", fast.switches)
                 .cell("syncpoints", fast.syncPoints)
-                .cell("ok", ok);
-            if (!first)
-                json += ",\n";
-            first = false;
-            json += log::format(
-                "    {\"workload\": \"%s\", \"cores\": %u, "
-                "\"geometry\": \"%s\", \"host_cores\": %u, "
-                "\"wall_ms\": %.3f, \"wall_ms_reference\": %.3f, "
-                "\"speedup\": %.3f, \"switches\": %llu, "
-                "\"syncpoints\": %llu, \"sim_cycles\": %llu, "
-                "\"equivalent\": %s}",
-                name, cores, machineFor(cores).geometry().c_str(),
-                host_cores,
-                fast.wallMs, ref.wallMs, speedup,
-                static_cast<unsigned long long>(fast.switches),
-                static_cast<unsigned long long>(fast.syncPoints),
-                static_cast<unsigned long long>(fast.simCycles),
-                ok ? "true" : "false");
+                .cell("sim_cycles", fast.simCycles)
+                .cell("equivalent", equivalent);
         }
     }
 
@@ -268,56 +247,25 @@ main(int argc, char **argv)
         double scaling = serial.simsPerSec > 0
                              ? multi.simsPerSec / serial.simsPerSec
                              : 0;
-        report.row()
-            .cell("workload", "fleet")
-            .cell("cores", 1)
-            .cell("wall_ms", serial.wallMs)
-            .cell("speedup", 1.0)
-            .cell("ok", serial.allOk);
-        report.row()
-            .cell("workload", "fleet")
-            .cell("cores", 4)
-            .cell("wall_ms", multi.wallMs)
-            .cell("speedup", scaling)
-            .cell("ok", multi.allOk);
+        for (const auto &[workers, sample, speedup] :
+             {std::tuple{1u, serial, 1.0}, std::tuple{4u, multi, scaling}})
+            report.row()
+                .cell("workload", "fleet")
+                .cell("cores", workers)
+                .cell("geometry", machineFor(16).geometry())
+                .cell("series", "throughput")
+                .cell("host_cores", host_cores)
+                .cell("wall_ms", sample.wallMs)
+                .cell("sims_per_sec", sample.simsPerSec)
+                .cell("jobs", sample.jobs)
+                .cell("speedup", speedup)
+                .cell("equivalent", sample.allOk);
         if (!serial.allOk || !multi.allOk)
             report.fail("fleet batch: some jobs did not verify against "
                         "their standalone references");
-        std::printf("# fleet: %.2f sims/sec serial, %.2f sims/sec on 4 "
-                    "workers (%.2fx)\n",
-                    serial.simsPerSec, multi.simsPerSec, scaling);
-        json += log::format(
-            "%s\n    {\"workload\": \"fleet\", \"cores\": 1, "
-            "\"geometry\": \"%s\", "
-            "\"series\": \"throughput\", \"host_cores\": %u, "
-            "\"wall_ms\": %.3f, "
-            "\"sims_per_sec\": %.3f, \"jobs\": %llu, \"speedup\": 1.0, "
-            "\"equivalent\": %s}",
-            first ? "" : ",", machineFor(16).geometry().c_str(),
-            host_cores, serial.wallMs, serial.simsPerSec,
-            static_cast<unsigned long long>(serial.jobs),
-            serial.allOk ? "true" : "false");
-        first = false;
-        json += log::format(
-            ",\n    {\"workload\": \"fleet\", \"cores\": 4, "
-            "\"geometry\": \"%s\", "
-            "\"series\": \"throughput\", \"host_cores\": %u, "
-            "\"wall_ms\": %.3f, "
-            "\"sims_per_sec\": %.3f, \"jobs\": %llu, \"speedup\": %.3f, "
-            "\"equivalent\": %s}",
-            machineFor(16).geometry().c_str(),
-            host_cores, multi.wallMs, multi.simsPerSec,
-            static_cast<unsigned long long>(multi.jobs), scaling,
-            multi.allOk ? "true" : "false");
-    }
-    json += "\n  ]\n}\n";
-
-    if (!report.listing()) {
-        const char *path = "BENCH_host_perf.json";
-        if (log::writeText(path, json, "host-perf JSON"))
-            std::printf("wrote %s\n", path);
-        else
-            report.fail("cannot write %s", path);
+        report.comment("fleet: %.2f sims/sec serial, %.2f sims/sec on 4 "
+                       "workers (%.2fx)",
+                       serial.simsPerSec, multi.simsPerSec, scaling);
     }
     return report.finish();
 }

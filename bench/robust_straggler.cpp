@@ -9,14 +9,17 @@
  * roughly the stragglers' slowdown factor; the work-stealing runtime
  * re-balances reactively — healthy cores steal the straggler's share —
  * and degrades far less. That gap is the dynamic-parallelism argument
- * of the paper restated as a fault-tolerance property. Results are
- * checked bit-identical between fault-free and perturbed runs: the
- * injection changes timing only.
+ * of the paper restated as a fault-tolerance property. Every cell is one
+ * job of the bench's fleet batch (fleet_util.hpp's runCells), and every
+ * result is checked against the host digest of the fault-free output:
+ * the injection changes timing only.
  */
 
-#include "bench/support.hpp"
+#include <memory>
+
+#include "bench/fleet_util.hpp"
 #include "graph/csr.hpp"
-#include "runtime/static_runtime.hpp"
+#include "serve/workloads.hpp"
 #include "sim/fault.hpp"
 
 using namespace spmrt;
@@ -24,58 +27,61 @@ using namespace spmrt::bench;
 
 namespace {
 
-struct RunOut
+/**
+ * The reference loop under one scheduler as a fleet job: @p n
+ * iterations of 40 cycles each, each storing a hash of its index into a
+ * DRAM array. Every core in @p stragglers pays +@p extra cycles per op
+ * for the whole run. The output is checked against its host digest, so
+ * a result the injection changed fails the cell.
+ */
+serve::JobRequest
+loopRequest(const char *label, bool use_static, int64_t n,
+            const std::vector<CoreId> &stragglers, Cycles extra)
 {
-    Cycles cycles;
-    std::vector<uint32_t> result;
-};
+    std::vector<uint32_t> expected(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i)
+        expected[i] = static_cast<uint32_t>(i * 2654435761u);
 
-/** Run the reference loop under one scheduler, optionally perturbed. */
-RunOut
-runLoop(bool use_static, int64_t n, FaultPlan *plan)
-{
-    Machine machine{MachineConfig::small()};
-    maybeArmTrace(machine);
-    Addr out = machine.dramAllocArray<uint32_t>(n);
-    if (plan != nullptr) {
-        plan->resetInjected();
-        machine.setFaultPlan(plan);
-    }
-    auto body = [&](TaskContext &tc) {
-        ForOptions opts;
-        opts.grain = 4;
-        parallelFor(
-            tc, 0, n,
-            [out](TaskContext &btc, int64_t i) {
-                btc.core().tick(40); // the "work" of one iteration
-                btc.core().store<uint32_t>(
-                    out + static_cast<Addr>(i) * 4,
-                    static_cast<uint32_t>(i * 2654435761u));
-            },
-            opts);
+    serve::JobRequest req;
+    req.name = log::format("robust_straggler/%s/%s", label,
+                           use_static ? "static" : "ws");
+    req.machine = MachineConfig::small();
+    req.runtime = RuntimeConfig::full();
+    req.staticRuntime = use_static;
+    req.armChecker = false;
+    req.expectedDigest = serve::fnvDigest(expected);
+    req.hasExpectedDigest = true;
+    req.prepare = [n, stragglers, extra](Machine &machine,
+                                         serve::AssetCache &) {
+        Addr out = machine.dramAllocArray<uint32_t>(n);
+        // Installed before the runtime is built, like a chaos plan; the
+        // root closure keeps it alive until runJob clears it.
+        auto plan = std::make_shared<FaultPlan>();
+        for (CoreId core : stragglers)
+            plan->stallCore(core, 0, ~0ull, extra);
+        if (!stragglers.empty())
+            machine.setFaultPlan(plan.get());
+        serve::PreparedJob prep;
+        prep.root = [n, out, plan](TaskContext &tc) {
+            ForOptions opts;
+            opts.grain = 4;
+            parallelFor(
+                tc, 0, n,
+                [out](TaskContext &btc, int64_t i) {
+                    btc.core().tick(40); // the "work" of one iteration
+                    btc.core().store<uint32_t>(
+                        out + static_cast<Addr>(i) * 4,
+                        static_cast<uint32_t>(i * 2654435761u));
+                },
+                opts);
+        };
+        prep.digest = [n, out](Machine &m) {
+            return serve::fnvDigest(downloadArray<uint32_t>(
+                m, out, static_cast<uint32_t>(n)));
+        };
+        return prep;
     };
-    Cycles cycles;
-    if (use_static) {
-        StaticRuntime rt(machine, RuntimeConfig::full());
-        cycles = rt.run(body);
-    } else {
-        WorkStealingRuntime rt(machine, RuntimeConfig::full());
-        cycles = rt.run(body);
-    }
-    machine.setFaultPlan(nullptr);
-    maybeWriteTrace(machine);
-    return {cycles, downloadArray<uint32_t>(machine, out,
-                                            static_cast<uint32_t>(n))};
-}
-
-/** Whole-run straggler plan: each core in @p cores pays +extra per op. */
-FaultPlan
-stragglerPlan(const std::vector<CoreId> &cores, Cycles extra)
-{
-    FaultPlan plan;
-    for (CoreId core : cores)
-        plan.stallCore(core, 0, ~0ull, extra);
-    return plan;
+    return req;
 }
 
 } // namespace
@@ -105,35 +111,31 @@ main(int argc, char **argv)
         return report.finish();
     }
 
-    // The fault-free baseline always runs: slowdown ratios and the
-    // bit-identical result check need it, even under --filter.
-    RunOut static_base, ws_base;
+    // The fault-free baseline always runs: the slowdown ratios need it,
+    // even under --filter. Each case is a (static, ws) pair of cells.
+    std::vector<Cell> cells;
+    std::vector<size_t> ran;
     for (size_t c = 0; c < cases.size(); ++c) {
         if (c > 0 && !report.wants(labels[c]))
             continue;
-        FaultPlan plan = stragglerPlan(cases[c], extra);
-        FaultPlan plan2 = plan; // independent copy for the second run
-        RunOut st = runLoop(true, n, cases[c].empty() ? nullptr : &plan);
-        RunOut ws =
-            runLoop(false, n, cases[c].empty() ? nullptr : &plan2);
-        if (c == 0) {
-            static_base = st;
-            ws_base = ws;
-        }
-        if (st.result != static_base.result ||
-            ws.result != ws_base.result) {
-            report.fail("results changed under fault injection (%s)",
-                        labels[c]);
-            return report.finish();
-        }
+        cells.push_back(loopRequest(labels[c], true, n, cases[c], extra));
+        cells.push_back(loopRequest(labels[c], false, n, cases[c], extra));
+        ran.push_back(c);
+    }
+
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    const Cycles static_base = results[0].job.cycles;
+    const Cycles ws_base = results[1].job.cycles;
+    for (size_t k = 0; k < ran.size(); ++k) {
+        const Cycles st = results[2 * k].job.cycles;
+        const Cycles ws = results[2 * k + 1].job.cycles;
         report.row()
-            .cell("stragglers", labels[c])
-            .cell("static_cycles", st.cycles)
-            .cell("static_slowdown",
-                  static_cast<double>(st.cycles) / static_base.cycles)
-            .cell("ws_cycles", ws.cycles)
-            .cell("ws_slowdown",
-                  static_cast<double>(ws.cycles) / ws_base.cycles);
+            .cell("stragglers", labels[ran[k]])
+            .cell("static_cycles", st)
+            .cell("static_slowdown", static_cast<double>(st) / static_base)
+            .cell("ws_cycles", ws)
+            .cell("ws_slowdown", static_cast<double>(ws) / ws_base);
     }
 
     report.comment("Expectation: static slowdown tracks the straggler "

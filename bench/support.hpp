@@ -18,10 +18,10 @@
  * Report::wants() so --list enumerates cases without simulating and
  * --filter narrows a run to matching cases.
  *
- * Setting SPMRT_TRACE_OUT=<path> makes the first machine a bench arms
- * with maybeArmTrace (fleet jobs through fleet_util.hpp's traceJob)
- * record a Chrome trace-event timeline there, viewable in Perfetto. A
- * trace that cannot be written makes Report::finish() exit 1.
+ * Setting SPMRT_TRACE_OUT=<path> makes the first cell a bench runs
+ * through fleet_util.hpp's runCells record a Chrome trace-event timeline
+ * there, viewable in Perfetto. A trace that cannot be written makes
+ * Report::finish() exit 1.
  */
 
 #ifndef SPMRT_BENCH_SUPPORT_HPP
@@ -38,7 +38,6 @@
 #include "common/env.hpp"
 #include "common/log.hpp"
 #include "parallel/patterns.hpp"
-#include "serve/assets.hpp"
 #include "serve/job.hpp"
 
 namespace spmrt {
@@ -87,32 +86,6 @@ traceFailed()
     return failed;
 }
 } // namespace detail
-
-/**
- * Arm the tracer on @p machine when SPMRT_TRACE_OUT requests a trace and
- * none has been captured yet. Call before running the workload.
- */
-inline void
-maybeArmTrace(Machine &machine)
-{
-    if (!traceOutPath().empty() && !detail::traceWritten())
-        machine.armTracer();
-}
-
-/**
- * Write @p machine's trace to SPMRT_TRACE_OUT. The first armed machine
- * to reach this wins; later calls are no-ops.
- */
-inline void
-maybeWriteTrace(Machine &machine)
-{
-    if (traceOutPath().empty() || detail::traceWritten())
-        return;
-    if (obs::Tracer *tracer = machine.tracer()) {
-        detail::traceFailed() = !tracer->writeChromeJson(traceOutPath());
-        detail::traceWritten() = true;
-    }
-}
 
 // ---- Runtime variants -------------------------------------------------
 
@@ -470,7 +443,10 @@ class Report
           case Cell::Kind::Text:
             break;
         }
-        return "\"" + log::jsonEscape(cell.text) + "\"";
+        std::string quoted = "\"";
+        quoted += log::jsonEscape(cell.text);
+        quoted += '"';
+        return quoted;
     }
 
     /** Write the rows to --out; false if the file cannot be written. */

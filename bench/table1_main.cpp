@@ -12,6 +12,7 @@
  * issue more of them).
  */
 
+#include "bench/fleet_util.hpp"
 #include "bench/rows.hpp"
 
 using namespace spmrt;
@@ -26,37 +27,43 @@ main(int argc, char **argv)
     if (quickMode())
         report.comment("QUICK MODE: shrunken inputs");
 
-    serve::AssetCache assets; // one generated input serves all six runs
-    for (const WorkloadRow &row : table1Rows()) {
+    // Every (row, configuration) cell is one job of one fleet batch; the
+    // cells of a row share its generated input through the batch's asset
+    // cache.
+    const std::vector<WorkloadRow> rows = table1Rows();
+    const std::vector<Variant> variants = table1Variants();
+    std::vector<Cell> cells;
+    std::vector<std::pair<const WorkloadRow *, const Variant *>> labels;
+    for (const WorkloadRow &row : rows) {
         if (!report.wants(row.workload + "/" + row.input))
             continue;
         serve::JobRequest base = serve::makeWorkloadRequest(row.spec);
         base.machine = MachineConfig{}; // the paper's 16x8 machine
         base.armChecker = false;        // a measurement, not an audit
-        for (const Variant &variant : table1Variants()) {
+        for (const Variant &variant : variants) {
             if (variant.isStatic && !row.hasStatic)
                 continue;
             serve::JobRequest req = base;
+            req.name = log::format("table1/%s/%s/%s", row.workload.c_str(),
+                                   row.input.c_str(), variant.label);
             applyVariant(req, variant);
-            Machine machine(req.machine);
-            maybeArmTrace(machine);
-            serve::JobResult result = serve::runJob(req, machine, assets);
-            maybeWriteTrace(machine);
-            const bool verified = result.digest == req.expectedDigest;
-            if (!verified)
-                report.fail("%s/%s under '%s' failed verification",
-                            row.workload.c_str(), row.input.c_str(),
-                            variant.label);
-            report.row()
-                .cell("workload", row.workload)
-                .cell("input", row.input)
-                .cell("config", variant.label)
-                .cell("cycles_k", result.cycles / 1000.0)
-                .cell("ops_k", machine.totalInstructions() / 1000.0)
-                .cell("steals",
-                      machine.totalStat(&RuntimeStats::stealHits))
-                .cell("ok", verified);
+            cells.push_back(std::move(req));
+            labels.emplace_back(&row, &variant);
         }
+    }
+
+    const std::vector<CellResult> results =
+        runCells(report, std::move(cells));
+    for (size_t i = 0; i < results.size(); ++i) {
+        const auto &[row, variant] = labels[i];
+        report.row()
+            .cell("workload", row->workload)
+            .cell("input", row->input)
+            .cell("config", variant->label)
+            .cell("cycles_k", results[i].job.cycles / 1000.0)
+            .cell("ops_k", results[i].instructions / 1000.0)
+            .cell("steals", results[i].stealHits)
+            .cell("ok", results[i].ok());
     }
     return report.finish();
 }

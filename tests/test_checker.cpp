@@ -474,10 +474,10 @@ TEST(CheckerRuntime, BfsFrontierRaceIsConfinedToJoinLevel)
     }
 }
 
-TEST(CheckerRuntime, ArmCheckerIsNullWhenCompiledOut)
+TEST(CheckerRuntime, ArmCheckerReturnsTheMachinesChecker)
 {
-    // No build compiles the checker out any more, so arming always
-    // yields the checker that the memory system then reports.
+    // Arming always yields the checker that the memory system then
+    // reports.
     Machine machine(MachineConfig::tiny());
     ConcurrencyChecker *ck = machine.armChecker();
     EXPECT_NE(ck, nullptr);

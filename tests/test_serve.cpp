@@ -275,7 +275,10 @@ TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)
 {
     // The 16-core cases are the kernels whose cycles depend on whether
     // the runtime's DRAM or the inputs are allocated first, so a second
-    // run order anywhere would show up here.
+    // run order anywhere would show up here. The instruction and steal
+    // counters a fleet job's digest stage reads (how the benches'
+    // runCells fills table1_main's ops and steals) must equal the
+    // standalone machine's after runJob, too.
     const std::pair<FleetWorkload, MachineConfig> cases[] = {
         {{"cilksort", 400, 900, 0.0}, MachineConfig::tiny()},
         {{"uts", 6, 42, 2.2}, sixteenCores()},
@@ -296,11 +299,26 @@ TEST(Fleet, DigestsAndCyclesMatchStandaloneRun)
         JobResult standalone = runJob(req, machine, assets);
         EXPECT_EQ(standalone.digest, req.expectedDigest);
 
+        auto counters = std::make_shared<std::pair<uint64_t, uint64_t>>();
+        req.prepare = [inner = req.prepare, counters](Machine &m,
+                                                      AssetCache &a) {
+            PreparedJob prep = inner(m, a);
+            prep.digest = [digest = prep.digest, counters](Machine &dm) {
+                *counters = {dm.totalInstructions(),
+                             dm.totalStat(&RuntimeStats::stealHits)};
+                return digest(dm);
+            };
+            return prep;
+        };
         JobReport report = server.wait(server.submit(std::move(req)));
         ASSERT_EQ(report.status, JobStatus::Ok) << report.error;
         EXPECT_EQ(report.digest, standalone.digest);
         EXPECT_EQ(report.cycles, standalone.cycles)
             << "fleet execution must not disturb simulated time";
+        EXPECT_GT(counters->first, 0u);
+        EXPECT_EQ(counters->first, machine.totalInstructions());
+        EXPECT_EQ(counters->second,
+                  machine.totalStat(&RuntimeStats::stealHits));
     }
 }
 
@@ -324,7 +342,7 @@ TEST(Fleet, AssetCacheBuildsSharedInputsOnce)
 
 // ---- Supervision: hang --------------------------------------------------
 
-TEST(Fleet, HangRetriedThenQuarantined)
+TEST(Fleet, HangRunsOnceThenQuarantined)
 {
     // One attempt, then quarantine: a rerun with the same seeds would
     // replay the hang exactly (Chaos.SupervisedHangIsReproducible).

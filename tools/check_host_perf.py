@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Gate host-perf regressions against the committed baseline + trajectory.
 
-Compares a freshly measured BENCH_host_perf.json against
-bench/baseline_host_perf.json row by row (matched on workload + cores +
-machine geometry; reference rows written before the ``geometry`` field
-existed fall back to workload + cores alone), and optionally against
+Compares a fresh host_perf measurement (the spmrt-bench-v1 report that
+``host_perf --out=<path>`` writes; a spmrt-host-perf-v1 row set is read
+too) against bench/baseline_host_perf.json row by row (matched on
+workload + cores + machine geometry; reference rows written before the
+``geometry`` field existed fall back to workload + cores alone), and
+optionally against
 the *latest point* of the committed perf
 trajectory (repo-root BENCH_host_perf.json, schema
 spmrt-host-perf-trajectory-v1). The gated quantity is the
@@ -58,6 +60,7 @@ import sys
 
 TRAJECTORY_SCHEMA = "spmrt-host-perf-trajectory-v1"
 POINT_SCHEMA = "spmrt-host-perf-v1"
+REPORT_SCHEMA = "spmrt-bench-v1"
 GATED_SERIES = (None, "throughput")
 COUNT_FIELDS = ("switches", "syncpoints", "sim_cycles")
 
@@ -95,8 +98,8 @@ def load_json(path, what):
             return json.load(f)
     except FileNotFoundError:
         sys.exit(f"{path}: {what} file not found — run the host_perf "
-                 "bench first (build/bench/host_perf) or pass the right "
-                 "path")
+                 "bench first (build/bench/host_perf --out=<path>) or "
+                 "pass the right path")
     except IsADirectoryError:
         sys.exit(f"{path}: is a directory, expected a {what} JSON file")
     except json.JSONDecodeError as err:
@@ -104,12 +107,18 @@ def load_json(path, what):
                  "truncated or was not written by the host_perf bench")
 
 
-def load_measurement(path):
-    """Load a single spmrt-host-perf-v1 measurement."""
-    doc = load_json(path, "measurement")
-    if doc.get("schema") != POINT_SCHEMA:
-        sys.exit(f"{path}: unexpected schema {doc.get('schema')!r} "
-                 f"(expected {POINT_SCHEMA!r})")
+def check_measurement(doc, path):
+    """Validate one measurement: the spmrt-bench-v1 report of bench
+    host_perf, or a spmrt-host-perf-v1 row set (the committed baseline).
+    Both carry the same row fields and a top-level ``quick`` flag."""
+    schema = doc.get("schema")
+    if schema == REPORT_SCHEMA:
+        if doc.get("bench") != "host_perf":
+            sys.exit(f"{path}: a {REPORT_SCHEMA} report of bench "
+                     f"{doc.get('bench')!r}, expected 'host_perf'")
+    elif schema != POINT_SCHEMA:
+        sys.exit(f"{path}: unexpected schema {schema!r} (expected "
+                 f"{REPORT_SCHEMA!r} from host_perf or {POINT_SCHEMA!r})")
     rows = doc.get("rows")
     if not isinstance(rows, list) or not rows:
         sys.exit(f"{path}: measurement has no rows — the bench produced "
@@ -121,6 +130,11 @@ def load_measurement(path):
             sys.exit(f"{path}: row {row['workload']}/{row['cores']} has "
                      "no 'speedup' field")
     return doc
+
+
+def load_measurement(path):
+    """Load a single measurement file (see check_measurement)."""
+    return check_measurement(load_json(path, "measurement"), path)
 
 
 def load_trajectory(path):
@@ -349,6 +363,27 @@ def self_test():
     expect(check_counts(key_rows([dict(counts, sim_cycles=2673)]), False,
                         point, "prev") == [],
            "a different quick flag must skip the count gate")
+
+    # host_perf --out writes a spmrt-bench-v1 report: its rows and quick
+    # flag are the measurement, gated like a spmrt-host-perf-v1 row set.
+    report = {"schema": REPORT_SCHEMA, "bench": "host_perf", "quick": True,
+              "rows": [counts, fleet]}
+    expect(check_measurement(report, "report.json") is report,
+           "a host_perf report must load as a measurement")
+    expect(check_counts(key_rows(report["rows"]), report["quick"], point,
+                        "prev") == [],
+           "a host_perf report with equal counts must pass")
+
+    def rejected(doc):
+        try:
+            check_measurement(doc, "doc.json")
+        except SystemExit:
+            return True
+        return False
+    expect(rejected(dict(report, bench="fig07_fib_variants")),
+           "another bench's report must be rejected")
+    expect(rejected(dict(report, schema="spmrt-fleet-report-v1")),
+           "an unknown schema must be rejected")
 
     print("check_host_perf.py --self-test passed")
     return 0
