@@ -79,7 +79,7 @@ main(int argc, char **argv)
         return prep;
     };
 
-    report.comment("supervised fleet job (raw machine body, no runtime)");
+    report.comment("one fleet job (raw machine body, no runtime)");
     runCells(report, {std::move(jobreq)});
 
     double max_latency = 0;

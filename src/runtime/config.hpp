@@ -96,7 +96,7 @@ struct RuntimeConfig
     uint32_t dramStackBytes = 256 * 1024;
 
     /**
-     * Hang watchdog bound: a work-stealing run panics with a structured
+     * Hang watchdog bound: a work-stealing run aborts with a structured
      * dump when no task retires for this many simulated cycles (0
      * disables the watchdog). The default is far beyond any legitimate
      * stall — DRAM round trips are hundreds of cycles — so only a
@@ -180,9 +180,9 @@ struct RuntimeConfig
 
     /**
      * Every field, in declaration order: the runtime's part of a fleet
-     * job's cache and quarantine key (FleetServer::specKeyFor). Two
-     * configs that differ in any field must not share a key, so a new
-     * field belongs here too.
+     * job's spec key (FleetServer::specKeyFor). Two configs that differ
+     * in any field must not share a key, so a new field belongs here
+     * too.
      */
     std::string
     key() const

@@ -52,9 +52,9 @@ void
 Worker::executeSpawned(Task *task, uint32_t trace_id)
 {
     // Track owned tasks for the duration of their execution: a dequeued
-    // task is already out of the registry, so if a supervised abort
-    // unwinds the run mid-execution this stack is what lets the runtime
-    // reclaim it (reapOwnedInFlight).
+    // task is already out of the registry, so if a hang abort unwinds
+    // the run mid-execution this stack is what lets the runtime reclaim
+    // it (reapOwnedInFlight).
     if (task->runtimeOwned)
         ownedInFlight_.push_back(task);
     executeTask(*task, trace_id);

@@ -118,8 +118,8 @@ WorkStealingRuntime::run(const std::function<void(TaskContext &)> &root_fn,
     }
 
     // Arm the hang watchdog: every retired task is a progress event; if
-    // none retires within the configured bound the engine dumps our
-    // runtime state and panics instead of spinning forever.
+    // none retires within the configured bound the engine throws a
+    // SimAbort carrying our runtime state instead of spinning forever.
     if (cfg_.watchdogCycles != 0)
         machine_.engine().armWatchdog(cfg_.watchdogCycles,
                                       [this] { return watchdogDump(); });
@@ -127,7 +127,7 @@ WorkStealingRuntime::run(const std::function<void(TaskContext &)> &root_fn,
     try {
         cycles = machine_.runPerCore(bodies);
     } catch (...) {
-        // A supervised SimAbort unwound the run with guest stacks frozen
+        // A SimAbort unwound the run with guest stacks frozen
         // mid-task. Reclaim every heap task the runtime owns — in-flight
         // on a worker or still queued in the registry — before
         // rethrowing; the suspended coroutines never resume, so these

@@ -17,10 +17,6 @@ jobStatusName(JobStatus status)
     switch (status) {
       case JobStatus::Ok:
         return "ok";
-      case JobStatus::CacheHit:
-        return "cache_hit";
-      case JobStatus::Quarantined:
-        return "quarantined";
       case JobStatus::Hang:
         return "hang";
       case JobStatus::CheckerViolation:
@@ -31,20 +27,6 @@ jobStatusName(JobStatus status)
         return "setup_failure";
     }
     return "unknown";
-}
-
-bool
-jobStatusIsFailure(JobStatus status)
-{
-    switch (status) {
-      case JobStatus::Hang:
-      case JobStatus::CheckerViolation:
-      case JobStatus::DigestMismatch:
-      case JobStatus::SetupFailure:
-        return true;
-      default:
-        return false;
-    }
 }
 
 JobResult
@@ -98,15 +80,12 @@ JobReport::toJson() const
 {
     return log::format(
         "{\"id\":%llu,\"name\":\"%s\",\"status\":\"%s\","
-        "\"digest\":\"0x%016llx\",\"cycles\":%llu,\"attempts\":%u,"
-        "\"from_cache\":%s,\"quarantined\":%s,"
+        "\"digest\":\"0x%016llx\",\"cycles\":%llu,"
         "\"wall_ms\":%.3f,\"error\":\"%s\",\"dump\":\"%s\"}",
         static_cast<unsigned long long>(id), log::jsonEscape(name).c_str(),
         jobStatusName(status), static_cast<unsigned long long>(digest),
-        static_cast<unsigned long long>(cycles), attempts,
-        fromCache ? "true" : "false", quarantined ? "true" : "false",
-        wallMs, log::jsonEscape(error).c_str(),
-        log::jsonEscape(dump).c_str());
+        static_cast<unsigned long long>(cycles), wallMs,
+        log::jsonEscape(error).c_str(), log::jsonEscape(dump).c_str());
 }
 
 } // namespace serve

@@ -10,9 +10,9 @@
  *    including a `prepare` factory invoked on the job's fresh Machine.
  *  - runJob(): the one sequence that simulates a JobRequest, shared by
  *    the server and every standalone caller.
- *  - JobStatus: the structured error taxonomy. Infrastructure outcomes
- *    (Ok, CacheHit, Quarantined) and failure classes (Hang,
- *    CheckerViolation, DigestMismatch, SetupFailure).
+ *  - JobStatus: the structured error taxonomy: Ok, or one of the four
+ *    failure classes (Hang, CheckerViolation, DigestMismatch,
+ *    SetupFailure).
  *  - JobReport: the machine-readable outcome, serializable to JSON.
  */
 
@@ -39,19 +39,14 @@ class AssetCache;
 enum class JobStatus : uint8_t
 {
     Ok,               ///< ran to completion, digest accepted
-    CacheHit,         ///< served from the result cache, no simulation
-    Quarantined,      ///< refused: this spec already failed
     Hang,             ///< watchdog: no task retired within its bound
     CheckerViolation, ///< concurrency checker reported violations
-    DigestMismatch,   ///< result disagreed with expectation or cache
+    DigestMismatch,   ///< result disagreed with expectation or first run
     SetupFailure      ///< setup threw before the first simulated cycle
 };
 
 /** Stable lowercase name for @p status (report JSON field values). */
 const char *jobStatusName(JobStatus status);
-
-/** True for the failure classes (not Ok/CacheHit/Quarantined). */
-bool jobStatusIsFailure(JobStatus status);
 
 /**
  * What prepare() hands back: the root task plus an untimed digest
@@ -78,10 +73,10 @@ struct JobRequest
     /** Human-readable label carried into the report. */
     std::string name;
     /**
-     * Workload-identity part of the result-cache key ("" = this job is
-     * uncacheable, never coalesced, never quarantined). The server
-     * extends it with the machine/runtime/seed spec so only genuinely
-     * identical simulations share cache entries.
+     * Workload-identity part of the spec key ("" = the job is not
+     * checked against other runs). The server extends it with the
+     * machine/runtime/seed spec, and checks a repeated spec's result
+     * against the first run of that exact simulation.
      */
     std::string cacheKey;
 
@@ -111,9 +106,9 @@ struct JobRequest
     bool hasExpectedDigest = false;
 
     /**
-     * Skip the result-cache lookup and run fresh. The fresh result is
-     * still validated against (and stored into) the cache, which makes
-     * bypass runs the batch-level nondeterminism detector.
+     * No effect: every job simulates, and a keyed job is always checked
+     * against its spec's first run. Kept because the benchmark harness
+     * (perfbench/fleet.cpp) still sets it.
      */
     bool bypassCache = false;
 
@@ -142,10 +137,10 @@ struct JobResult
  * the checker, perturb the schedule, prepare() (so the inputs are
  * allocated before the runtime's DRAM), install the chaos fault plan,
  * construct the runtime and run it (or run rawBody on every core), clear
- * the plan, read the digest. Callers set oracle switches and supervision
- * on @p machine before the call and read its counters and checker after
- * it; the verdicts are theirs. Throws std::runtime_error when the job
- * cannot be set up, and SimAbort when a supervised run is interrupted.
+ * the plan, read the digest. Callers set oracle switches on @p machine
+ * before the call and read its counters and checker after it; the
+ * verdicts are theirs. Throws std::runtime_error when the job cannot be
+ * set up, and SimAbort when the hang watchdog interrupts the run.
  */
 JobResult runJob(const JobRequest &req, Machine &machine,
                  AssetCache &assets);
@@ -158,9 +153,6 @@ struct JobReport
     JobStatus status = JobStatus::Ok;
     uint64_t digest = 0;
     Cycles cycles = 0;
-    uint32_t attempts = 0;      ///< 1 if simulated, 0 if served/refused
-    bool fromCache = false;
-    bool quarantined = false;   ///< spec was quarantined by this failure
     std::string error;          ///< one-line summary for failures
     std::string dump;           ///< structured runtime dump (truncated)
     double wallMs = 0;          ///< wall time of the simulation

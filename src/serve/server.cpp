@@ -57,8 +57,8 @@ FleetServer::specKeyFor(const JobRequest &req) const
     // The machine is every MachineConfig field and the runtime every
     // RuntimeConfig field: two configs differing in any parameter (ruche
     // factors, LLC sets, DRAM channels, window stride, queue placement,
-    // victim policy, ...) must never share a digest cache or quarantine
-    // entry.
+    // victim policy, ...) must never be checked against each other's
+    // first run.
     return log::format(
         "%s|m:%s|rt:%s|sched:%llu/%llu|fault:%llu/%llu|ck:%d|st:%d",
         req.cacheKey.c_str(), req.machine.key().c_str(),
@@ -111,117 +111,38 @@ void
 FleetServer::processJob(std::unique_lock<std::mutex> &lock, JobId id)
 {
     Job &job = *jobs_.at(id);
-
-    if (!job.specKey.empty()) {
-        // Quarantine: a spec that already failed is refused without
-        // running again.
-        auto quarantined = quarantine_.find(job.specKey);
-        if (quarantined != quarantine_.end()) {
-            job.report.status = JobStatus::Quarantined;
-            job.report.quarantined = true;
-            job.report.error = log::format(
-                "quarantined: spec previously failed with status '%s'",
-                jobStatusName(quarantined->second));
-            finishLocked(id);
-            return;
-        }
-        if (!job.req.bypassCache) {
-            // Result cache: duplicates are free.
-            auto hit = cache_.find(job.specKey);
-            if (hit != cache_.end()) {
-                job.report.status = JobStatus::CacheHit;
-                job.report.fromCache = true;
-                job.report.digest = hit->second.digest;
-                job.report.cycles = hit->second.cycles;
-                finishLocked(id);
-                return;
-            }
-            // In-flight duplicate: coalesce onto the running primary
-            // instead of simulating the same spec twice concurrently.
-            auto running = runningByKey_.find(job.specKey);
-            if (running != runningByKey_.end()) {
-                job.phase = Phase::Waiting;
-                jobs_.at(running->second)->followers.push_back(id);
-                return;
-            }
-        }
-        runningByKey_.emplace(job.specKey, id);
-    }
-
     job.phase = Phase::Running;
 
     // The simulation runs unlocked: the job is Running, so only this
-    // worker touches its report until finishLocked.
+    // worker touches its report until it is Done.
     lock.unlock();
     Clock::time_point started = Clock::now();
     runAttempt(job.req, job.report);
-    job.report.attempts = 1;
     job.report.wallMs = msBetween(started, Clock::now());
 
     lock.lock();
     if (!job.specKey.empty() && job.report.status == JobStatus::Ok) {
-        // Validate fresh results against the stored entry (bypassCache
-        // recomputes land here): digest *and* cycle count must match,
-        // or the batch has detected nondeterminism.
-        auto stored = cache_.find(job.specKey);
-        if (stored != cache_.end()) {
-            if (stored->second.digest != job.report.digest ||
-                stored->second.cycles != job.report.cycles) {
-                job.report.status = JobStatus::DigestMismatch;
-                job.report.error = log::format(
-                    "cache validation failed: stored digest 0x%016llx / "
-                    "%llu cycles, fresh 0x%016llx / %llu cycles — "
-                    "nondeterministic simulation",
-                    static_cast<unsigned long long>(stored->second.digest),
-                    static_cast<unsigned long long>(stored->second.cycles),
-                    static_cast<unsigned long long>(job.report.digest),
-                    static_cast<unsigned long long>(job.report.cycles));
-            }
-        } else {
-            cache_.emplace(job.specKey,
-                           CacheEntry{job.report.digest,
-                                      job.report.cycles});
+        // The first ok run of a spec is stored; every later ok run must
+        // reproduce its digest *and* cycle count, or the batch has
+        // detected nondeterminism.
+        auto [first, inserted] = firstRuns_.try_emplace(
+            job.specKey, FirstRun{job.report.digest, job.report.cycles});
+        if (!inserted && (first->second.digest != job.report.digest ||
+                          first->second.cycles != job.report.cycles)) {
+            job.report.status = JobStatus::DigestMismatch;
+            job.report.error = log::format(
+                "repeated spec disagrees with its first run: first "
+                "0x%016llx / %llu cycles, this run 0x%016llx / %llu "
+                "cycles — nondeterministic simulation",
+                static_cast<unsigned long long>(first->second.digest),
+                static_cast<unsigned long long>(first->second.cycles),
+                static_cast<unsigned long long>(job.report.digest),
+                static_cast<unsigned long long>(job.report.cycles));
         }
     }
-    if (!job.specKey.empty()) {
-        if (jobStatusIsFailure(job.report.status)) {
-            quarantine_.emplace(job.specKey, job.report.status);
-            job.report.quarantined = true;
-        }
-        auto running = runningByKey_.find(job.specKey);
-        if (running != runningByKey_.end() && running->second == id)
-            runningByKey_.erase(running);
-    }
-    finishLocked(id);
-}
-
-void
-FleetServer::finishLocked(JobId id)
-{
-    Job &job = *jobs_.at(id);
     job.phase = Phase::Done;
     ++doneCount_;
     lastDone_ = Clock::now();
-    for (JobId follower_id : job.followers) {
-        Job &follower = *jobs_.at(follower_id);
-        // Only a primary that ran has followers, so it ended Ok or failed.
-        if (job.report.status == JobStatus::Ok) {
-            follower.report.status = JobStatus::CacheHit;
-            follower.report.fromCache = true;
-            follower.report.digest = job.report.digest;
-            follower.report.cycles = job.report.cycles;
-        } else {
-            follower.report.status = JobStatus::Quarantined;
-            follower.report.quarantined = true;
-            follower.report.error = log::format(
-                "coalesced with job %llu, which failed with '%s'",
-                static_cast<unsigned long long>(id),
-                jobStatusName(job.report.status));
-        }
-        follower.phase = Phase::Done;
-        ++doneCount_;
-    }
-    job.followers.clear();
     doneCv_.notify_all();
 }
 
@@ -230,7 +151,6 @@ FleetServer::runAttempt(const JobRequest &req, JobReport &report)
 {
     try {
         Machine machine(req.machine);
-        machine.engine().supervise(true);
         JobResult result = runJob(req, machine, assets_);
         report.cycles = result.cycles;
         report.digest = result.digest;
@@ -321,21 +241,11 @@ FleetServer::totals() const
         const Job &job = *entry.second;
         if (job.phase != Phase::Done)
             continue;
-        totals.attempts += job.report.attempts;
-        switch (job.report.status) {
-          case JobStatus::Ok:
+        ++totals.attempts;
+        if (job.report.status == JobStatus::Ok)
             ++totals.ok;
-            break;
-          case JobStatus::CacheHit:
-            ++totals.cacheHits;
-            break;
-          case JobStatus::Quarantined:
-            ++totals.quarantinedRefusals;
-            break;
-          default:
+        else
             ++totals.failures;
-            break;
-        }
     }
     if (haveFirstSubmit_ && doneCount_ > 0) {
         totals.wallMs = msBetween(firstSubmit_, lastDone_);
@@ -367,13 +277,11 @@ FleetServer::reportJson() const
     jobs += "]";
     return log::format(
         "{\"schema\":\"spmrt-fleet-report-v1\",\"workers\":%u,"
-        "\"totals\":{\"jobs\":%llu,\"ok\":%llu,\"cache_hits\":%llu,"
-        "\"quarantined\":%llu,\"failures\":%llu,\"attempts\":%llu,"
+        "\"totals\":{\"jobs\":%llu,\"ok\":%llu,\"failures\":%llu,"
+        "\"attempts\":%llu,"
         "\"wall_ms\":%.3f,\"sims_per_sec\":%.3f},\n \"jobs\":%s}",
         workerCount_, static_cast<unsigned long long>(totals.jobs),
         static_cast<unsigned long long>(totals.ok),
-        static_cast<unsigned long long>(totals.cacheHits),
-        static_cast<unsigned long long>(totals.quarantinedRefusals),
         static_cast<unsigned long long>(totals.failures),
         static_cast<unsigned long long>(totals.attempts), totals.wallMs,
         totals.simsPerSec, jobs.c_str());

@@ -1,31 +1,24 @@
 /**
  * @file
- * FleetServer: a supervised batch-simulation job server.
+ * FleetServer: a batch-simulation job server.
  *
- * Turns the simulator from a fragile one-shot binary into a resilient
- * service: clients submit JobRequests, N simulations run concurrently
- * across host threads (each on its own private Machine — the simulator
- * has no mutable global state, so concurrent machines are independent
- * by construction; each job runs its request through runJob(), as a
- * standalone caller would), and a per-job supervisor keeps failures
- * contained:
+ * Clients submit JobRequests and N simulations run concurrently across
+ * host threads, each on its own private Machine (the simulator has no
+ * mutable global state, so concurrent machines are independent by
+ * construction; each job runs its request through runJob(), as a
+ * standalone caller would). A failure stays inside its job:
  *
- *  - One attempt: jobs leave a FIFO queue and run once, behind the
- *    engine's hang watchdog (armed per the job's RuntimeConfig), which
- *    surfaces as a catchable SimAbort and status `hang`. The simulation
- *    is deterministic, so a second run with the same seeds would replay
- *    the same failure byte for byte; there is no retry.
- *  - Quarantine: a spec that fails poisons only itself; later
- *    submissions of the same spec are refused immediately with status
- *    `quarantined` instead of running again.
+ *  - One attempt: every job leaves a FIFO queue and simulates once,
+ *    behind the engine's hang watchdog (armed per the job's
+ *    RuntimeConfig), whose SimAbort becomes status `hang`. The
+ *    simulation is deterministic, so a second run with the same seeds
+ *    would replay the same outcome byte for byte; there is no retry, and
+ *    a resubmitted spec simply runs again.
+ *  - Repeated-spec check: the first `ok` (digest, cycles) of each keyed
+ *    spec (workload, machine, runtime, seeds) is stored, and a later
+ *    `ok` run of the same spec that disagrees with it ends
+ *    `digest_mismatch`: the batch has detected nondeterminism.
  *  - Shutdown: shutdown() stops intake and finishes every queued job.
- *  - Result cache: completed digests are cached under the full
- *    (workload, machine, runtime, seeds) spec key; duplicate requests
- *    are served for free (in-flight duplicates coalesce onto the
- *    running primary). A bypassCache recompute validates the stored
- *    digest *and cycle count* — any disagreement is reported as
- *    digest_mismatch, making cache validation a batch-level
- *    nondeterminism detector.
  *
  * Every outcome is a machine-readable JobReport; reportJson() emits the
  * whole batch (schema spmrt-fleet-report-v1) for CI artifacts.
@@ -57,7 +50,7 @@ struct FleetConfig
     uint32_t workers = 0;
 };
 
-/** Supervised batch-simulation job server. */
+/** Batch-simulation job server. */
 class FleetServer
 {
   public:
@@ -68,10 +61,8 @@ class FleetServer
     {
         uint64_t jobs = 0;
         uint64_t ok = 0;
-        uint64_t cacheHits = 0;
-        uint64_t quarantinedRefusals = 0;
         uint64_t failures = 0;   ///< jobs ending in a failure class
-        uint64_t attempts = 0;   ///< simulations actually executed
+        uint64_t attempts = 0;   ///< simulations run: one per done job
         /**
          * Always 0: every job runs once. Kept because the benchmark
          * harness (perfbench/fleet.cpp) reads it for `serve.retries`.
@@ -118,12 +109,12 @@ class FleetServer
     enum class Phase : uint8_t
     {
         Queued,  ///< in queue_
-        Waiting, ///< coalesced follower of a running duplicate
         Running, ///< owned by a worker thread
         Done
     };
 
-    struct CacheEntry
+    /** The first ok result of one spec. */
+    struct FirstRun
     {
         uint64_t digest = 0;
         Cycles cycles = 0;
@@ -134,21 +125,21 @@ class FleetServer
         JobRequest req;
         JobReport report;
         Phase phase = Phase::Queued;
-        std::string specKey; ///< full spec identity ("" = uncacheable)
-        std::vector<JobId> followers; ///< coalesced duplicates
+        std::string specKey; ///< full spec identity ("" = unchecked)
     };
 
     void workerLoop();
-    /** Process a dequeued job end to end (lock held on entry/exit). */
+    /**
+     * Run a dequeued job, check it against its spec's first run and mark
+     * it done (lock held on entry/exit).
+     */
     void processJob(std::unique_lock<std::mutex> &lock, JobId id);
     /**
      * Simulate @p req on a fresh Machine (no lock held), filling
      * @p report's status, digest, cycles, error and dump.
      */
     void runAttempt(const JobRequest &req, JobReport &report);
-    /** Mark @p id done, settle followers, wake waiters (lock held). */
-    void finishLocked(JobId id);
-    /** Full spec identity of @p req ("" when uncacheable). */
+    /** Full spec identity of @p req ("" when its cacheKey is empty). */
     std::string specKeyFor(const JobRequest &req) const;
 
     FleetConfig cfg_;
@@ -161,9 +152,7 @@ class FleetServer
 
     std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
     std::deque<JobId> queue_; ///< FIFO
-    std::unordered_map<std::string, JobId> runningByKey_; ///< coalescing
-    std::unordered_map<std::string, CacheEntry> cache_;
-    std::unordered_map<std::string, JobStatus> quarantine_;
+    std::unordered_map<std::string, FirstRun> firstRuns_; ///< by spec key
 
     bool accepting_ = true;
     bool stopWorkers_ = false;

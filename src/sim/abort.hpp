@@ -3,18 +3,12 @@
  * Catchable simulation aborts.
  *
  * The engine's one interrupt is the hang watchdog on simulated cycles.
- * Unsupervised, a hang has one response: dump state and abort() the
- * process. That is the right behaviour for a standalone run — a hang is
- * a bug and the dump is the diagnosis — but a batch supervisor needs to
- * report the failure, quarantine the job, and keep the rest of the fleet
- * alive.
- *
- * SimAbort is that report: a typed exception carrying a one-line
- * summary and the full structured runtime dump the panic path would
- * have printed. The engine only *throws* it when a supervisor has opted
- * in via Engine::supervise(true); otherwise the hang keeps the
- * historical print-and-panic behaviour, so unsupervised tools and death
- * tests are unchanged.
+ * Its expiry unwinds Engine::run() as a SimAbort, as setup errors
+ * unwind as std::runtime_error: a batch server catches it, reports the
+ * failure and keeps the rest of the fleet alive, and in a standalone
+ * tool that catches nothing the uncaught exception ends the process
+ * with what(), which carries the summary and the full structured
+ * runtime dump, so the diagnosis is still printed.
  *
  * A SimAbort unwinds on the host scheduler stack, never across a guest
  * coroutine: the interrupted guest context is left suspended and the
@@ -34,21 +28,22 @@
 namespace spmrt {
 
 /**
- * Thrown by Engine::run() (on the host stack) when a supervised run
- * hangs. what() is the one-line summary; dump() carries the same
- * per-core engine table + runtime dump the panic path prints.
+ * Thrown by Engine::run() (on the host stack) when a run hangs.
+ * summary() is one line; dump() is the per-core engine table plus the
+ * runtime dump; what() is the summary, a newline, then the dump.
  */
 class SimAbort : public std::exception
 {
   public:
     SimAbort(std::string summary, std::string dump)
-        : summary_(std::move(summary)), dump_(std::move(dump))
+        : summary_(std::move(summary)), dump_(std::move(dump)),
+          what_(summary_ + "\n" + dump_)
     {
     }
 
-    const char *what() const noexcept override { return summary_.c_str(); }
+    const char *what() const noexcept override { return what_.c_str(); }
 
-    /** One-line summary (same text as what()). */
+    /** One-line summary. */
     const std::string &summary() const { return summary_; }
     /** Structured engine + runtime state dump at the abort point. */
     const std::string &dump() const { return dump_; }
@@ -56,6 +51,7 @@ class SimAbort : public std::exception
   private:
     std::string summary_;
     std::string dump_;
+    std::string what_;
 };
 
 } // namespace spmrt

@@ -219,9 +219,9 @@ struct MachineConfig
 
     /**
      * Every field, in declaration order: the machine's part of a fleet
-     * job's cache and quarantine key (FleetServer::specKeyFor). Two
-     * configs that differ in any field must not share a key, so a new
-     * field belongs here too.
+     * job's spec key (FleetServer::specKeyFor). Two configs that differ
+     * in any field must not share a key, so a new field belongs here
+     * too.
      */
     std::string key() const;
 

@@ -1,7 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <cstdio>
-
 #include "common/env.hpp"
 #include "sim/core.hpp"
 
@@ -110,9 +108,8 @@ Engine::run()
     }
 
     // Dispatch chains run guest-to-guest; control only returns here once
-    // the last live core finishes or a supervised hang unwinds a
-    // dispatch back to the scheduler context (the loop guards against
-    // nothing else).
+    // the last live core finishes or a hang unwinds a dispatch back to
+    // the scheduler context (the loop guards against nothing else).
     while (live_ > 0) {
         dispatchFrom(schedCtx_);
         running_ = kInvalidCore;
@@ -211,11 +208,10 @@ Engine::dispatchFrom(GuestContext &from)
         executeOneEvent();
     Slot *next = pickNext();
     if (next->time > hangAt_) {
-        // Supervised abort (an unsupervised hang panics inside
-        // raiseHang): leave the interrupted guest (if any) suspended
-        // and unwind this thread, where run() throws the SimAbort on
-        // the host stack. The machine is dead from here on; nothing
-        // below may run.
+        // Hang: leave the interrupted guest (if any) suspended and
+        // unwind this thread, where run() throws the SimAbort on the
+        // host stack. The machine is dead from here on; nothing below
+        // may run.
         raiseHang(next->time);
         if (&from != &schedCtx_)
             GuestContext::switchTo(from, schedCtx_);
@@ -474,24 +470,13 @@ Engine::stateDump() const
 void
 Engine::raiseHang(Cycles next_time)
 {
-    std::string summary = log::format(
+    abortPending_ = true;
+    abortSummary_ = log::format(
         "watchdog expired: no progress for %llu cycles (last progress at "
         "cycle %llu), global quiescence failure",
         static_cast<unsigned long long>(next_time - progressTime_),
         static_cast<unsigned long long>(progressTime_));
-    std::string dump = stateDump();
-    if (supervised_) {
-        abortPending_ = true;
-        abortSummary_ = std::move(summary);
-        abortDump_ = std::move(dump);
-        return;
-    }
-    std::fputs(summary.c_str(), stderr);
-    std::fputs("\n", stderr);
-    std::fputs(dump.c_str(), stderr);
-    std::fflush(stderr);
-    SPMRT_PANIC("hang: unrecoverable abort (%u live cores, see dump above)",
-                live_);
+    abortDump_ = stateDump();
 }
 
 void

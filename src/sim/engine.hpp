@@ -281,10 +281,12 @@ class Engine
      *
      * Once armed, every dispatch checks whether any progress (a
      * noteProgress() call, normally one per completed task) happened
-     * within the last @p max_cycles simulated cycles. If none did, the
-     * engine prints @p dump plus its own per-core state table to stderr
-     * and panics — turning a silent infinite hang into a diagnosable
-     * failure. Arming with 0 disables the watchdog.
+     * within the last @p max_cycles simulated cycles. If none did, run()
+     * throws a SimAbort on the host stack carrying its own per-core
+     * state table plus @p dump — turning a silent infinite hang into a
+     * diagnosable failure. An aborted engine is dead (interrupted guest
+     * stacks stay suspended): catch the SimAbort, read the report, and
+     * destroy the Machine. Arming with 0 disables the watchdog.
      * @{
      */
     void
@@ -303,17 +305,6 @@ class Engine
         hangAt_ = kNoHang;
         wdDump_ = nullptr;
     }
-
-    /**
-     * With supervise(true), a watchdog expiry raises a catchable
-     * SimAbort out of run() (thrown on the host stack, with the
-     * structured dump attached) instead of printing and panicking. The
-     * default stays unsupervised: standalone runs keep the
-     * print-and-abort behaviour. An aborted engine is dead — interrupted
-     * guest stacks stay suspended — so catch the SimAbort, harvest the
-     * report, and destroy the Machine.
-     */
-    void supervise(bool on) { supervised_ = on; }
 
     /** Record forward progress (called by the runtime per task retired). */
     void
@@ -399,8 +390,7 @@ class Engine
 
     /**
      * Out-of-line watchdog expiry for a dispatch at @p next_time: record
-     * a pending SimAbort (supervised; the caller unwinds to run()) or
-     * print the dump and panic (unsupervised: no return).
+     * a pending SimAbort; the caller unwinds to run(), which throws it.
      */
     void raiseHang(Cycles next_time);
 
@@ -544,8 +534,7 @@ class Engine
     std::function<std::string()> wdDump_;
     Cycles progressTime_ = 0;
 
-    // Supervised-abort state.
-    bool supervised_ = false;
+    // Pending watchdog abort, thrown once run() is back on the host stack.
     bool abortPending_ = false;
     std::string abortSummary_;
     std::string abortDump_;

@@ -13,11 +13,11 @@
  * runs.
  *
  * The fault matrix itself is routed through the FleetServer: each
- * (workload, chaos seed) cell is one supervised job with the standalone
+ * (workload, chaos seed) cell is one fleet job with the standalone
  * digest as its expected reference, and the bit-identical-replay leg
- * rides on the server's cache validation — a bypassCache recompute whose
- * digest or cycle count disagrees with the stored entry comes back as
- * digest_mismatch, so an Ok status *is* the determinism assertion.
+ * rides on the server's repeated-spec check — a second run of the same
+ * spec whose digest or cycle count disagrees with the first comes back
+ * as digest_mismatch, so an Ok status *is* the determinism assertion.
  */
 
 #include <gtest/gtest.h>
@@ -137,10 +137,10 @@ injectedTotal(const FaultPlan &plan)
 }
 
 /**
- * Run the chaos matrix for @p spec through the fleet server: one
- * supervised job per seed (expected digest = host reference, checker
- * armed) plus a bypassCache replay that the server validates to the
- * cycle against the cached first run.
+ * Run the chaos matrix for @p spec through the fleet server: one job per
+ * seed (expected digest = host reference, checker armed) plus a replay
+ * of the same spec that the server checks to the cycle against the
+ * first run.
  */
 void
 runFleetFaultMatrix(const serve::FleetWorkload &spec, Cycles horizon)
@@ -161,7 +161,6 @@ runFleetFaultMatrix(const serve::FleetWorkload &spec, Cycles horizon)
         serve::JobRequest again = serve::makeWorkloadRequest(spec);
         again.faultSeed = seed;
         again.faultHorizon = horizon;
-        again.bypassCache = true;
         serve::JobReport b = server.wait(server.submit(std::move(again)));
         EXPECT_EQ(b.status, serve::JobStatus::Ok)
             << spec.kind << " nondeterministic under chaos seed " << seed
@@ -266,23 +265,25 @@ TEST(ChaosDeathTest, WatchdogFiresOnQuiescenceFailure)
     cfg.watchdogCycles = 100'000;
     WorkStealingRuntime rt(machine, cfg);
     // A ready count with no matching child: the root waits forever, the
-    // other cores steal-spin forever, no task ever retires. The watchdog
-    // must convert this hang into a panic with a structured dump.
-    EXPECT_DEATH(rt.run([](TaskContext &tc) {
-        tc.setReadyCount(1);
-        tc.waitChildren();
-    }),
-                 "watchdog");
+    // other cores steal-spin forever, no task ever retires. A standalone
+    // tool catches nothing: the noexcept frame stands in for its main(),
+    // and the uncaught SimAbort must end the process with the summary
+    // and the structured dump.
+    EXPECT_DEATH([&]() noexcept {
+        rt.run([](TaskContext &tc) {
+            tc.setReadyCount(1);
+            tc.waitChildren();
+        });
+    }(),
+                 "watchdog(.|\n)*engine state:");
 }
 
-TEST(Chaos, SupervisedWatchdogThrowsCatchableSimAbort)
+TEST(Chaos, WatchdogThrowsCatchableSimAbort)
 {
-    // With a supervisor installed, the same quiescence failure that
-    // panics above must instead surface as a typed, catchable SimAbort
-    // carrying a structured runtime dump — thrown on the host stack,
-    // never across a guest coroutine.
+    // The same quiescence failure, caught: a typed SimAbort carrying a
+    // structured runtime dump, thrown on the host stack, never across a
+    // guest coroutine.
     Machine machine(MachineConfig::tiny());
-    machine.engine().supervise(true);
     RuntimeConfig cfg = RuntimeConfig::full();
     cfg.watchdogCycles = 100'000;
     WorkStealingRuntime rt(machine, cfg);
@@ -291,24 +292,25 @@ TEST(Chaos, SupervisedWatchdogThrowsCatchableSimAbort)
             tc.setReadyCount(1);
             tc.waitChildren();
         });
-        FAIL() << "supervised hang did not abort";
+        FAIL() << "hang did not abort";
     } catch (const SimAbort &abort) {
         EXPECT_NE(abort.summary().find("watchdog"), std::string::npos)
             << abort.summary();
         EXPECT_FALSE(abort.dump().empty())
             << "hang aborts must carry a runtime state dump";
+        EXPECT_EQ(std::string(abort.what()),
+                  abort.summary() + "\n" + abort.dump());
     }
 }
 
 /**
- * Run @p req once on a fresh supervised machine, as a fleet job does,
- * and return the SimAbort its hang raises.
+ * Run @p req once on a fresh machine, as a fleet job does, and return
+ * the SimAbort its hang raises.
  */
 SimAbort
-supervisedHang(const serve::JobRequest &req)
+hangOf(const serve::JobRequest &req)
 {
     Machine machine(req.machine);
-    machine.engine().supervise(true);
     serve::AssetCache assets;
     try {
         serve::runJob(req, machine, assets);
@@ -351,8 +353,8 @@ TEST(Chaos, SupervisedHangIsReproducible)
         return prep;
     };
     for (const serve::JobRequest &req : {denial, straggler}) {
-        SimAbort first = supervisedHang(req);
-        SimAbort second = supervisedHang(req);
+        SimAbort first = hangOf(req);
+        SimAbort second = hangOf(req);
         EXPECT_NE(first.summary().find("watchdog"), std::string::npos)
             << req.name << ": " << first.summary();
         EXPECT_FALSE(first.dump().empty()) << req.name;

@@ -17,10 +17,10 @@
  *  - arming the checker changes no cycle count (it is an observer).
  *
  * The per-seed sweep runs through the FleetServer: each seed is one
- * supervised job (checker armed, expected digest = host reference), and
- * the replay leg is the server's cache validation — a bypassCache
- * recompute that disagrees on digest or cycles reports digest_mismatch,
- * so an Ok status certifies deterministic replay.
+ * fleet job (checker armed, expected digest = host reference), and the
+ * replay leg is the server's repeated-spec check — a second run of the
+ * same spec that disagrees on digest or cycles with the first reports
+ * digest_mismatch, so an Ok status certifies deterministic replay.
  */
 
 #include <gtest/gtest.h>
@@ -109,11 +109,10 @@ TEST_P(ScheduleSweep, SeededPerturbationIsCleanAndDeterministic)
             << a.dump;
 
         // The same seed must replay bit-identically, to the cycle: the
-        // bypassCache recompute is validated against the cached run.
+        // server checks the second run against the first.
         serve::JobRequest again = serve::makeWorkloadRequest(spec);
         again.scheduleSeed = seed;
         again.scheduleWindow = kWindow;
-        again.bypassCache = true;
         serve::JobReport b = server.wait(server.submit(std::move(again)));
         EXPECT_EQ(b.status, serve::JobStatus::Ok)
             << spec.kind << " is nondeterministic under seed " << seed
